@@ -2,14 +2,12 @@
 //!
 //! ```sh
 //! cargo run -p gwc-bench --bin metrics_check -- metrics.json
-//! cargo run -p gwc-bench --bin metrics_check -- --schema v2 metrics.json
 //! ```
 //!
 //! Parses the file with the `gwc-obs` JSON parser, checks the schema
-//! version and required keys, and round-trips it (parse -> render ->
-//! parse -> compare) to prove the writer and parser agree. Any schema
-//! version the validator supports is accepted unless `--schema` pins
-//! one. `--counter NAME=VALUE` (repeatable) additionally asserts a
+//! version (only the one `regen` writes is accepted) and required keys,
+//! and round-trips it (parse -> render -> parse -> compare) to prove the
+//! writer and parser agree. `--counter NAME=VALUE` (repeatable) additionally asserts a
 //! counter's exact value — a counter absent from the report counts as 0,
 //! so `--counter cache.misses=0` holds for a fully warm run that never
 //! incremented it. The name may end in a `*` prefix glob:
@@ -29,7 +27,7 @@
 //! a bad report/stream or failed assertion, 2 on usage errors.
 
 use gwc_bench::cli::{take_count, take_value, unknown_opt, ArgStream, Token};
-use gwc_obs::report::validate_str_version;
+use gwc_obs::report::validate_str;
 use gwc_obs::sampler::validate_heartbeat;
 
 const USAGE: &str = "\
@@ -39,8 +37,6 @@ Validates a metrics report written by `regen --metrics` and/or a
 heartbeat NDJSON stream written by `--heartbeat`.
 
 options:
-  --schema v1|v2|v3|v4   require this exact schema version (default:
-                         accept any supported version)
   --counter NAME=VALUE   require the named counter to equal VALUE
                          (repeatable; an absent counter counts as 0).
                          NAME may end in `*`: the values of all matching
@@ -144,7 +140,6 @@ fn hist_row<'d>(doc: &'d gwc_obs::json::Json, name: &str) -> Option<&'d gwc_obs:
 
 fn main() {
     let mut path: Option<String> = None;
-    let mut pin: Option<u64> = None;
     let mut counter_asserts: Vec<(String, Option<u64>)> = Vec::new();
     let mut counter_min_asserts: Vec<(String, u64)> = Vec::new();
     let mut hist_asserts: Vec<HistAssert> = Vec::new();
@@ -163,18 +158,6 @@ fn main() {
             Token::Opt { flag, inline } => (flag, inline),
         };
         match flag.as_str() {
-            "--schema" => {
-                let v = take_value(&flag, inline, &mut args).unwrap_or_else(|e| usage_error(&e));
-                pin = Some(match v.as_str() {
-                    "v1" | "1" => 1,
-                    "v2" | "2" => 2,
-                    "v3" | "3" => 3,
-                    "v4" | "4" => 4,
-                    _ => usage_error(&format!(
-                        "--schema: `{v}` is not a known version (v1, v2, v3, v4)"
-                    )),
-                });
-            }
             "--counter" => {
                 let v = take_value(&flag, inline, &mut args).unwrap_or_else(|e| usage_error(&e));
                 let (name, value) = match v.split_once('=') {
@@ -275,9 +258,8 @@ fn main() {
             if !counter_asserts.is_empty()
                 || !counter_min_asserts.is_empty()
                 || !hist_asserts.is_empty()
-                || pin.is_some()
             {
-                usage_error("--schema/--counter/--hist assertions need a FILE.json to check");
+                usage_error("--counter/--hist assertions need a FILE.json to check");
             }
             return;
         }
@@ -287,7 +269,7 @@ fn main() {
         eprintln!("metrics_check: cannot read `{path}`: {e}");
         std::process::exit(2);
     });
-    match validate_str_version(&text, pin) {
+    match validate_str(&text) {
         Ok(doc) => {
             for (name, expected) in &counter_asserts {
                 let (matched, actual) = counter_sum(&doc, name);

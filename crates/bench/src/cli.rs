@@ -1,12 +1,11 @@
 //! Strict shared command-line parsing for the bench binaries.
 //!
-//! All four binaries in this crate (`regen`, `metrics_check`,
-//! `bench_run`, `bench_diff`) follow the same conventions: options may
-//! be spelled `--flag value` or `--flag=value`, anything else that
-//! starts with `-` is rejected as an unknown option (never treated as a
-//! positional), and usage errors exit 2. Each binary used to hand-roll
-//! that tokenization; this module holds the one copy so the binaries
-//! cannot drift apart in what they accept.
+//! Both binaries in this crate (`regen`, `metrics_check`) follow the
+//! same conventions: options may be spelled `--flag value` or
+//! `--flag=value`, anything else that starts with `-` is rejected as an
+//! unknown option (never treated as a positional), and usage errors exit
+//! 2. This module holds the one copy of that tokenization so the
+//! binaries cannot drift apart in what they accept.
 //!
 //! Helpers return `Result<_, String>` instead of exiting so each binary
 //! routes messages through its own `usage_error` (which appends that
@@ -101,15 +100,6 @@ pub fn take_count(
         .map_err(|_| format!("{flag}: `{v}` is not a count"))
 }
 
-/// [`take_value`] parsed as a finite non-negative float (a tolerance).
-pub fn take_ratio(flag: &str, inline: Option<String>, args: &mut ArgStream) -> Result<f64, String> {
-    let v = take_value(flag, inline, args)?;
-    v.parse::<f64>()
-        .ok()
-        .filter(|t| t.is_finite() && *t >= 0.0)
-        .ok_or_else(|| format!("{flag}: `{v}` is not a non-negative number"))
-}
-
 /// Rejects `--flag=value` spellings for options that take no value.
 pub fn reject_value(flag: &str, inline: Option<String>) -> Result<(), String> {
     match inline {
@@ -141,12 +131,12 @@ mod tests {
     #[test]
     fn tokenizes_flags_positionals_and_inline_values() {
         assert_eq!(
-            tokens(&["e1", "--iters", "3", "--out=x.json", "-h"]),
+            tokens(&["e1", "--threads", "3", "--metrics=x.json", "-h"]),
             vec![
                 Token::Positional("e1".to_string()),
-                opt("--iters", None),
+                opt("--threads", None),
                 Token::Positional("3".to_string()),
-                opt("--out", Some("x.json")),
+                opt("--metrics", Some("x.json")),
                 opt("-h", None),
             ]
         );
@@ -164,47 +154,34 @@ mod tests {
     fn take_value_prefers_inline_then_next_arg() {
         let mut args = ArgStream::new(["next".to_string()]);
         assert_eq!(
-            take_value("--out", Some("inline".to_string()), &mut args),
+            take_value("--metrics", Some("inline".to_string()), &mut args),
             Ok("inline".to_string())
         );
         // Inline did not consume the stream.
-        assert_eq!(take_value("--out", None, &mut args), Ok("next".to_string()));
-        let err = take_value("--out", None, &mut args).unwrap_err();
-        assert_eq!(err, "--out needs a value");
+        assert_eq!(
+            take_value("--metrics", None, &mut args),
+            Ok("next".to_string())
+        );
+        let err = take_value("--metrics", None, &mut args).unwrap_err();
+        assert_eq!(err, "--metrics needs a value");
     }
 
     #[test]
     fn take_count_rejects_non_numbers() {
         let mut args = ArgStream::new([]);
         assert_eq!(
-            take_count("--iters", Some("5".to_string()), &mut args),
+            take_count("--threads", Some("5".to_string()), &mut args),
             Ok(5)
         );
-        let err = take_count("--iters", Some("five".to_string()), &mut args).unwrap_err();
-        assert_eq!(err, "--iters: `five` is not a count");
-    }
-
-    #[test]
-    fn take_ratio_rejects_negative_and_non_finite() {
-        let mut args = ArgStream::new([]);
-        assert_eq!(
-            take_ratio("--tolerance", Some("0.25".to_string()), &mut args),
-            Ok(0.25)
-        );
-        for bad in ["-0.1", "NaN", "inf", "abc"] {
-            let err = take_ratio("--tolerance", Some(bad.to_string()), &mut args).unwrap_err();
-            assert_eq!(
-                err,
-                format!("--tolerance: `{bad}` is not a non-negative number")
-            );
-        }
+        let err = take_count("--threads", Some("five".to_string()), &mut args).unwrap_err();
+        assert_eq!(err, "--threads: `five` is not a count");
     }
 
     #[test]
     fn reject_value_only_fires_on_inline() {
-        assert_eq!(reject_value("--warn-only", None), Ok(()));
-        let err = reject_value("--warn-only", Some("x".to_string())).unwrap_err();
-        assert_eq!(err, "--warn-only takes no value (got `x`)");
+        assert_eq!(reject_value("--no-cache", None), Ok(()));
+        let err = reject_value("--no-cache", Some("x".to_string())).unwrap_err();
+        assert_eq!(err, "--no-cache takes no value (got `x`)");
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 pub mod cli;
 pub mod experiments;
-pub mod perf;
 pub mod telemetry;
 
 pub use experiments::{

@@ -1,10 +1,9 @@
-//! Shared live-telemetry plumbing for the bench binaries.
+//! Live-telemetry plumbing for `regen`.
 //!
-//! `regen` and `bench_run` both accept `--heartbeat PATH|-` (plus
-//! `--heartbeat-interval-ms` and `--stall-after`) and both write v4
-//! metrics reports with a run-metadata header. This module holds the
-//! one copy of that glue: flag parsing, the heartbeat sink, the
-//! sampler lifecycle, and report assembly.
+//! `regen` accepts `--heartbeat PATH|-` (plus `--heartbeat-interval-ms`
+//! and `--stall-after`) and writes v4 metrics reports with a
+//! run-metadata header. This module holds that glue: flag parsing, the
+//! heartbeat sink, the sampler lifecycle, and report assembly.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -17,7 +16,7 @@ use gwc_obs::{Recorder, Sampler, SamplerConfig, TraceRecorder};
 
 use crate::cli::{take_count, take_value, ArgStream};
 
-/// Telemetry options shared by `regen` and `bench_run`.
+/// `regen`'s telemetry options.
 #[derive(Debug, Clone)]
 pub struct TelemetryFlags {
     /// Heartbeat destination: a path, or `-` for stderr. `None`

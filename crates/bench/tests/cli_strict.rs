@@ -2,7 +2,7 @@
 //!
 //! The binaries share one tokenizer (`gwc_bench::cli`), so an argument
 //! that starts with `-` and is not a recognized flag must never be
-//! swallowed as a positional — a typo like `--warnonly` silently
+//! swallowed as a positional — a typo like `--nocache` silently
 //! becoming an experiment id (or worse, being ignored) would turn an
 //! enforcing CI gate into a no-op. These tests spawn the real binaries
 //! because the strictness contract lives in each `main`, not just in
@@ -21,15 +21,10 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// All four binaries, each with an unknown option mixed into otherwise
+/// Both binaries, each with an unknown option mixed into otherwise
 /// plausible arguments. None of these invocations may start real work.
 fn rejection_cases() -> Vec<(&'static str, Vec<&'static str>)> {
     vec![
-        (env!("CARGO_BIN_EXE_bench_run"), vec!["e1", "--bogus"]),
-        (
-            env!("CARGO_BIN_EXE_bench_diff"),
-            vec!["old.json", "new.json", "--bogus"],
-        ),
         (env!("CARGO_BIN_EXE_regen"), vec!["e1", "--bogus"]),
         (
             env!("CARGO_BIN_EXE_metrics_check"),
@@ -64,7 +59,7 @@ fn unknown_options_exit_2_with_a_diagnostic() {
 #[test]
 fn single_dash_junk_is_an_option_not_a_positional() {
     // `-x=3` must not be treated as a file path or experiment id.
-    let out = run(env!("CARGO_BIN_EXE_bench_run"), &["-x=3"]);
+    let out = run(env!("CARGO_BIN_EXE_regen"), &["-x=3"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
     assert!(
         stderr_of(&out).contains("unknown option `-x=3`"),
@@ -94,224 +89,34 @@ fn help_exits_0_everywhere() {
 
 #[test]
 fn missing_and_malformed_values_exit_2() {
-    let cases: Vec<(&str, Vec<&str>, &str)> = vec![
-        (
-            env!("CARGO_BIN_EXE_bench_run"),
-            vec!["--iters"],
-            "--iters needs a value",
-        ),
-        (
-            env!("CARGO_BIN_EXE_bench_run"),
-            vec!["--iters=zero"],
-            "--iters: `zero` is not a count",
-        ),
-        (
-            env!("CARGO_BIN_EXE_bench_diff"),
-            vec!["--tolerance", "-1", "a.json", "b.json"],
-            "--tolerance: `-1` is not a non-negative number",
-        ),
-        (
-            env!("CARGO_BIN_EXE_bench_diff"),
-            vec!["--warn-only=yes", "a.json", "b.json"],
-            "--warn-only takes no value",
-        ),
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["--threads"], "--threads needs a value"),
+        (vec!["--threads=zero"], "--threads: `zero` is not a count"),
+        (vec!["e1", "--no-cache=yes"], "--no-cache takes no value"),
     ];
-    for (bin, args, want) in cases {
-        let out = run(bin, &args);
-        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+    for (args, want) in cases {
+        let out = run(env!("CARGO_BIN_EXE_regen"), &args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = stderr_of(&out);
-        assert!(err.contains(want), "{bin} {args:?}: stderr:\n{err}");
+        assert!(err.contains(want), "{args:?}: stderr:\n{err}");
     }
 }
 
 #[test]
 fn invalid_backend_exits_2_without_starting_work() {
-    for bin in [env!("CARGO_BIN_EXE_bench_run"), env!("CARGO_BIN_EXE_regen")] {
-        for args in [
-            ["e1", "--backend", "cuda"].as_slice(),
-            ["e1", "--backend=avx512"].as_slice(),
-            ["e1", "--backend"].as_slice(),
-        ] {
-            let out = run(bin, args);
-            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
-            let err = stderr_of(&out);
-            assert!(
-                err.contains("backend") && err.contains("usage:"),
-                "{bin} {args:?}: stderr:\n{err}"
-            );
-        }
+    for args in [
+        ["e1", "--backend", "cuda"].as_slice(),
+        ["e1", "--backend=avx512"].as_slice(),
+        ["e1", "--backend"].as_slice(),
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_regen"), args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr_of(&out);
+        assert!(
+            err.contains("backend") && err.contains("usage:"),
+            "{args:?}: stderr:\n{err}"
+        );
     }
-}
-
-#[test]
-fn bench_diff_flags_cross_backend_comparisons() {
-    use gwc_bench::perf::{build_bench_report, BenchContext, STAGES};
-
-    let dir = std::env::temp_dir().join(format!("gwc_bench_diff_backend_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let report = |backend: &str| {
-        let ctx = BenchContext {
-            label: "x".into(),
-            backend: backend.into(),
-            threads: 1,
-            warmup: 0,
-            iters: 1,
-            experiment_ids: vec!["e1".into()],
-            scale: String::new(),
-            observer_tier: String::new(),
-            policy: String::new(),
-        };
-        let sample = gwc_bench::perf::BenchSample {
-            total_ns: 5_000_000,
-            stages: STAGES.iter().map(|&s| (s.to_string(), 1_000_000)).collect(),
-            experiments: vec![("e1".into(), 1_000_000)],
-            kernels: Vec::new(),
-        };
-        build_bench_report(&ctx, &[sample])
-    };
-    let old = dir.join("old.json");
-    let new = dir.join("new.json");
-    std::fs::write(&old, report("scalar").render()).expect("write baseline");
-    std::fs::write(&new, report("simd").render()).expect("write candidate");
-
-    let out = run(
-        env!("CARGO_BIN_EXE_bench_diff"),
-        &[old.to_str().unwrap(), new.to_str().unwrap()],
-    );
-    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-    let err = stderr_of(&out);
-    assert!(
-        err.contains("different warp engines")
-            && err.contains("baseline: scalar")
-            && err.contains("candidate: simd"),
-        "missing cross-backend note:\n{err}"
-    );
-
-    // Same backend on both sides: no note.
-    std::fs::write(&old, report("simd").render()).expect("rewrite baseline");
-    let out = run(
-        env!("CARGO_BIN_EXE_bench_diff"),
-        &[old.to_str().unwrap(), new.to_str().unwrap()],
-    );
-    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-    assert!(
-        !stderr_of(&out).contains("different warp engines"),
-        "{}",
-        stderr_of(&out)
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bench_diff_attribute_names_the_offending_kernel_and_uop_class() {
-    use gwc_bench::perf::{build_bench_report, BenchContext, BenchSample, KernelRollup, STAGES};
-
-    let dir = std::env::temp_dir().join(format!("gwc_bench_diff_attr_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    // Fixture: two kernels; the candidate run slows `histogram` down 3x
-    // with a matching burst of atomic lane-µops, while `fft_pass` and
-    // everything else stays put.
-    let report = |histogram_slow: bool| {
-        let (wall, atomics) = if histogram_slow {
-            (9_000_000, 900_000)
-        } else {
-            (3_000_000, 300_000)
-        };
-        let kernels = vec![
-            KernelRollup {
-                name: "histogram".into(),
-                launches: 8,
-                wall_ns: wall,
-                classes: vec![
-                    ("atomic".into(), atomics / 32, atomics),
-                    ("int_alu".into(), 4_000, 128_000),
-                ],
-            },
-            KernelRollup {
-                name: "fft_pass".into(),
-                launches: 4,
-                wall_ns: 2_000_000,
-                classes: vec![("fp_alu".into(), 8_000, 256_000)],
-            },
-        ];
-        let sample = BenchSample {
-            total_ns: 20_000_000 + if histogram_slow { 6_000_000 } else { 0 },
-            stages: STAGES.iter().map(|&s| (s.to_string(), 2_000_000)).collect(),
-            experiments: vec![("e1".into(), 2_000_000)],
-            kernels,
-        };
-        let ctx = BenchContext {
-            label: "attr".into(),
-            backend: "simd".into(),
-            threads: 1,
-            warmup: 0,
-            iters: 1,
-            experiment_ids: vec!["e1".into()],
-            scale: String::new(),
-            observer_tier: String::new(),
-            policy: String::new(),
-        };
-        build_bench_report(&ctx, &[sample])
-    };
-    let old = dir.join("old.json");
-    let new = dir.join("new.json");
-    std::fs::write(&old, report(false).render()).expect("write baseline");
-    std::fs::write(&new, report(true).render()).expect("write candidate");
-
-    let out = run(
-        env!("CARGO_BIN_EXE_bench_diff"),
-        &[
-            old.to_str().unwrap(),
-            new.to_str().unwrap(),
-            "--attribute",
-            "--warn-only",
-        ],
-    );
-    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    let mut rows = stdout
-        .lines()
-        .skip_while(|l| !l.starts_with("per-kernel attribution"))
-        .skip(2); // section header + column header
-    let top = rows.next().expect("attribution table has a top row");
-    assert!(
-        top.starts_with("histogram") && top.contains("atomic") && top.contains("100%"),
-        "top row must name the slow kernel and its µop class:\n{stdout}"
-    );
-    assert!(
-        rows.next().is_some_and(|r| r.starts_with("fft_pass")),
-        "unchanged kernel ranks below:\n{stdout}"
-    );
-
-    // A v1 baseline (no kernels section) degrades to a note, not a
-    // failure.
-    let doc = report(false);
-    let gwc_obs::json::Json::Obj(mut fields) = doc else {
-        unreachable!()
-    };
-    fields.retain(|(k, _)| k != "kernels");
-    for f in &mut fields {
-        if f.0 == "bench_schema_version" {
-            f.1 = gwc_obs::json::Json::UInt(1);
-        }
-    }
-    std::fs::write(&old, gwc_obs::json::Json::Obj(fields).render()).expect("rewrite baseline");
-    let out = run(
-        env!("CARGO_BIN_EXE_bench_diff"),
-        &[
-            old.to_str().unwrap(),
-            new.to_str().unwrap(),
-            "--attribute",
-            "--warn-only",
-        ],
-    );
-    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-    assert!(
-        stderr_of(&out).contains("cannot attribute"),
-        "{}",
-        stderr_of(&out)
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -330,34 +135,33 @@ fn regen_list_prints_every_experiment_and_exits_0() {
 
 #[test]
 fn invalid_policy_exits_2_without_starting_work() {
-    for bin in [env!("CARGO_BIN_EXE_bench_run"), env!("CARGO_BIN_EXE_regen")] {
-        for args in [
-            ["e1", "--policy", "bogus"].as_slice(),
-            ["e1", "--policy=greedy"].as_slice(),
-            ["e1", "--policy"].as_slice(),
-        ] {
-            let out = run(bin, args);
-            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
-            let err = stderr_of(&out);
-            assert!(
-                err.contains("policy") && err.contains("usage:"),
-                "{bin} {args:?}: stderr:\n{err}"
-            );
-        }
+    for args in [
+        ["e1", "--policy", "bogus"].as_slice(),
+        ["e1", "--policy=greedy"].as_slice(),
+        ["e1", "--policy"].as_slice(),
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_regen"), args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr_of(&out);
+        assert!(
+            err.contains("policy") && err.contains("usage:"),
+            "{args:?}: stderr:\n{err}"
+        );
     }
 }
 
 #[test]
 fn cache_and_no_cache_conflict_exits_2() {
-    for bin in [env!("CARGO_BIN_EXE_regen"), env!("CARGO_BIN_EXE_bench_run")] {
-        let out = run(bin, &["e1", "--cache", "dir", "--no-cache"]);
-        assert_eq!(out.status.code(), Some(2), "{bin}: {}", stderr_of(&out));
-        assert!(
-            stderr_of(&out).contains("--cache and --no-cache are mutually exclusive"),
-            "{bin}: {}",
-            stderr_of(&out)
-        );
-    }
+    let out = run(
+        env!("CARGO_BIN_EXE_regen"),
+        &["e1", "--cache", "dir", "--no-cache"],
+    );
+    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains("--cache and --no-cache are mutually exclusive"),
+        "{}",
+        stderr_of(&out)
+    );
 }
 
 #[test]
@@ -397,10 +201,6 @@ fn metrics_check_counter_assertions_parse_strictly() {
             vec!["--min-ticks", "2", "m.json"],
             "--min-ticks requires --heartbeat",
         ),
-        (
-            vec!["--schema", "v9", "m.json"],
-            "not a known version (v1, v2, v3, v4)",
-        ),
     ];
     for (args, want) in cases {
         let out = run(env!("CARGO_BIN_EXE_metrics_check"), &args);
@@ -414,49 +214,28 @@ fn metrics_check_counter_assertions_parse_strictly() {
 }
 
 #[test]
-fn telemetry_flags_parse_strictly_on_both_run_binaries() {
-    for bin in [env!("CARGO_BIN_EXE_regen"), env!("CARGO_BIN_EXE_bench_run")] {
-        let cases: Vec<(Vec<&str>, &str)> = vec![
-            (vec!["e1", "--heartbeat"], "--heartbeat needs a value"),
-            (
-                vec!["e1", "--heartbeat-interval-ms=0"],
-                "interval must be positive",
-            ),
-            (
-                vec!["e1", "--heartbeat-interval-ms=soon"],
-                "`soon` is not a count",
-            ),
-            (vec!["e1", "--stall-after=-1"], "is not a count"),
-        ];
-        for (args, want) in cases {
-            let out = run(bin, &args);
-            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
-            assert!(
-                stderr_of(&out).contains(want),
-                "{bin} {args:?}: stderr:\n{}",
-                stderr_of(&out)
-            );
-        }
-    }
-    // bench_run's report sinks parse like regen's.
-    for flag in ["--metrics", "--trace"] {
-        let out = run(env!("CARGO_BIN_EXE_bench_run"), &["e1", flag]);
-        assert_eq!(out.status.code(), Some(2), "{flag}: {}", stderr_of(&out));
+fn telemetry_flags_parse_strictly() {
+    let cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["e1", "--heartbeat"], "--heartbeat needs a value"),
+        (
+            vec!["e1", "--heartbeat-interval-ms=0"],
+            "interval must be positive",
+        ),
+        (
+            vec!["e1", "--heartbeat-interval-ms=soon"],
+            "`soon` is not a count",
+        ),
+        (vec!["e1", "--stall-after=-1"], "is not a count"),
+        (vec!["e1", "--metrics"], "--metrics needs a value"),
+        (vec!["e1", "--trace"], "--trace needs a value"),
+    ];
+    for (args, want) in cases {
+        let out = run(env!("CARGO_BIN_EXE_regen"), &args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(
-            stderr_of(&out).contains(&format!("{flag} needs a value")),
-            "{flag}: {}",
+            stderr_of(&out).contains(want),
+            "{args:?}: stderr:\n{}",
             stderr_of(&out)
         );
     }
-}
-
-#[test]
-fn bench_diff_requires_exactly_two_paths() {
-    let out = run(env!("CARGO_BIN_EXE_bench_diff"), &["only_one.json"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        stderr_of(&out).contains("expected exactly two report paths"),
-        "{}",
-        stderr_of(&out)
-    );
 }

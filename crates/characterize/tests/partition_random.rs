@@ -1,6 +1,4 @@
-//! Offline randomized partition test: the seeded twin of
-//! `extras/tests/merge_properties.rs` (which runs the same property
-//! under proptest when network access allows building it).
+//! Seeded randomized partition test.
 //!
 //! For dozens of seeded random kernels, launch geometries, and block
 //! partitions, observing each shard separately and merging must equal

@@ -1,6 +1,6 @@
 //! The staged characterization pipeline: typed artifacts, an explicit
 //! stage DAG, and one entry point shared by `regen`, the examples and the
-//! perf harness.
+//! benchmark.
 //!
 //! Before this module, every consumer re-spelled the same ad-hoc call
 //! chain (run study → drop `vector_add` → build matrix → fit PCA → fit
@@ -239,7 +239,7 @@ pub trait Stage {
     /// # Panics
     ///
     /// Stages panic on failure: the pipeline feeds batch tools
-    /// (`regen`, `bench_run`, the examples) for which a failed stage has
+    /// (`regen`, the benchmark, the examples) for which a failed stage has
     /// nothing to print, and the canonical configuration is covered by
     /// the test suite.
     fn run(cfg: &PipelineConfig, input: Self::Input<'_>) -> Self::Output;

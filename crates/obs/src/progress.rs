@@ -14,9 +14,9 @@
 //! relaxed atomic load and a branch — no allocation, no lock
 //! (`tests/noop_alloc.rs` pins this). [`crate::install`] resets the
 //! counters and bumps the *epoch*, so consumers that outlive several
-//! recorder installations (e.g. a heartbeat across `bench_run`
-//! iterations) can tell a counter reset from a counter decrease:
-//! within one epoch, every value is monotone non-decreasing.
+//! recorder installations (e.g. a sampler spanning several installs) can
+//! tell a counter reset from a counter decrease: within one epoch, every
+//! value is monotone non-decreasing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

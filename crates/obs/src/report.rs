@@ -20,12 +20,11 @@ use crate::metrics::MetricsSnapshot;
 /// schema v4 adds the run-metadata header `meta` (wall-clock timestamp,
 /// threads, backend, cache mode, label) and the live-telemetry
 /// `timeseries` section (the sampler's ring, see [`crate::sampler`] —
-/// an empty object when no sampler ran). [`validate`] still accepts
-/// older documents, which simply lack the newer keys.
+/// an empty object when no sampler ran).
 pub const SCHEMA_VERSION: u64 = 4;
 
-/// Schema versions [`validate`] accepts.
-pub const SUPPORTED_VERSIONS: [u64; 4] = [1, 2, 3, 4];
+/// Schema versions [`validate`] accepts: only the one this crate writes.
+pub const SUPPORTED_VERSIONS: [u64; 1] = [SCHEMA_VERSION];
 
 /// Required top-level keys of the current schema, in emission order.
 pub const REQUIRED_KEYS: [&str; 17] = [
@@ -59,7 +58,7 @@ pub struct RunMeta {
     pub backend: String,
     /// Cache mode: the cache directory, or `off`.
     pub cache: String,
-    /// Free-form run label (the producing binary or `bench_run --label`).
+    /// Free-form run label (the producing binary).
     pub label: String,
 }
 
@@ -318,29 +317,15 @@ fn require_records(doc: &Json, key: &str, fields: &[&str]) -> Result<(), String>
     Ok(())
 }
 
-/// Validates a parsed report against the schema, accepting any
-/// [`SUPPORTED_VERSIONS`] member. Equivalent to
-/// [`validate_version`]`(doc, None)`.
+/// Validates a parsed report against the schema: a
+/// [`SUPPORTED_VERSIONS`] member carrying every [`REQUIRED_KEYS`] entry
+/// with its record shapes.
 ///
 /// # Errors
 ///
 /// Returns a message naming the first missing/mistyped key or the
 /// version mismatch.
 pub fn validate(doc: &Json) -> Result<(), String> {
-    validate_version(doc, None)
-}
-
-/// Validates a parsed report, optionally pinning the schema version
-/// (`metrics_check --schema v1|v2|v3|v4`). With `expected: None`, any
-/// supported version passes; older documents are not required to carry
-/// newer keys (the v2-only `histograms`, the v3-only `self_time` and
-/// `exec_profiles`, the v4-only `meta` and `timeseries`).
-///
-/// # Errors
-///
-/// Returns a message naming the first missing/mistyped key or the
-/// version mismatch.
-pub fn validate_version(doc: &Json, expected: Option<u64>) -> Result<(), String> {
     let version = doc
         .get("schema_version")
         .and_then(Json::as_u64)
@@ -350,21 +335,7 @@ pub fn validate_version(doc: &Json, expected: Option<u64>) -> Result<(), String>
             "schema_version {version} not in supported {SUPPORTED_VERSIONS:?}"
         ));
     }
-    if let Some(want) = expected {
-        if version != want {
-            return Err(format!("schema_version {version} != pinned v{want}"));
-        }
-    }
     for key in REQUIRED_KEYS {
-        if key == "histograms" && version < 2 {
-            continue;
-        }
-        if matches!(key, "self_time" | "exec_profiles") && version < 3 {
-            continue;
-        }
-        if matches!(key, "meta" | "timeseries") && version < 4 {
-            continue;
-        }
         if doc.get(key).is_none() {
             return Err(format!("missing key `{key}`"));
         }
@@ -412,114 +383,108 @@ pub fn validate_version(doc: &Json, expected: Option<u64>) -> Result<(), String>
     require_records(doc, "fallbacks", &["kernel", "reason", "count"])?;
     require_records(doc, "counters", &["name", "value"])?;
     require_records(doc, "gauges", &["name", "value"])?;
-    if version >= 2 {
-        require_records(
-            doc,
-            "histograms",
-            &[
-                "name", "count", "sum_ns", "p50_ns", "p90_ns", "p99_ns", "max_ns",
-            ],
-        )?;
-    }
+    require_records(
+        doc,
+        "histograms",
+        &[
+            "name", "count", "sum_ns", "p50_ns", "p90_ns", "p99_ns", "max_ns",
+        ],
+    )?;
     require_records(doc, "spans", &["path", "count", "total_ns"])?;
-    if version >= 3 {
-        require_records(
-            doc,
-            "self_time",
-            &[
-                "path",
-                "depth",
-                "count",
-                "total_ns",
-                "inclusive_ns",
-                "exclusive_ns",
-            ],
-        )?;
-        require_records(doc, "exec_profiles", &["kernel", "classes", "hotspots"])?;
-        for (i, prof) in doc
-            .get("exec_profiles")
+    require_records(
+        doc,
+        "self_time",
+        &[
+            "path",
+            "depth",
+            "count",
+            "total_ns",
+            "inclusive_ns",
+            "exclusive_ns",
+        ],
+    )?;
+    require_records(doc, "exec_profiles", &["kernel", "classes", "hotspots"])?;
+    for (i, prof) in doc
+        .get("exec_profiles")
+        .and_then(Json::as_arr)
+        .unwrap_or(&[])
+        .iter()
+        .enumerate()
+    {
+        let classes = prof
+            .get("classes")
             .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .enumerate()
-        {
-            let classes = prof
-                .get("classes")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("`exec_profiles[{i}].classes` is not an array"))?;
-            for (j, c) in classes.iter().enumerate() {
-                for field in ["class", "warp_uops", "lane_uops"] {
-                    c.get(field).ok_or_else(|| {
-                        format!("`exec_profiles[{i}].classes[{j}]` is missing `{field}`")
-                    })?;
-                }
+            .ok_or_else(|| format!("`exec_profiles[{i}].classes` is not an array"))?;
+        for (j, c) in classes.iter().enumerate() {
+            for field in ["class", "warp_uops", "lane_uops"] {
+                c.get(field).ok_or_else(|| {
+                    format!("`exec_profiles[{i}].classes[{j}]` is missing `{field}`")
+                })?;
             }
-            let hotspots = prof
-                .get("hotspots")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("`exec_profiles[{i}].hotspots` is not an array"))?;
-            for (j, h) in hotspots.iter().enumerate() {
-                for field in ["pc", "class", "warp_uops", "lane_uops"] {
-                    h.get(field).ok_or_else(|| {
-                        format!("`exec_profiles[{i}].hotspots[{j}]` is missing `{field}`")
-                    })?;
-                }
+        }
+        let hotspots = prof
+            .get("hotspots")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("`exec_profiles[{i}].hotspots` is not an array"))?;
+        for (j, h) in hotspots.iter().enumerate() {
+            for field in ["pc", "class", "warp_uops", "lane_uops"] {
+                h.get(field).ok_or_else(|| {
+                    format!("`exec_profiles[{i}].hotspots[{j}]` is missing `{field}`")
+                })?;
             }
         }
     }
-    if version >= 4 {
-        let meta = doc.get("meta").ok_or("missing key `meta`")?;
-        for field in ["timestamp_ms", "threads", "backend", "cache", "label"] {
-            meta.get(field)
-                .ok_or_else(|| format!("`meta` is missing `{field}`"))?;
+    let meta = doc.get("meta").ok_or("missing key `meta`")?;
+    for field in ["timestamp_ms", "threads", "backend", "cache", "label"] {
+        meta.get(field)
+            .ok_or_else(|| format!("`meta` is missing `{field}`"))?;
+    }
+    let ts = doc.get("timeseries").ok_or("missing key `timeseries`")?;
+    let Json::Obj(ts_fields) = ts else {
+        return Err("`timeseries` is not an object".into());
+    };
+    // An empty object means no sampler ran; otherwise the full ring
+    // shape is required.
+    if !ts_fields.is_empty() {
+        for field in [
+            "interval_ms",
+            "capacity",
+            "dropped",
+            "stalls",
+            "samples",
+            "stall_events",
+        ] {
+            ts.get(field)
+                .ok_or_else(|| format!("`timeseries` is missing `{field}`"))?;
         }
-        let ts = doc.get("timeseries").ok_or("missing key `timeseries`")?;
-        let Json::Obj(ts_fields) = ts else {
-            return Err("`timeseries` is not an object".into());
-        };
-        // An empty object means no sampler ran; otherwise the full ring
-        // shape is required.
-        if !ts_fields.is_empty() {
+        let samples = ts
+            .get("samples")
+            .and_then(Json::as_arr)
+            .ok_or("`timeseries.samples` is not an array")?;
+        for (i, s) in samples.iter().enumerate() {
             for field in [
-                "interval_ms",
-                "capacity",
-                "dropped",
+                "seq",
+                "t_ms",
+                "epoch",
+                "stage",
+                "progress",
+                "blocks_per_s",
+                "eta_ms",
                 "stalls",
-                "samples",
-                "stall_events",
             ] {
-                ts.get(field)
-                    .ok_or_else(|| format!("`timeseries` is missing `{field}`"))?;
+                s.get(field)
+                    .ok_or_else(|| format!("`timeseries.samples[{i}]` is missing `{field}`"))?;
             }
-            let samples = ts
-                .get("samples")
-                .and_then(Json::as_arr)
-                .ok_or("`timeseries.samples` is not an array")?;
-            for (i, s) in samples.iter().enumerate() {
-                for field in [
-                    "seq",
-                    "t_ms",
-                    "epoch",
-                    "stage",
-                    "progress",
-                    "blocks_per_s",
-                    "eta_ms",
-                    "stalls",
-                ] {
-                    s.get(field)
-                        .ok_or_else(|| format!("`timeseries.samples[{i}]` is missing `{field}`"))?;
-                }
-            }
-            let events = ts
-                .get("stall_events")
-                .and_then(Json::as_arr)
-                .ok_or("`timeseries.stall_events` is not an array")?;
-            for (i, e) in events.iter().enumerate() {
-                for field in ["seq", "t_ms", "stalled_ms", "open_spans"] {
-                    e.get(field).ok_or_else(|| {
-                        format!("`timeseries.stall_events[{i}]` is missing `{field}`")
-                    })?;
-                }
+        }
+        let events = ts
+            .get("stall_events")
+            .and_then(Json::as_arr)
+            .ok_or("`timeseries.stall_events` is not an array")?;
+        for (i, e) in events.iter().enumerate() {
+            for field in ["seq", "t_ms", "stalled_ms", "open_spans"] {
+                e.get(field).ok_or_else(|| {
+                    format!("`timeseries.stall_events[{i}]` is missing `{field}`")
+                })?;
             }
         }
     }
@@ -536,17 +501,8 @@ pub fn validate_version(doc: &Json, expected: Option<u64>) -> Result<(), String>
 ///
 /// Returns the first parse, schema, or round-trip failure.
 pub fn validate_str(text: &str) -> Result<Json, String> {
-    validate_str_version(text, None)
-}
-
-/// [`validate_str`] with an optional pinned schema version.
-///
-/// # Errors
-///
-/// Returns the first parse, schema, version-pin, or round-trip failure.
-pub fn validate_str_version(text: &str, expected: Option<u64>) -> Result<Json, String> {
     let doc = parse(text).map_err(|e| format!("parse error: {e}"))?;
-    validate_version(&doc, expected)?;
+    validate(&doc)?;
     let rendered = doc.render();
     let back = parse(&rendered).map_err(|e| format!("round-trip parse error: {e}"))?;
     if back != doc {
@@ -735,61 +691,6 @@ mod tests {
         assert_eq!(hs.get("class").unwrap().as_str(), Some("mem_global"));
     }
 
-    /// Downgrades a freshly built report to `version`, stripping the
-    /// keys that version does not know about.
-    fn downgrade(version: u64) -> Json {
-        let doc = build_report(&sample_snapshot(), &sample_ctx());
-        let Json::Obj(mut fields) = doc else {
-            unreachable!()
-        };
-        if version < 4 {
-            fields.retain(|(k, _)| k != "meta" && k != "timeseries");
-        }
-        if version < 3 {
-            fields.retain(|(k, _)| k != "self_time" && k != "exec_profiles");
-        }
-        if version < 2 {
-            fields.retain(|(k, _)| k != "histograms");
-        }
-        for f in &mut fields {
-            if f.0 == "schema_version" {
-                f.1 = Json::UInt(version);
-            }
-        }
-        Json::Obj(fields)
-    }
-
-    #[test]
-    fn older_documents_still_validate_unless_pinned_newer() {
-        let v1 = downgrade(1);
-        validate(&v1).expect("v1 report without newer keys validates");
-        validate_version(&v1, Some(1)).expect("pinning v1 accepts it");
-        let err = validate_version(&v1, Some(2)).unwrap_err();
-        assert!(err.contains("pinned v2"), "{err}");
-        let v2 = downgrade(2);
-        validate(&v2).expect("v2 report without v3 keys validates");
-        let err = validate_version(&v2, Some(3)).unwrap_err();
-        assert!(err.contains("pinned v3"), "{err}");
-        let v3 = downgrade(3);
-        validate(&v3).expect("v3 report without v4 keys validates");
-        let err = validate_version(&v3, Some(4)).unwrap_err();
-        assert!(err.contains("pinned v4"), "{err}");
-        // A v2 document without histograms is malformed, as is a v3
-        // document without the attribution sections.
-        let Json::Obj(mut fields) = downgrade(2) else {
-            unreachable!()
-        };
-        fields.retain(|(k, _)| k != "histograms");
-        let err = validate(&Json::Obj(fields)).unwrap_err();
-        assert!(err.contains("histograms"), "{err}");
-        let Json::Obj(mut fields) = build_report(&sample_snapshot(), &sample_ctx()) else {
-            unreachable!()
-        };
-        fields.retain(|(k, _)| k != "self_time");
-        let err = validate(&Json::Obj(fields)).unwrap_err();
-        assert!(err.contains("self_time"), "{err}");
-    }
-
     #[test]
     fn timeseries_section_validates_and_round_trips() {
         use crate::progress::ProgressSnapshot;
@@ -852,16 +753,20 @@ mod tests {
         let err = validate(&Json::Obj(fields)).unwrap_err();
         assert!(err.contains("pools"), "{err}");
 
-        let Json::Obj(mut fields) = doc else {
-            unreachable!()
-        };
-        for f in &mut fields {
-            if f.0 == "schema_version" {
-                f.1 = Json::UInt(99);
+        // Only the written version validates: older and unknown stamps
+        // are rejected even when every current key is present.
+        for version in [3, 99] {
+            let Json::Obj(mut fields) = doc.clone() else {
+                unreachable!()
+            };
+            for f in &mut fields {
+                if f.0 == "schema_version" {
+                    f.1 = Json::UInt(version);
+                }
             }
+            let err = validate(&Json::Obj(fields)).unwrap_err();
+            assert!(err.contains("schema_version"), "{err}");
         }
-        let err = validate(&Json::Obj(fields)).unwrap_err();
-        assert!(err.contains("schema_version"), "{err}");
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl BackendKind {
     }
 
     /// Stable lower-case name (`"scalar"` / `"simd"`), used for env/CLI
-    /// selection and embedded in bench report metadata.
+    /// selection and embedded in the metrics report's `meta` header.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",

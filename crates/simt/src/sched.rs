@@ -294,7 +294,7 @@ impl BlockScheduler for LeftoverFill {
 }
 
 /// The co-scheduling policies selectable from the command line
-/// (`regen --policy` / `bench_run --policy`).
+/// (`regen --policy`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedPolicy {
     /// [`RoundRobinInterleave`] with chunk 1.

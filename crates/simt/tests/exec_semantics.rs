@@ -1,10 +1,12 @@
 //! End-to-end execution semantics of the SIMT engine: arithmetic, control
 //! flow with divergence, shared memory + barriers, atomics, local memory,
-//! error paths, and trace-event accuracy.
+//! error paths, trace-event accuracy, and seeded random kernels checked
+//! against a CPU evaluation.
 
 use gwc_simt::builder::KernelBuilder;
 use gwc_simt::exec::{Device, DeviceLimits};
-use gwc_simt::instr::Value;
+use gwc_simt::instr::{Reg, Value};
+use gwc_simt::kgen::Rng;
 use gwc_simt::launch::LaunchConfig;
 use gwc_simt::trace::{BranchEvent, InstrEvent, LaunchStats, MemEvent, TraceObserver};
 use gwc_simt::SimtError;
@@ -640,4 +642,188 @@ fn partial_last_warp_masks_correctly() {
     assert_eq!(dev.read_u32(&hout), vec![5u32; 40]);
     // Thread-instr count reflects the partial warp.
     assert_eq!(stats.thread_instrs % 40, 0);
+}
+
+/// A random expression over the thread id, built both as IR and as a CPU
+/// reference.
+#[derive(Debug)]
+enum Expr {
+    Tid,
+    Const(u32),
+    Add(Box<Expr>, Box<Expr>),
+    Mul(Box<Expr>, Box<Expr>),
+    Xor(Box<Expr>, Box<Expr>),
+    Min(Box<Expr>, Box<Expr>),
+    /// `if a < b { c } else { d }`.
+    Select(Box<Expr>, Box<Expr>, Box<Expr>, Box<Expr>),
+}
+
+fn random_expr(rng: &mut Rng, depth: u32) -> Expr {
+    if depth == 0 || rng.chance(25) {
+        return if rng.chance(50) {
+            Expr::Tid
+        } else {
+            Expr::Const(rng.below(1000))
+        };
+    }
+    let op = rng.below(5);
+    let mut kid = || Box::new(random_expr(rng, depth - 1));
+    match op {
+        0 => Expr::Add(kid(), kid()),
+        1 => Expr::Mul(kid(), kid()),
+        2 => Expr::Xor(kid(), kid()),
+        3 => Expr::Min(kid(), kid()),
+        _ => Expr::Select(kid(), kid(), kid(), kid()),
+    }
+}
+
+fn eval_cpu(e: &Expr, tid: u32) -> u32 {
+    match e {
+        Expr::Tid => tid,
+        Expr::Const(c) => *c,
+        Expr::Add(a, b) => eval_cpu(a, tid).wrapping_add(eval_cpu(b, tid)),
+        Expr::Mul(a, b) => eval_cpu(a, tid).wrapping_mul(eval_cpu(b, tid)),
+        Expr::Xor(a, b) => eval_cpu(a, tid) ^ eval_cpu(b, tid),
+        Expr::Min(a, b) => eval_cpu(a, tid).min(eval_cpu(b, tid)),
+        Expr::Select(a, b, c, d) => {
+            if eval_cpu(a, tid) < eval_cpu(b, tid) {
+                eval_cpu(c, tid)
+            } else {
+                eval_cpu(d, tid)
+            }
+        }
+    }
+}
+
+/// Emits the expression as IR. `Select` lowers to divergent control flow
+/// (if/else writing a variable), so the reconvergence stack is exercised,
+/// not just `sel` instructions.
+fn emit(b: &mut KernelBuilder, e: &Expr, tid: Reg) -> Reg {
+    match e {
+        Expr::Tid => tid,
+        Expr::Const(c) => b.var_u32(Value::U32(*c)),
+        Expr::Add(x, y) | Expr::Mul(x, y) | Expr::Xor(x, y) | Expr::Min(x, y) => {
+            let rx = emit(b, x, tid);
+            let ry = emit(b, y, tid);
+            match e {
+                Expr::Add(..) => b.add_u32(rx, ry),
+                Expr::Mul(..) => b.mul_u32(rx, ry),
+                Expr::Xor(..) => b.xor_u32(rx, ry),
+                _ => b.min_u32(rx, ry),
+            }
+        }
+        Expr::Select(x, y, t, f) => {
+            let rx = emit(b, x, tid);
+            let ry = emit(b, y, tid);
+            let p = b.lt_u32(rx, ry);
+            let out = b.var_u32(Value::U32(0));
+            b.if_else(
+                p,
+                |b| {
+                    let rt = emit(b, t, tid);
+                    b.assign(out, rt);
+                },
+                |b| {
+                    let rf = emit(b, f, tid);
+                    b.assign(out, rf);
+                },
+            );
+            out
+        }
+    }
+}
+
+#[test]
+fn random_expression_trees_match_cpu_evaluation() {
+    let mut rng = Rng::new(0xe4);
+    for case in 0..64 {
+        let e = random_expr(&mut rng, 3);
+        let mut b = KernelBuilder::new("expr");
+        let out = b.param_u32("out");
+        let tid = b.global_tid_x();
+        let result = emit(&mut b, &e, tid);
+        let oa = b.index(out, tid, 4);
+        b.st_global_u32(oa, result);
+        let kernel = b.build().unwrap();
+
+        let mut dev = Device::new();
+        let hout = dev.alloc_zeroed_u32(64);
+        dev.launch(&kernel, &LaunchConfig::new(2, 32), &[hout.arg()])
+            .unwrap();
+        for (t, &got) in dev.read_u32(&hout).iter().enumerate() {
+            assert_eq!(got, eval_cpu(&e, t as u32), "case {case}, tid {t}: {e:?}");
+        }
+    }
+}
+
+#[test]
+fn masked_stores_touch_only_selected_threads() {
+    let mut b = KernelBuilder::new("mask");
+    let out = b.param_u32("out");
+    let threshold = b.param_u32("threshold");
+    let i = b.global_tid_x();
+    let p = b.lt_u32(i, threshold);
+    b.if_(p, |b| {
+        let oa = b.index(out, i, 4);
+        b.st_global_u32(oa, Value::U32(1));
+    });
+    let kernel = b.build().unwrap();
+    for threshold in 0..=64u32 {
+        let mut dev = Device::new();
+        let hout = dev.alloc_zeroed_u32(64);
+        dev.launch(
+            &kernel,
+            &LaunchConfig::new(2, 32),
+            &[hout.arg(), Value::U32(threshold)],
+        )
+        .unwrap();
+        for (i, &v) in dev.read_u32(&hout).iter().enumerate() {
+            assert_eq!(
+                v,
+                u32::from((i as u32) < threshold),
+                "threshold {threshold}, thread {i}"
+            );
+        }
+    }
+}
+
+#[test]
+fn random_data_dependent_loops_are_exact() {
+    // Each thread counts the multiples of its own divisor below 100.
+    let mut b = KernelBuilder::new("count");
+    let out = b.param_u32("out");
+    let divs = b.param_u32("divs");
+    let i = b.global_tid_x();
+    let da = b.index(divs, i, 4);
+    let d = b.ld_global_u32(da);
+    let count = b.var_u32(Value::U32(0));
+    b.for_range_u32(Value::U32(1), Value::U32(100), 1, |b, j| {
+        let m = b.rem_u32(j, d);
+        let hit = b.eq_u32(m, Value::U32(0));
+        b.if_(hit, |b| {
+            let n = b.add_u32(count, Value::U32(1));
+            b.assign(count, n);
+        });
+    });
+    let oa = b.index(out, i, 4);
+    b.st_global_u32(oa, count);
+    let kernel = b.build().unwrap();
+
+    let mut rng = Rng::new(0xd1);
+    for case in 0..32 {
+        let divisors: Vec<u32> = (0..32).map(|_| 1 + rng.below(16)).collect();
+        let mut dev = Device::new();
+        let hdivs = dev.alloc_u32(&divisors);
+        let hout = dev.alloc_zeroed_u32(32);
+        dev.launch(
+            &kernel,
+            &LaunchConfig::new(1, 32),
+            &[hout.arg(), hdivs.arg()],
+        )
+        .unwrap();
+        for (t, (&got, &d)) in dev.read_u32(&hout).iter().zip(&divisors).enumerate() {
+            let want = (1..100).filter(|j| j % d == 0).count() as u32;
+            assert_eq!(got, want, "case {case}, thread {t}, divisor {d}");
+        }
+    }
 }

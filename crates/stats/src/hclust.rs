@@ -275,6 +275,25 @@ mod tests {
     }
 
     #[test]
+    fn random_cuts_give_exactly_k_clusters_for_every_linkage() {
+        let mut rng = crate::SplitMix64::new(0x4c1);
+        for case in 0..64 {
+            let m = rng.matrix(10, 4);
+            for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
+                let d = hierarchical(&m, linkage).unwrap();
+                for k in 1..=m.rows() {
+                    let labels = d.cut(k).unwrap();
+                    let mut distinct = labels.clone();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    assert_eq!(distinct.len(), k, "case {case}, {linkage}, k = {k}");
+                    assert!(labels.iter().all(|&l| l < k), "case {case}, {linkage}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn cut_one_gives_single_cluster() {
         let d = hierarchical(&two_blobs(), Linkage::Single).unwrap();
         let labels = d.cut(1).unwrap();

@@ -239,6 +239,30 @@ mod tests {
     }
 
     #[test]
+    fn random_labels_in_range_and_inertia_nonnegative() {
+        let mut rng = SplitMix64::new(0x6b6d);
+        for case in 0..128 {
+            let m = rng.matrix(12, 4);
+            let k = 1 + rng.next_below(4.min(m.rows()));
+            let km = kmeans(&m, k, rng.next_u64() % 1000).unwrap();
+            assert_eq!(km.labels.len(), m.rows(), "case {case}");
+            assert!(km.labels.iter().all(|&l| l < k), "case {case}");
+            assert!(km.inertia >= 0.0, "case {case}: inertia {}", km.inertia);
+            // After convergence each observation sits with its nearest
+            // centroid.
+            for (i, &l) in km.labels.iter().enumerate() {
+                let own = sq_euclidean(m.row(i), km.centroids.row(l));
+                for c in 0..k {
+                    assert!(
+                        own <= sq_euclidean(m.row(i), km.centroids.row(c)) + 1e-9,
+                        "case {case}: row {i} is closer to centroid {c} than {l}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn deterministic_for_seed() {
         let a = kmeans(&three_blobs(), 3, 7).unwrap();
         let b = kmeans(&three_blobs(), 3, 7).unwrap();

@@ -108,6 +108,29 @@ mod tests {
     }
 
     #[test]
+    fn zscore_random_columns_have_zero_mean_and_unit_or_zero_std() {
+        let mut rng = crate::SplitMix64::new(0x2c0e);
+        for case in 0..256 {
+            let mut m = rng.matrix(12, 6);
+            if case % 4 == 0 {
+                // A constant column must come out all-zero, not NaN.
+                for r in 0..m.rows() {
+                    m.set(r, 0, 3.0);
+                }
+            }
+            let (z, _) = zscore(&m);
+            for c in 0..z.cols() {
+                assert!(z.col_mean(c).abs() < 1e-9, "case {case} col {c}");
+                let s = z.col_std(c);
+                assert!(
+                    (s - 1.0).abs() < 1e-9 || s.abs() < 1e-9,
+                    "case {case} col {c}: std {s}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn zscore_zero_variance_column_is_zeroed() {
         let (z, _) = zscore(&sample());
         assert_eq!(z.col(2), vec![0.0, 0.0, 0.0]);

@@ -30,6 +30,18 @@ impl SplitMix64 {
         debug_assert!(n > 0);
         (self.next_u64() % n as u64) as usize
     }
+
+    /// A `2..=max_rows` by `1..=max_cols` matrix of values in
+    /// `[-100, 100)`: the input of this crate's seeded property loops.
+    #[cfg(test)]
+    pub(crate) fn matrix(&mut self, max_rows: usize, max_cols: usize) -> crate::Matrix {
+        let rows = 2 + self.next_below(max_rows - 1);
+        let cols = 1 + self.next_below(max_cols);
+        let data = (0..rows * cols)
+            .map(|_| self.next_f64() * 200.0 - 100.0)
+            .collect();
+        crate::Matrix::from_vec(rows, cols, data).expect("sized")
+    }
 }
 
 #[cfg(test)]

@@ -62,8 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         profile.stats().thread_instrs
     );
 
-    // The same staged pipeline the study tools (`regen`, `bench_run`)
-    // drive, here at Tiny scale so the demo finishes in seconds:
+    // The same staged pipeline `regen` and the benchmark drive, here at
+    // Tiny scale so the demo finishes in seconds:
     // study -> matrix -> reduce -> cluster.
     println!("\nrunning the full pipeline at Tiny scale...");
     let artifacts = Artifacts::collect(&PipelineConfig {

@@ -1,6 +1,6 @@
-//! Accuracy side of the ablations (the speed side lives in
-//! `crates/bench/benches/ablations.rs`): how the study's conclusions move
-//! when a design choice changes.
+//! The ablations: how the study's conclusions move when a design choice
+//! changes. Speed is not measured here; `benchmark/` times the pipeline
+//! per layer.
 
 use gwc::core::analysis::ClusterAnalysis;
 use gwc::core::reduce::ReducedSpace;
