@@ -98,7 +98,7 @@ pub struct LocalityObserver {
 /// page faults. The axis grows geometrically with the footprint, so
 /// large workloads still get a long axis — they just pay for it only
 /// when they actually touch that many lines.
-const INITIAL_CAP: usize = 1 << 12;
+pub(crate) const INITIAL_CAP: usize = 1 << 12;
 
 impl Default for LocalityObserver {
     fn default() -> Self {
@@ -187,6 +187,13 @@ impl LocalityObserver {
         (self.lines.capacity() * map_entry
             + self.fenwick.slots() * std::mem::size_of::<u32>()
             + self.first_touch_order.capacity() * std::mem::size_of::<u32>()) as u64
+    }
+
+    /// Reuse histogram (the [`REUSE_THRESHOLDS`] buckets, then overflow)
+    /// and cold-touch count, for the sketch tier's exactness tests.
+    #[cfg(test)]
+    pub(crate) fn hist_and_cold(&self) -> ([u64; 4], u64) {
+        (self.hist, self.cold)
     }
 
     pub(crate) fn touch(&mut self, line: u32, warp: (u32, u32)) {

@@ -151,13 +151,8 @@ impl Profiler {
     /// Creates a profiler for one *shard* of a launch: block-range events
     /// will be streamed into it without launch boundary events (the
     /// master profiler owns those), and it is later folded back into the
-    /// master with [`MergeableObserver::merge`].
-    pub fn shard(kernel: &Kernel, config: &LaunchConfig) -> Self {
-        Self::shard_with(kernel, config, ObserverTier::Exact)
-    }
-
-    /// [`Profiler::shard`] with an explicit observer tier — must match
-    /// the master profiler's tier.
+    /// master with [`MergeableObserver::merge`]. `tier` must match the
+    /// master profiler's tier.
     pub fn shard_with(kernel: &Kernel, config: &LaunchConfig, tier: ObserverTier) -> Self {
         let mut p = Self::with_tier(tier);
         // Prime the ILP observer with the kernel's register count; the
@@ -294,7 +289,7 @@ impl TraceObserver for Profiler {
 }
 
 impl MergeableObserver for Profiler {
-    /// Folds a shard profiler (created with [`Profiler::shard`]) back
+    /// Folds a shard profiler (created with [`Profiler::shard_with`]) back
     /// into the master, in ascending block order. Shards carry no launch
     /// boundary state — the master accumulates `launch_shape` and stats
     /// through its own `on_launch`/`on_launch_end` — so only the

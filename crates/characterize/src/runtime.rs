@@ -7,7 +7,7 @@
 //! 1. The master [`Profiler`] sees `on_launch` (launch shape, ILP fold).
 //! 2. The grid's blocks are split into ≤ `threads` contiguous ranges;
 //!    each range executes on a [`Device::fork`] with its own copy of
-//!    global memory, streaming into a fresh [`Profiler::shard`].
+//!    global memory, streaming into a fresh [`Profiler::shard_with`].
 //! 3. In ascending block order, each shard is folded into the master
 //!    ([`MergeableObserver::merge`]), its stats summed, and its global
 //!    writes absorbed ([`Device::absorb_writes`]).

@@ -6,7 +6,7 @@
 //! memory must match the serial run byte for byte.
 
 use gwc_characterize::merge::{merge_stats, MergeableObserver};
-use gwc_characterize::{characterize_launch, KernelProfile, Profiler};
+use gwc_characterize::{characterize_launch, KernelProfile, ObserverTier, Profiler};
 use gwc_simt::builder::KernelBuilder;
 use gwc_simt::exec::Device;
 use gwc_simt::instr::Value;
@@ -147,7 +147,7 @@ fn profile_partitioned(
         .windows(2)
         .map(|w| {
             let mut sd = dev.fork();
-            let mut sp = Profiler::shard(kernel, config);
+            let mut sp = Profiler::shard_with(kernel, config, ObserverTier::Exact);
             let stats = sd
                 .run_block_range(kernel, config, args, w[0], w[1], &mut sp)
                 .expect("shard runs");
