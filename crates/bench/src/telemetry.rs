@@ -1,7 +1,7 @@
 //! Live-telemetry plumbing for `regen`.
 //!
 //! `regen` accepts `--heartbeat PATH|-` (plus `--heartbeat-interval-ms`
-//! and `--stall-after`) and writes v4 metrics reports with a
+//! and `--stall-after`) and writes v5 metrics reports with a
 //! run-metadata header. This module holds that glue: flag parsing, the
 //! heartbeat sink, the sampler lifecycle, and report assembly.
 
@@ -83,7 +83,7 @@ pub fn heartbeat_sink(spec: &str) -> std::io::Result<Box<dyn Write + Send>> {
 }
 
 /// Starts the background sampler when anything will consume it: a
-/// heartbeat stream was requested, or a metrics report (whose v4
+/// heartbeat stream was requested, or a metrics report (whose
 /// `timeseries` section the sampler fills) is being recorded. Exits 2
 /// if the heartbeat file cannot be created (a usage-adjacent error:
 /// the operator asked for a stream we cannot open).
@@ -114,7 +114,7 @@ pub fn maybe_start_sampler(
     }))
 }
 
-/// Run provenance for the v4 `meta` header, stamped with the current
+/// Run provenance for the `meta` header, stamped with the current
 /// wall clock.
 pub fn run_meta(backend: &str, cache: Option<&std::path::Path>, label: &str) -> RunMeta {
     let timestamp_ms = std::time::SystemTime::now()
@@ -162,7 +162,7 @@ pub fn finish_trace(
     );
 }
 
-/// Builds, self-validates, and writes the v4 metrics report. Exits 1 on
+/// Builds, self-validates, and writes the v5 metrics report. Exits 1 on
 /// a validation or I/O failure.
 pub fn write_metrics_report(
     binary: &str,

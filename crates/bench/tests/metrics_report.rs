@@ -43,10 +43,11 @@ fn metrics_report_has_stages_pools_and_workloads() {
     for key in REQUIRED_KEYS {
         assert!(doc.get(key).is_some(), "missing required key `{key}`");
     }
-    assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(4));
+    assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(5));
+    assert!(doc.get("fallbacks").is_none(), "schema v5 has no fallbacks");
     assert_eq!(doc.get("threads").unwrap().as_u64(), Some(threads as u64));
 
-    // Schema v4: the run-metadata header round-trips.
+    // The run-metadata header (schema v4) round-trips.
     let meta = doc.get("meta").unwrap();
     assert_eq!(meta.get("backend").unwrap().as_str(), Some("simd"));
     assert_eq!(meta.get("cache").unwrap().as_str(), Some("off"));

@@ -192,18 +192,6 @@ impl TraceObserver for CoalescingObserver {
     }
 }
 
-impl crate::merge::MergeableObserver for CoalescingObserver {
-    fn merge(&mut self, later: Self) {
-        self.global_accesses += later.global_accesses;
-        self.global_segments += later.global_segments;
-        self.unit_stride += later.unit_stride;
-        self.broadcast += later.broadcast;
-        self.scatter += later.scatter;
-        self.shared_accesses += later.shared_accesses;
-        self.shared_serialized += later.shared_serialized;
-    }
-}
-
 /// Helper for tests in this crate and downstream: builds a [`MemEvent`]
 /// address array from a slice.
 pub fn addr_array(addrs: &[u32]) -> ([u32; WARP_SIZE], u32) {

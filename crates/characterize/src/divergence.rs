@@ -3,13 +3,11 @@
 use gwc_simt::trace::{BranchEvent, InstrEvent, TraceObserver};
 use gwc_simt::WARP_SIZE;
 
-use crate::merge::MergeableObserver;
-
 /// Streams branch outcomes and warp activity into divergence metrics.
 ///
 /// Activity is accumulated in integer domain — active lanes bucketed by
-/// live-lane count — so that shard merges are exact: the mean activity is
-/// only converted to floating point at read time, in a fixed order.
+/// live-lane count — and only converted to floating point at read time,
+/// in a fixed order.
 #[derive(Debug, Clone)]
 pub struct DivergenceObserver {
     warp_instrs: u64,
@@ -99,18 +97,6 @@ impl TraceObserver for DivergenceObserver {
         if e.divergent() {
             self.divergent_branches += 1;
         }
-    }
-}
-
-impl MergeableObserver for DivergenceObserver {
-    fn merge(&mut self, later: Self) {
-        self.warp_instrs += later.warp_instrs;
-        self.diverged_warp_instrs += later.diverged_warp_instrs;
-        for (a, b) in self.active_by_live.iter_mut().zip(later.active_by_live) {
-            *a += b;
-        }
-        self.branches += later.branches;
-        self.divergent_branches += later.divergent_branches;
     }
 }
 

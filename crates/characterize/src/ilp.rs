@@ -107,8 +107,7 @@ pub struct IlpObserver {
     last_slot: u32,
     folded_weighted: f64,
     folded_instrs: u64,
-    /// Exact integer sum of producer→consumer distances (distances are
-    /// integral, so shard merges stay bit-identical to serial).
+    /// Exact integer sum of producer→consumer distances.
     dep_distance_sum: u128,
     dep_count: u64,
 }
@@ -189,32 +188,6 @@ impl IlpObserver {
             0.0
         } else {
             self.dep_distance_sum as f64 / self.dep_count as f64
-        }
-    }
-}
-
-impl crate::merge::MergeableObserver for IlpObserver {
-    fn merge(&mut self, later: Self) {
-        // Shards of one launch hold warps with disjoint (block, warp)
-        // keys and have never folded (only the master sees `on_launch`);
-        // the union therefore reproduces exactly the warp map a serial
-        // observer would hold, and the next fold iterates it in sorted
-        // key order either way.
-        debug_assert_eq!(
-            later.folded_instrs, 0,
-            "shard observers must not span launch boundaries"
-        );
-        for (key, warp) in later.store {
-            let clash = self.index.insert(key, self.store.len() as u32);
-            debug_assert!(clash.is_none(), "shard block ranges overlap: {key:?}");
-            self.store.push((key, warp));
-        }
-        self.folded_weighted += later.folded_weighted;
-        self.folded_instrs += later.folded_instrs;
-        self.dep_distance_sum += later.dep_distance_sum;
-        self.dep_count += later.dep_count;
-        if self.regs == 0 {
-            self.regs = later.regs;
         }
     }
 }

@@ -51,7 +51,6 @@ pub mod divergence;
 pub mod fxhash;
 pub mod ilp;
 pub mod locality;
-pub mod merge;
 pub mod mix;
 pub mod pair;
 pub mod profile;
@@ -62,10 +61,9 @@ pub mod serialize;
 pub mod sketch;
 
 pub use cache::{MatrixBlock, MatrixCache, ProfileCache};
-pub use merge::MergeableObserver;
 pub use pair::{InterferenceStack, PairMemberProfile, PairObserver, PairProfile};
 pub use profile::{KernelProfile, RawCounts};
 pub use profiler::{characterize_launch, Profiler};
-pub use runtime::{characterize_launch_sharded, profile_launch_sharded};
+pub use runtime::profile_launch_sharded;
 pub use schema::{Group, SCHEMA};
 pub use sketch::ObserverTier;

@@ -86,18 +86,14 @@ pub struct LocalityObserver {
     hist: [u64; 4],
     cold: u64,
     touches: u64,
-    /// Distinct lines in first-touch order. One entry per cold touch;
-    /// this is what lets a later shard's stack merge exactly into an
-    /// earlier one (see the `MergeableObserver` impl).
-    first_touch_order: Vec<u32>,
 }
 
-/// Initial time-axis capacity. Deliberately small: the runtime creates
-/// one observer per shard per launch, and a large up-front Fenwick
-/// allocation (formerly 8 MB zeroed) dominated sharded study time via
-/// page faults. The axis grows geometrically with the footprint, so
-/// large workloads still get a long axis — they just pay for it only
-/// when they actually touch that many lines.
+/// Initial time-axis capacity. Deliberately small: a study creates one
+/// observer per kernel label, most with small footprints, and a large
+/// up-front zeroed Fenwick allocation would cost page faults for all of
+/// them. The axis grows geometrically with the footprint, so large
+/// workloads still get a long axis — they just pay for it only when
+/// they actually touch that many lines.
 pub(crate) const INITIAL_CAP: usize = 1 << 12;
 
 impl Default for LocalityObserver {
@@ -122,7 +118,6 @@ impl LocalityObserver {
             hist: [0; 4],
             cold: 0,
             touches: 0,
-            first_touch_order: Vec::new(),
         }
     }
 
@@ -184,9 +179,8 @@ impl LocalityObserver {
     /// occupancy, that the `observer.bytes_peak` gauge must account for.
     pub fn bytes_in_use(&self) -> u64 {
         let map_entry = std::mem::size_of::<(u32, LineInfo)>() + 1;
-        (self.lines.capacity() * map_entry
-            + self.fenwick.slots() * std::mem::size_of::<u32>()
-            + self.first_touch_order.capacity() * std::mem::size_of::<u32>()) as u64
+        (self.lines.capacity() * map_entry + self.fenwick.slots() * std::mem::size_of::<u32>())
+            as u64
     }
 
     /// Reuse histogram (the [`REUSE_THRESHOLDS`] buckets, then overflow)
@@ -231,7 +225,6 @@ impl LocalityObserver {
             }
             None => {
                 self.cold += 1;
-                self.first_touch_order.push(line);
                 self.fenwick.add(self.now, 1);
                 self.lines.insert(
                     line,
@@ -258,116 +251,6 @@ impl LocalityObserver {
         self.fenwick = Fenwick::new(self.cap);
         for (new_t, &(_, line)) in order.iter().enumerate() {
             self.lines.get_mut(&line).expect("line exists").last_time = new_t;
-            self.fenwick.add(new_t, 1);
-        }
-        self.now = order.len();
-        assert!(
-            self.now < self.cap,
-            "footprint exceeds locality time-axis capacity"
-        );
-    }
-}
-
-impl crate::merge::MergeableObserver for LocalityObserver {
-    /// Exact stack merge of a later shard (`later`) into this one.
-    ///
-    /// Reuses *within* `later` already have the correct distance — every
-    /// intervening distinct line lies inside `later`'s own substream — so
-    /// its histogram adds directly. The only touches needing cross-shard
-    /// resolution are `later`'s first touches: a line `later` saw first
-    /// that `self` already holds is really a reuse crossing the shard
-    /// boundary, with distance
-    ///
-    /// ```text
-    ///   |{M in self : last(M) > last(L)}|      (self's Fenwick)
-    /// + (first touches before L in later)      (position in order)
-    /// - (lines counted by both terms)          (auxiliary Fenwick)
-    /// ```
-    ///
-    /// which is exactly the number of distinct lines touched between
-    /// `self`'s last access to `L` and `later`'s first — the same integer
-    /// the serial observer computes, so the bucketed histogram matches
-    /// bit for bit. Afterwards the merged time axis is rebuilt densely:
-    /// `self`-only lines in their old order, then every line `later`
-    /// touched in `later`'s recency order (a compression, which preserves
-    /// all future distances).
-    fn merge(&mut self, later: Self) {
-        self.touches += later.touches;
-        for (a, b) in self.hist.iter_mut().zip(later.hist) {
-            *a += b;
-        }
-
-        // Resolve later's first touches against self's stack.
-        let mut aux = Fenwick::new(self.cap);
-        let self_top = self.now.saturating_sub(1);
-        for (pos, &line) in later.first_touch_order.iter().enumerate() {
-            match self.lines.get(&line) {
-                Some(info) => {
-                    let t = info.last_time;
-                    let in_self = self.fenwick.range(t + 1, self_top);
-                    let dup = aux.range(t + 1, self_top);
-                    let distance = in_self + pos as u64 - dup;
-                    let bucket = REUSE_THRESHOLDS
-                        .iter()
-                        .position(|&th| distance <= th)
-                        .unwrap_or(REUSE_THRESHOLDS.len());
-                    self.hist[bucket] += 1;
-                    aux.add(t, 1);
-                }
-                None => {
-                    self.cold += 1;
-                    self.first_touch_order.push(line);
-                }
-            }
-        }
-
-        // Rebuild the merged time axis. The recency order is computed
-        // first (it needs both maps intact), then `later`'s lines are
-        // absorbed into `self.lines` *in place*: re-allocating a merged
-        // map per shard merge showed up as the dominant allocation in
-        // sharded studies, and the order vector already carries every
-        // final timestamp, so the flag union is all the map itself needs.
-        let mut order: Vec<(u8, usize, u32)> =
-            Vec::with_capacity(self.lines.len() + later.lines.len());
-        for (&line, info) in &self.lines {
-            if !later.lines.contains_key(&line) {
-                order.push((0, info.last_time, line));
-            }
-        }
-        for (&line, info) in &later.lines {
-            order.push((1, info.last_time, line));
-        }
-        order.sort_unstable();
-
-        // The merged footprint can exceed either side's axis; grow
-        // before the rebuild exactly like `touch` does.
-        self.cap = self.cap.max(later.cap);
-        if order.len() * 2 > self.cap {
-            self.cap = (order.len() * 4).next_power_of_two();
-        }
-        self.lines.reserve(later.lines.len());
-        for (line, b) in later.lines {
-            match self.lines.entry(line) {
-                // Sharing flags mean "≥ 2 distinct warps/blocks ever
-                // touched the line", so they survive re-anchoring to
-                // self's first warp.
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let a = e.get_mut();
-                    a.multi_warp = a.multi_warp || b.multi_warp || a.first_warp != b.first_warp;
-                    a.multi_block =
-                        a.multi_block || b.multi_block || a.first_warp.0 != b.first_warp.0;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(b);
-                }
-            }
-        }
-        self.fenwick = Fenwick::new(self.cap);
-        for (new_t, &(_, _, line)) in order.iter().enumerate() {
-            self.lines
-                .get_mut(&line)
-                .expect("line in merged map")
-                .last_time = new_t;
             self.fenwick.add(new_t, 1);
         }
         self.now = order.len();
@@ -507,84 +390,6 @@ mod tests {
             addrs: &arr,
         });
         assert_eq!(o.touches(), 0);
-    }
-
-    fn assert_same_state(a: &LocalityObserver, b: &LocalityObserver) {
-        assert_eq!(a.hist, b.hist, "reuse histograms differ");
-        assert_eq!(a.cold, b.cold);
-        assert_eq!(a.touches, b.touches);
-        assert_eq!(a.footprint_lines(), b.footprint_lines());
-        assert_eq!(
-            a.inter_warp_sharing().to_bits(),
-            b.inter_warp_sharing().to_bits()
-        );
-        assert_eq!(
-            a.inter_block_sharing().to_bits(),
-            b.inter_block_sharing().to_bits()
-        );
-    }
-
-    /// Pseudo-random touch stream: every split of it, merged, must equal
-    /// serial observation — including for *future* touches, which checks
-    /// the rebuilt time axis preserves recency order.
-    #[test]
-    fn merge_any_split_matches_serial() {
-        use crate::merge::MergeableObserver;
-        let mut x = 0x243F_6A88_85A3_08D3u64;
-        let stream: Vec<(u32, (u32, u32))> = (0..400)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let line = (x >> 8) as u32 % 48;
-                let block = (x >> 16) as u32 % 4;
-                let warp = (x >> 24) as u32 % 2;
-                (line, (block, warp))
-            })
-            .collect();
-        for split in [0, 1, 17, 200, 399, 400] {
-            let mut serial = LocalityObserver::with_capacity(128);
-            for &(line, warp) in &stream {
-                serial.touch(line, warp);
-            }
-            let mut first = LocalityObserver::with_capacity(128);
-            let mut second = LocalityObserver::with_capacity(128);
-            for &(line, warp) in &stream[..split] {
-                first.touch(line, warp);
-            }
-            for &(line, warp) in &stream[split..] {
-                second.touch(line, warp);
-            }
-            first.merge(second);
-            assert_same_state(&first, &serial);
-            // The merged stack must keep behaving like the serial one.
-            for &(line, warp) in stream.iter().rev().take(100) {
-                serial.touch(line, warp);
-                first.touch(line, warp);
-            }
-            assert_same_state(&first, &serial);
-        }
-    }
-
-    /// Three-way merge in block order equals serial — shards reduce
-    /// left-to-right exactly as the runtime does.
-    #[test]
-    fn merge_three_shards_matches_serial() {
-        use crate::merge::MergeableObserver;
-        let stream: Vec<u32> = (0..300).map(|i| (i * 7 + i / 13) % 40).collect();
-        let mut serial = LocalityObserver::with_capacity(128);
-        for &l in &stream {
-            serial.touch(l, (0, 0));
-        }
-        let mut merged = LocalityObserver::with_capacity(128);
-        for chunk in stream.chunks(100) {
-            let mut shard = LocalityObserver::with_capacity(128);
-            for &l in chunk {
-                shard.touch(l, (0, 0));
-            }
-            merged.merge(shard);
-        }
-        assert_same_state(&merged, &serial);
     }
 
     #[test]

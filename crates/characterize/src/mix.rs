@@ -51,15 +51,6 @@ impl TraceObserver for MixObserver {
     }
 }
 
-impl crate::merge::MergeableObserver for MixObserver {
-    fn merge(&mut self, later: Self) {
-        for (a, b) in self.counts.iter_mut().zip(later.counts) {
-            *a += b;
-        }
-        self.total += later.total;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

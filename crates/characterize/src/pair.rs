@@ -29,9 +29,6 @@
 //! are directly comparable.
 
 use gwc_simt::instr::Space;
-use gwc_simt::kernel::Kernel;
-use gwc_simt::launch::LaunchConfig;
-use gwc_simt::sched::CoScheduleObserver;
 use gwc_simt::trace::{MemEvent, TraceObserver};
 
 use crate::coalescing::SEGMENT_BYTES;
@@ -344,10 +341,11 @@ impl PairObserver {
         &self.shared
     }
 
-    /// Attributes subsequent events to member `m`. The co-scheduled path
-    /// routes via [`CoScheduleObserver::on_slice`]; use this when a
-    /// member's leftover launches run solo (the pair's timeline
-    /// continues, just without partner traffic).
+    /// Attributes subsequent events to member `m`. A co-scheduled launch
+    /// routes via [`TraceObserver::on_member`]; a solo launch leaves the
+    /// member alone, so call this before a member's leftover launches
+    /// run solo (the pair's timeline continues, just without partner
+    /// traffic).
     pub fn set_member(&mut self, m: usize) {
         assert!(m < 2);
         self.current = m;
@@ -408,6 +406,10 @@ impl PairObserver {
 }
 
 impl TraceObserver for PairObserver {
+    fn on_member(&mut self, member: usize) {
+        self.current = member;
+    }
+
     fn on_mem(&mut self, e: &MemEvent<'_>) {
         if e.space != Space::Global {
             return;
@@ -430,14 +432,6 @@ impl TraceObserver for PairObserver {
             }
             prev = line;
         }
-    }
-}
-
-impl CoScheduleObserver for PairObserver {
-    fn on_member_launch(&mut self, _kernel: usize, _k: &Kernel, _config: &LaunchConfig) {}
-
-    fn on_slice(&mut self, kernel: usize, _blocks: &std::ops::Range<u32>) {
-        self.current = kernel;
     }
 }
 

@@ -12,7 +12,6 @@ use crate::coalescing::CoalescingObserver;
 use crate::divergence::DivergenceObserver;
 use crate::ilp::IlpObserver;
 use crate::locality::LocalityObserver;
-use crate::merge::MergeableObserver;
 use crate::mix::MixObserver;
 use crate::profile::{KernelProfile, RawCounts};
 use crate::schema;
@@ -20,8 +19,7 @@ use crate::sketch::{ObserverTier, SketchLocalityObserver};
 
 /// Tier-selected locality state: the exact per-line observer or its
 /// bounded-memory sketch. Both sides expose the same derived
-/// characteristics and the same serial-equivalent shard merge, so the
-/// profiler treats them uniformly.
+/// characteristics, so the profiler treats them uniformly.
 #[derive(Debug)]
 pub enum LocalityState {
     Exact(LocalityObserver),
@@ -33,13 +31,6 @@ impl LocalityState {
         match tier {
             ObserverTier::Exact => LocalityState::Exact(LocalityObserver::new()),
             ObserverTier::Sketch => LocalityState::Sketch(SketchLocalityObserver::new()),
-        }
-    }
-
-    fn tier(&self) -> ObserverTier {
-        match self {
-            LocalityState::Exact(_) => ObserverTier::Exact,
-            LocalityState::Sketch(_) => ObserverTier::Sketch,
         }
     }
 
@@ -91,14 +82,6 @@ impl LocalityState {
             LocalityState::Sketch(o) => o.on_mem(e),
         }
     }
-
-    fn merge(&mut self, later: LocalityState) {
-        match (self, later) {
-            (LocalityState::Exact(a), LocalityState::Exact(b)) => a.merge(b),
-            (LocalityState::Sketch(a), LocalityState::Sketch(b)) => a.merge(b),
-            _ => unreachable!("shards always share the master's observer tier"),
-        }
-    }
 }
 
 /// Runs all characterization observers over a launch.
@@ -142,24 +125,25 @@ impl Profiler {
         }
     }
 
-    /// The observer tier this profiler runs. Shards must be created on
-    /// the same tier so their merges stay serial-equivalent.
-    pub fn tier(&self) -> ObserverTier {
-        self.locality.tier()
-    }
-
-    /// Creates a profiler for one *shard* of a launch: block-range events
-    /// will be streamed into it without launch boundary events (the
-    /// master profiler owns those), and it is later folded back into the
-    /// master with [`MergeableObserver::merge`]. `tier` must match the
-    /// master profiler's tier.
-    pub fn shard_with(kernel: &Kernel, config: &LaunchConfig, tier: ObserverTier) -> Self {
-        let mut p = Self::with_tier(tier);
-        // Prime the ILP observer with the kernel's register count; the
-        // fold inside is a no-op on a fresh observer, and `launch_shape`
-        // stays unset so merging never double-counts the launch.
-        p.ilp.on_launch(kernel, config);
-        p
+    /// Runs one launch on `device` under this profiler: the same as
+    /// `device.launch_observed(kernel, config, args, self)`, but the
+    /// warp engine is monomorphized for the profiler here, in the crate
+    /// that defines the observers, so their per-event hooks inline into
+    /// it. Instantiated from the study's crate instead, the engine calls
+    /// them out of line, which cost a cold study 5–13% on 2 vCPUs
+    /// (`benchmark/`'s `cold_sketch`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`SimtError`] from the launch.
+    pub fn profile_launch(
+        &mut self,
+        device: &mut Device,
+        kernel: &Kernel,
+        config: &LaunchConfig,
+        args: &[Value],
+    ) -> Result<LaunchStats, SimtError> {
+        device.launch_observed(kernel, config, args, self)
     }
 
     /// Approximate heap bytes held by the heavy (locality + coalescing)
@@ -285,30 +269,6 @@ impl TraceObserver for Profiler {
         self.stats.warps += stats.warps;
         self.stats.barriers += stats.barriers;
         gwc_obs::count_max("observer.bytes_peak", self.observer_bytes());
-    }
-}
-
-impl MergeableObserver for Profiler {
-    /// Folds a shard profiler (created with [`Profiler::shard_with`]) back
-    /// into the master, in ascending block order. Shards carry no launch
-    /// boundary state — the master accumulates `launch_shape` and stats
-    /// through its own `on_launch`/`on_launch_end` — so only the
-    /// streaming observers merge here.
-    fn merge(&mut self, later: Self) {
-        debug_assert!(
-            later.launch_shape.is_none(),
-            "merge expects a shard profiler, not one that saw on_launch"
-        );
-        // The true peak is while master and shard state coexist.
-        gwc_obs::count_max(
-            "observer.bytes_peak",
-            self.observer_bytes() + later.observer_bytes(),
-        );
-        self.mix.merge(later.mix);
-        self.ilp.merge(later.ilp);
-        self.divergence.merge(later.divergence);
-        self.coalescing.merge(later.coalescing);
-        self.locality.merge(later.locality);
     }
 }
 

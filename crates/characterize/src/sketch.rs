@@ -34,12 +34,8 @@
 //!
 //! When a launch's footprint fits both summaries (`<= K` distinct lines
 //! and `<= W` window slots) every derived characteristic is
-//! bit-identical to the exact tier. Shard merges reproduce the serial
-//! sketch bit for bit (the same cross-shard stack-merge argument as the
-//! exact observer, restricted to the window), so the sketch tier keeps
-//! the any-thread-count determinism guarantee.
+//! bit-identical to the exact tier.
 
-use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 
 use gwc_simt::instr::Space;
@@ -200,30 +196,6 @@ impl KmvSketch {
         shared as f64 / self.entries.len() as f64
     }
 
-    /// Union merge: identical to observing both streams serially. The
-    /// k smallest hashes of the union are present in at least one side
-    /// (each side keeps its own k smallest), and flag union over the
-    /// two sides' exact flags is the serial flag set.
-    fn merge(&mut self, later: KmvSketch) {
-        for (hash, b) in later.entries {
-            match self.entries.entry(hash) {
-                Entry::Occupied(mut e) => {
-                    let a = e.get_mut();
-                    a.multi_warp = a.multi_warp || b.multi_warp || a.first_warp != b.first_warp;
-                    a.multi_block =
-                        a.multi_block || b.multi_block || a.first_warp.0 != b.first_warp.0;
-                }
-                Entry::Vacant(e) => {
-                    e.insert(b);
-                    self.heap.push(hash);
-                }
-            }
-        }
-        while self.heap.len() > KMV_K {
-            self.evict_largest();
-        }
-    }
-
     fn bytes_in_use(&self) -> usize {
         self.entries.capacity() * (std::mem::size_of::<(u64, KmvEntry)>() + 1)
             + self.heap.capacity() * std::mem::size_of::<u64>()
@@ -256,13 +228,6 @@ pub struct SketchLocalityObserver {
     misses: u64,
     touches: u64,
     kmv: KmvSketch,
-    /// First `WINDOW_LINES` first-touch lines in stream order — the
-    /// later-shard side of the cross-shard stack merge. Entries past
-    /// the cap can never resolve to an in-window distance (their merge
-    /// position alone exceeds every threshold), so the cap loses
-    /// nothing. While this list is below its cap no eviction can have
-    /// happened yet, so "miss" and "first touch" coincide exactly.
-    first_touch_order: Vec<u32>,
 }
 
 impl Default for SketchLocalityObserver {
@@ -277,7 +242,6 @@ impl Default for SketchLocalityObserver {
             misses: 0,
             touches: 0,
             kmv: KmvSketch::default(),
-            first_touch_order: Vec::new(),
         }
     }
 }
@@ -355,7 +319,6 @@ impl SketchLocalityObserver {
         (self.window.capacity() * window_entry
             + self.slots.capacity() * std::mem::size_of::<u32>()
             + self.fenwick.slots() * std::mem::size_of::<u32>()
-            + self.first_touch_order.capacity() * std::mem::size_of::<u32>()
             + self.kmv.bytes_in_use()) as u64
     }
 
@@ -388,9 +351,6 @@ impl SketchLocalityObserver {
             }
             None => {
                 self.misses += 1;
-                if self.first_touch_order.len() < WINDOW_LINES {
-                    self.first_touch_order.push(line);
-                }
                 self.window.insert(line, now);
                 if self.window.len() > WINDOW_LINES {
                     while self.slots[self.oldest] == VACANT {
@@ -406,25 +366,16 @@ impl SketchLocalityObserver {
         self.slots.push(line);
     }
 
-    /// Window lines from least to most recently touched.
-    fn recency_order(&self) -> impl Iterator<Item = u32> + '_ {
-        self.slots[self.oldest..]
+    /// Reassigns time slots densely, preserving recency order — same
+    /// invariant as the exact observer's compression — and grows the
+    /// axis as the exact observer does when the live window would fill
+    /// more than half of it.
+    fn compress(&mut self) {
+        let order: Vec<u32> = self.slots[self.oldest..]
             .iter()
             .copied()
             .filter(|&line| line != VACANT)
-    }
-
-    /// Reassigns time slots densely, preserving recency order — same
-    /// invariant as the exact observer's compression.
-    fn compress(&mut self) {
-        let order: Vec<u32> = self.recency_order().collect();
-        self.rebuild(&order);
-    }
-
-    /// Resets the window to `order` (least recent first) on a dense time
-    /// axis, growing the axis as the exact observer does when `order`
-    /// would fill more than half of it.
-    fn rebuild(&mut self, order: &[u32]) {
+            .collect();
         if order.len() * 2 > self.cap {
             self.cap = (order.len() * 4).next_power_of_two();
         }
@@ -439,74 +390,6 @@ impl SketchLocalityObserver {
             self.slots.push(line);
             self.fenwick.add(t, 1);
         }
-    }
-}
-
-impl crate::merge::MergeableObserver for SketchLocalityObserver {
-    /// Exact stack merge of a later shard, restricted to the window:
-    /// the merged sketch is bit-identical to observing both substreams
-    /// serially, so sketch-tier profiles stay deterministic at any
-    /// thread count.
-    ///
-    /// `later`'s in-window reuses add directly (every intervening line
-    /// is inside `later`'s substream). `later`'s first touches resolve
-    /// against `self`'s window with the same distance formula as the
-    /// exact merge — a line still in `self`'s window has *all* more
-    /// recent lines still in the window too (anything evicted after it
-    /// would have evicted it first), so the window Fenwick sees the
-    /// full serial distance. A resolved distance within the thresholds
-    /// is a serial window hit (distance <= REUSE_THRESHOLDS[2] is
-    /// exactly the window-residency condition); anything else stays a
-    /// miss. The merged window is the union's `WINDOW_LINES` most
-    /// recent lines, which is the serial window.
-    fn merge(&mut self, later: Self) {
-        self.touches += later.touches;
-        for (a, b) in self.hist.iter_mut().zip(later.hist) {
-            *a += b;
-        }
-
-        let mut resolved_hits = 0u64;
-        let mut aux = Fenwick::new(self.cap);
-        let self_top = self.slots.len().saturating_sub(1);
-        for (pos, &line) in later.first_touch_order.iter().enumerate() {
-            match self.window.get(&line).copied() {
-                Some(t) => {
-                    let in_self = self.fenwick.range(t + 1, self_top);
-                    let dup = aux.range(t + 1, self_top);
-                    let distance = in_self + pos as u64 - dup;
-                    if distance <= REUSE_THRESHOLDS[2] {
-                        let bucket = REUSE_THRESHOLDS
-                            .iter()
-                            .position(|&th| distance <= th)
-                            .expect("distance within thresholds");
-                        self.hist[bucket] += 1;
-                        resolved_hits += 1;
-                    }
-                    // Counted by both the window Fenwick and `pos` for
-                    // every later entry after this one, hit or not.
-                    aux.add(t, 1);
-                }
-                None => {
-                    if self.first_touch_order.len() < WINDOW_LINES {
-                        self.first_touch_order.push(line);
-                    }
-                }
-            }
-        }
-        self.misses += later.misses - resolved_hits;
-
-        // Rebuild the merged window: union ranked by recency (later's
-        // lines outrank all self-only lines), truncated to the most
-        // recent WINDOW_LINES.
-        let mut order: Vec<u32> = self
-            .recency_order()
-            .filter(|line| !later.window.contains_key(line))
-            .collect();
-        order.extend(later.recency_order());
-        let keep_from = order.len().saturating_sub(WINDOW_LINES);
-        self.rebuild(&order[keep_from..]);
-
-        self.kmv.merge(later.kmv);
     }
 }
 
@@ -536,11 +419,8 @@ impl TraceObserver for SketchLocalityObserver {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
-
     use super::*;
     use crate::locality::LocalityObserver;
-    use crate::merge::MergeableObserver;
 
     fn xorshift_stream(len: usize, lines: u32) -> Vec<(u32, (u32, u32))> {
         let mut x = 0x243f_6a88_85a3_08d3u64;
@@ -632,31 +512,20 @@ mod tests {
     }
 
     /// Far beyond both capacities the bounded buckets and the miss count
-    /// stay exact integers, serially and through a 3-shard merge: `hist`
-    /// is the exact observer's first three buckets, and every miss is a
-    /// cold touch or an overflow-bucket reuse.
+    /// stay exact integers: `hist` is the exact observer's first three
+    /// buckets, and every miss is a cold touch or an overflow-bucket
+    /// reuse.
     #[test]
     fn bounded_buckets_are_exact_beyond_capacity() {
-        let stream = large_stream();
         let mut exact = LocalityObserver::new();
-        let mut serial = SketchLocalityObserver::new();
-        for &(line, warp) in &stream {
+        let mut sketch = SketchLocalityObserver::new();
+        for (line, warp) in large_stream() {
             exact.touch(line, warp);
-            serial.touch(line, warp);
-        }
-        let mut merged = SketchLocalityObserver::new();
-        for chunk in stream.chunks(stream.len().div_ceil(3)) {
-            let mut shard = SketchLocalityObserver::new();
-            for &(line, warp) in chunk {
-                shard.touch(line, warp);
-            }
-            merged.merge(shard);
+            sketch.touch(line, warp);
         }
         let (hist, cold) = exact.hist_and_cold();
-        for sketch in [&serial, &merged] {
-            assert_eq!(sketch.hist[..], hist[..3]);
-            assert_eq!(sketch.misses, cold + hist[3]);
-        }
+        assert_eq!(sketch.hist[..], hist[..3]);
+        assert_eq!(sketch.misses, cold + hist[3]);
     }
 
     /// Memory stays under a fixed ceiling, and a small footprint holds
@@ -684,85 +553,6 @@ mod tests {
             exact.touch(line, (0, 0));
         }
         assert!(exact.bytes_in_use() > big.bytes_in_use() * 5);
-    }
-
-    /// Any split of any stream, merged, equals serial sketching — the
-    /// same determinism contract the exact observer holds, including
-    /// streams that overflow the window and the KMV sample.
-    #[test]
-    fn merge_any_split_matches_serial() {
-        for (len, lines) in [(400, 48), (20_000, 9_000)] {
-            let stream = xorshift_stream(len, lines);
-            let mut serial = SketchLocalityObserver::new();
-            for &(line, warp) in &stream {
-                serial.touch(line, warp);
-            }
-            for split in [0, 1, 17, len / 2, len - 1, len] {
-                let mut first = SketchLocalityObserver::new();
-                let mut second = SketchLocalityObserver::new();
-                for &(line, warp) in &stream[..split] {
-                    first.touch(line, warp);
-                }
-                for &(line, warp) in &stream[split..] {
-                    second.touch(line, warp);
-                }
-                first.merge(second);
-                assert_eq!(first.hist, serial.hist, "split {split}");
-                assert_eq!(first.misses, serial.misses, "split {split}");
-                assert_eq!(first.touches, serial.touches);
-                // Times are a dense rebuild after a merge but sparse
-                // serially; only the recency *order* is the invariant.
-                let fw: Vec<_> = first.recency_order().collect();
-                let sw: Vec<_> = serial.recency_order().collect();
-                assert_eq!(fw, sw, "window order, split {split}");
-                let sorted = |k: &KmvSketch| -> BTreeMap<u64, KmvEntry> {
-                    k.entries.iter().map(|(&h, &e)| (h, e)).collect()
-                };
-                assert_eq!(sorted(&first.kmv), sorted(&serial.kmv), "kmv sample");
-                // Merged observer keeps behaving like the serial one.
-                for &(line, warp) in stream.iter().rev().take(200) {
-                    serial.touch(line, warp);
-                    first.touch(line, warp);
-                }
-                assert_eq!(first.hist, serial.hist, "post-merge split {split}");
-                assert_eq!(first.misses, serial.misses);
-                // Undo the extra touches for the next split round.
-                serial = SketchLocalityObserver::new();
-                for &(line, warp) in &stream {
-                    serial.touch(line, warp);
-                }
-            }
-        }
-    }
-
-    /// Three-way merge in shard order equals serial, as the runtime
-    /// reduces shards left to right.
-    #[test]
-    fn merge_three_shards_matches_serial() {
-        let stream = xorshift_stream(15_000, 6_000);
-        let mut serial = SketchLocalityObserver::new();
-        for &(line, warp) in &stream {
-            serial.touch(line, warp);
-        }
-        let mut merged = SketchLocalityObserver::new();
-        for chunk in stream.chunks(5_000) {
-            let mut shard = SketchLocalityObserver::new();
-            for &(line, warp) in chunk {
-                shard.touch(line, warp);
-            }
-            merged.merge(shard);
-        }
-        assert_eq!(merged.hist, serial.hist);
-        assert_eq!(merged.misses, serial.misses);
-        assert_eq!(merged.touches, serial.touches);
-        assert_eq!(
-            merged.footprint_lines().to_le_bytes(),
-            serial.footprint_lines().to_le_bytes()
-        );
-        assert_eq!(
-            merged.inter_warp_sharing().to_bits(),
-            serial.inter_warp_sharing().to_bits()
-        );
     }
 
     #[test]

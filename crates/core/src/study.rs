@@ -3,9 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use gwc_characterize::{
-    profile_launch_sharded, sketch, KernelProfile, ObserverTier, ProfileCache, Profiler,
-};
+use gwc_characterize::{sketch, KernelProfile, ObserverTier, ProfileCache, Profiler};
 use gwc_simt::exec::Device;
 use gwc_stats::Matrix;
 use gwc_workloads::fingerprint::workload_fingerprint;
@@ -129,7 +127,7 @@ impl Study {
         if threads <= 1 {
             let mut records = Vec::new();
             for w in workloads.iter_mut() {
-                records.extend(Self::run_one_cached(w.as_mut(), config, 1, cache)?);
+                records.extend(Self::run_one_cached(w.as_mut(), config, cache)?);
                 gwc_obs::progress::tick(&gwc_obs::progress::WORKLOADS, 1);
             }
             return Ok(Study { records });
@@ -143,7 +141,7 @@ impl Study {
                 .expect("workload slot poisoned")
                 .take()
                 .expect("each slot taken once");
-            let r = Self::run_one_cached(w.as_mut(), config, 1, cache);
+            let r = Self::run_one_cached(w.as_mut(), config, cache);
             gwc_obs::progress::tick(&gwc_obs::progress::WORKLOADS, 1);
             r
         });
@@ -163,27 +161,11 @@ impl Study {
         workload: &mut dyn Workload,
         config: &StudyConfig,
     ) -> Result<Vec<KernelRecord>, WorkloadError> {
-        Self::run_one_threads(workload, config, 1)
+        Self::run_one_cached(workload, config, None)
     }
 
-    /// Runs a single workload, sharding each launch's blocks across up to
-    /// `threads` threads when its kernel meets the block-sharding
-    /// contract (see `gwc_characterize::runtime`). Profiles are
-    /// bit-identical to [`Study::run_one`] at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first simulation or verification error.
-    pub fn run_one_threads(
-        workload: &mut dyn Workload,
-        config: &StudyConfig,
-        threads: usize,
-    ) -> Result<Vec<KernelRecord>, WorkloadError> {
-        Self::run_one_cached(workload, config, threads, None)
-    }
-
-    /// Runs a single workload like [`Study::run_one_threads`], consulting
-    /// a persistent profile cache when one is given.
+    /// Runs a single workload like [`Study::run_one`], consulting a
+    /// persistent profile cache when one is given.
     ///
     /// Setup always runs — it is what produces the kernels the
     /// fingerprint hashes, and it is cheap next to simulation. On a cache
@@ -197,7 +179,6 @@ impl Study {
     pub fn run_one_cached(
         workload: &mut dyn Workload,
         config: &StudyConfig,
-        threads: usize,
         cache: Option<&ProfileCache>,
     ) -> Result<Vec<KernelRecord>, WorkloadError> {
         let meta = workload.meta();
@@ -248,14 +229,7 @@ impl Study {
                     );
                 }
                 let profiler = profilers.get_mut(&launch.label).expect("just inserted");
-                profile_launch_sharded(
-                    &mut dev,
-                    &launch.kernel,
-                    &launch.config,
-                    &launch.args,
-                    profiler,
-                    threads,
-                )?;
+                profiler.profile_launch(&mut dev, &launch.kernel, &launch.config, &launch.args)?;
             }
             if config.verify {
                 workload.verify(&dev)?;

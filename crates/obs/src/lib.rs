@@ -5,9 +5,9 @@
 //! pluggable [`Recorder`].
 //!
 //! The pipeline is instrumented at every layer — `gwc-simt` records
-//! per-kernel launch statistics and serial-fallback reasons, the
-//! `gwc-core` pool records per-worker utilization, `gwc-characterize`
-//! records per-shard observe/merge durations, and `gwc-bench` records
+//! per-kernel launch statistics and execution profiles, the `gwc-core`
+//! pool records per-worker utilization, `gwc-characterize` records its
+//! observers' memory high-water mark, and `gwc-bench` records
 //! per-stage and per-experiment wall times — but all of it flows through
 //! one process-global [`Recorder`] that is **absent by default**.
 //!

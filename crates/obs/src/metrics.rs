@@ -90,17 +90,6 @@ pub struct ExecStat {
     pub hotspots: Vec<ExecHotspotStat>,
 }
 
-/// One serial-fallback aggregate (snapshot form).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FallbackStat {
-    /// Kernel that fell back.
-    pub kernel: String,
-    /// Why it could not shard.
-    pub reason: &'static str,
-    /// Launches that fell back for this reason.
-    pub count: u64,
-}
-
 /// A thread-safe aggregating [`Recorder`].
 ///
 /// Install it with [`crate::install`], run the pipeline, then call
@@ -112,7 +101,6 @@ pub struct MetricsRecorder {
     counters: Mutex<BTreeMap<String, u64>>,
     gauges: Mutex<BTreeMap<String, f64>>,
     kernels: Mutex<BTreeMap<String, (u64, KernelLaunch)>>,
-    fallbacks: Mutex<BTreeMap<(String, &'static str), u64>>,
     pools: Mutex<BTreeMap<String, BTreeMap<usize, PoolWorker>>>,
     workloads: Mutex<BTreeMap<String, (u64, u64)>>,
     hists: Mutex<BTreeMap<String, Histogram>>,
@@ -138,16 +126,14 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<(String, f64)>,
     /// Per-kernel launch aggregates, ordered by kernel name.
     pub kernels: Vec<KernelStat>,
-    /// Serial-fallback aggregates, ordered by (kernel, reason).
-    pub fallbacks: Vec<FallbackStat>,
     /// Per-pool, per-worker statistics, ordered by pool name then
     /// worker index.
     pub pools: Vec<(String, Vec<(usize, PoolWorker)>)>,
     /// Per-workload statistics, ordered by workload name.
     pub workloads: Vec<WorkloadStat>,
     /// Latency histograms, ordered by name. The full [`Histogram`] is
-    /// kept (not just quantiles) so shard-merge equality is testable
-    /// bucket for bucket.
+    /// kept (not just quantiles) so merge equality is testable bucket
+    /// for bucket.
     pub hists: Vec<(String, Histogram)>,
     /// Per-kernel execution-cost aggregates, ordered by kernel name.
     pub execs: Vec<ExecStat>,
@@ -228,17 +214,6 @@ impl MetricsRecorder {
                     name: name.clone(),
                     launches: *launches,
                     totals: *totals,
-                })
-                .collect(),
-            fallbacks: self
-                .fallbacks
-                .lock()
-                .expect("fallbacks poisoned")
-                .iter()
-                .map(|((kernel, reason), count)| FallbackStat {
-                    kernel: kernel.clone(),
-                    reason,
-                    count: *count,
                 })
                 .collect(),
             pools: self
@@ -359,11 +334,6 @@ impl Recorder for MetricsRecorder {
     fn record_stall(&self, open_spans: &[String], stalled_ms: u64) {
         let _ = (open_spans, stalled_ms);
         self.add_counter("telemetry.stalls", 1);
-    }
-
-    fn record_shard_fallback(&self, kernel: &str, reason: &'static str) {
-        let mut fallbacks = self.fallbacks.lock().expect("fallbacks poisoned");
-        *fallbacks.entry((kernel.to_string(), reason)).or_insert(0) += 1;
     }
 
     fn record_pool_worker(&self, pool: &str, worker: usize, stats: &PoolWorker) {

@@ -3,7 +3,7 @@
 //! Instrumentation sites call the free functions in the crate root
 //! ([`crate::count`], [`crate::span!`], …); those route to whatever
 //! recorder is installed here, or do nothing. Typed hooks
-//! ([`Recorder::record_pool_worker`], [`Recorder::record_shard_fallback`],
+//! ([`Recorder::record_pool_worker`], [`Recorder::record_workload`],
 //! …) exist for the structured facts the metrics report tabulates — they
 //! keep the report builder free of name-parsing.
 
@@ -15,8 +15,7 @@ use std::time::Instant;
 ///
 /// Every method has a no-op default body, so recorders implement only
 /// what they aggregate. Methods take `&self` and must be thread-safe:
-/// the pipeline calls them concurrently from pool workers and shard
-/// threads.
+/// the pipeline calls them concurrently from pool workers.
 pub trait Recorder: Send + Sync {
     /// A span closed: `path` is its `/`-separated hierarchical name.
     fn record_span(&self, path: &str, nanos: u64) {
@@ -53,15 +52,10 @@ pub trait Recorder: Send + Sync {
         let _ = (name, value);
     }
 
-    /// A kernel launch retired (serial or sharded — reported once per
-    /// launch with the summed stats either way).
+    /// A kernel launch retired: reported once per launched kernel (a
+    /// co-scheduled pair reports each member).
     fn record_kernel_launch(&self, kernel: &str, stats: &KernelLaunch) {
         let _ = (kernel, stats);
-    }
-
-    /// A launch that was asked to shard fell back to serial execution.
-    fn record_shard_fallback(&self, kernel: &str, reason: &'static str) {
-        let _ = (kernel, reason);
     }
 
     /// One pool worker finished its run of a `parallel_map`.
@@ -76,8 +70,8 @@ pub trait Recorder: Send + Sync {
 
     /// A kernel launch retired with an execution-cost profile: per-µop-
     /// class retired counts plus the launch's hottest pcs. Reported once
-    /// per launch (after [`Recorder::record_kernel_launch`]), serial or
-    /// sharded. The slices are borrowed from the caller's stack.
+    /// per launched kernel (after [`Recorder::record_kernel_launch`]).
+    /// The slices are borrowed from the caller's stack.
     fn record_exec_profile(&self, kernel: &str, classes: &[ExecClass], hotspots: &[ExecHotspot]) {
         let _ = (kernel, classes, hotspots);
     }
@@ -224,11 +218,6 @@ impl Recorder for TeeRecorder {
     fn record_kernel_launch(&self, kernel: &str, stats: &KernelLaunch) {
         for s in &self.sinks {
             s.record_kernel_launch(kernel, stats);
-        }
-    }
-    fn record_shard_fallback(&self, kernel: &str, reason: &'static str) {
-        for s in &self.sinks {
-            s.record_shard_fallback(kernel, reason);
         }
     }
     fn record_pool_worker(&self, pool: &str, worker: usize, stats: &PoolWorker) {

@@ -20,14 +20,15 @@ use crate::metrics::MetricsSnapshot;
 /// schema v4 adds the run-metadata header `meta` (wall-clock timestamp,
 /// threads, backend, cache mode, label) and the live-telemetry
 /// `timeseries` section (the sampler's ring, see [`crate::sampler`] —
-/// an empty object when no sampler ran).
-pub const SCHEMA_VERSION: u64 = 4;
+/// an empty object when no sampler ran); schema v5 drops the
+/// `fallbacks` section (launches no longer shard, so none fall back).
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Schema versions [`validate`] accepts: only the one this crate writes.
 pub const SUPPORTED_VERSIONS: [u64; 1] = [SCHEMA_VERSION];
 
 /// Required top-level keys of the current schema, in emission order.
-pub const REQUIRED_KEYS: [&str; 17] = [
+pub const REQUIRED_KEYS: [&str; 16] = [
     "schema_version",
     "meta",
     "threads",
@@ -37,7 +38,6 @@ pub const REQUIRED_KEYS: [&str; 17] = [
     "workloads",
     "kernels",
     "pools",
-    "fallbacks",
     "counters",
     "gauges",
     "histograms",
@@ -47,7 +47,7 @@ pub const REQUIRED_KEYS: [&str; 17] = [
     "timeseries",
 ];
 
-/// Run provenance stamped into the v4 `meta` header: when and how the
+/// Run provenance stamped into the `meta` header: when and how the
 /// report was produced. The snapshot itself records none of this.
 #[derive(Debug, Clone, Default)]
 pub struct RunMeta {
@@ -150,17 +150,6 @@ pub fn build_report(snap: &MetricsSnapshot, ctx: &ReportContext) -> Json {
             Json::Obj(vec![
                 ("name".into(), Json::Str(name.clone())),
                 ("workers".into(), Json::Arr(rows)),
-            ])
-        })
-        .collect();
-    let fallbacks = snap
-        .fallbacks
-        .iter()
-        .map(|f| {
-            Json::Obj(vec![
-                ("kernel".into(), Json::Str(f.kernel.clone())),
-                ("reason".into(), Json::Str(f.reason.to_string())),
-                ("count".into(), Json::UInt(f.count)),
             ])
         })
         .collect();
@@ -290,7 +279,6 @@ pub fn build_report(snap: &MetricsSnapshot, ctx: &ReportContext) -> Json {
         ("workloads".into(), Json::Arr(workloads)),
         ("kernels".into(), Json::Arr(kernels)),
         ("pools".into(), Json::Arr(pools)),
-        ("fallbacks".into(), Json::Arr(fallbacks)),
         ("counters".into(), Json::Arr(counters)),
         ("gauges".into(), Json::Arr(gauges)),
         ("histograms".into(), Json::Arr(histograms)),
@@ -380,7 +368,6 @@ pub fn validate(doc: &Json) -> Result<(), String> {
             }
         }
     }
-    require_records(doc, "fallbacks", &["kernel", "reason", "count"])?;
     require_records(doc, "counters", &["name", "value"])?;
     require_records(doc, "gauges", &["name", "value"])?;
     require_records(
@@ -593,7 +580,6 @@ mod tests {
                 lane_uops: 128,
             }],
         );
-        rec.record_shard_fallback("histogram", "global-atomics");
         rec.record_pool_worker(
             "study",
             0,
@@ -635,7 +621,7 @@ mod tests {
     #[test]
     fn report_contains_the_recorded_facts() {
         let doc = build_report(&sample_snapshot(), &sample_ctx());
-        assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(4));
+        assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(5));
         assert_eq!(doc.get("threads").unwrap().as_u64(), Some(4));
         let meta = doc.get("meta").unwrap();
         assert_eq!(
@@ -659,9 +645,10 @@ mod tests {
         assert_eq!(study.get("rollup_ns").unwrap().as_u64(), Some(160));
         let exps = doc.get("experiments").unwrap().as_arr().unwrap();
         assert_eq!(exps[0].get("id").unwrap().as_str(), Some("e1"));
-        let fb = &doc.get("fallbacks").unwrap().as_arr().unwrap()[0];
-        assert_eq!(fb.get("kernel").unwrap().as_str(), Some("histogram"));
-        assert_eq!(fb.get("reason").unwrap().as_str(), Some("global-atomics"));
+        assert!(
+            doc.get("fallbacks").is_none(),
+            "v5 has no fallbacks section"
+        );
         let pool = &doc.get("pools").unwrap().as_arr().unwrap()[0];
         let w0 = &pool.get("workers").unwrap().as_arr().unwrap()[0];
         assert_eq!(w0.get("tasks").unwrap().as_u64(), Some(3));
@@ -719,7 +706,7 @@ mod tests {
             }],
         });
         let doc = build_report(&sample_snapshot(), &ctx);
-        let back = validate_str(&doc.render()).expect("valid v4 report with timeseries");
+        let back = validate_str(&doc.render()).expect("valid report with timeseries");
         assert_eq!(back, doc);
         let ts = doc.get("timeseries").unwrap();
         assert_eq!(ts.get("stalls").unwrap().as_u64(), Some(1));
@@ -755,7 +742,7 @@ mod tests {
 
         // Only the written version validates: older and unknown stamps
         // are rejected even when every current key is present.
-        for version in [3, 99] {
+        for version in [3, 4, 99] {
             let Json::Obj(mut fields) = doc.clone() else {
                 unreachable!()
             };

@@ -16,8 +16,8 @@
 //! resolves the default at device creation (process override set by
 //! [`set_default`], else the `GWC_BACKEND` env var, else SIMD), and
 //! [`Device::set_backend`](crate::exec::Device::set_backend) overrides it
-//! per device. Forked shard devices inherit their parent's backend, so a
-//! sharded launch uses one engine throughout.
+//! per device. [`Device::fork`](crate::exec::Device::fork)ed devices
+//! inherit their parent's backend.
 //!
 //! The scalar engine ignores the fusion table: it is the semantic
 //! baseline the differential harness (`tests/backend_diff.rs`) measures

@@ -19,7 +19,7 @@
 //!
 //! The decoded form is cached on the kernel (`Kernel::decoded`) behind an
 //! `Arc`, so repeated launches — E12 re-runs a kernel per configuration
-//! sweep point — and forked shard devices all share one decode.
+//! sweep point — and forked devices all share one decode.
 //!
 //! Everything here is a pure re-encoding: the raw evaluators in this
 //! module mirror the tagged [`Value`] semantics bit for bit (predicates

@@ -21,13 +21,14 @@
 //! 8-wide SIMD engine in [`crate::simd`].
 //!
 //! Block dispatch is plan-driven ([`crate::sched`]): every launch —
-//! solo or co-scheduled — executes a [`crate::sched::DispatchPlan`], a
-//! deterministic sequence of `(kernel, block_range)` slices. A solo
-//! launch ([`Device::run_block_range`]) consumes the trivial
-//! single-slice plan; [`Device::launch_pair`] consumes a
-//! policy-generated interleaving of two kernels' grids. The plan
-//! executor dispatches on the backend once per launch, outside the
-//! slice loop, so both engines still monomorphize fully.
+//! solo or co-scheduled — passes one launch boundary that executes a
+//! [`crate::sched::DispatchPlan`], a deterministic sequence of
+//! `(member, block_range)` slices. A solo launch
+//! ([`Device::launch_observed`]) is the one-member, one-slice plan;
+//! [`Device::launch_pair`] runs a policy-generated interleaving of two
+//! kernels' grids. The plan executor dispatches on the backend once per
+//! launch, outside the slice loop, so both engines still monomorphize
+//! fully.
 
 use crate::backend::{BackendKind, ExecBackend, ScalarBackend, SimdBackend};
 use crate::decode::{self, DecodedKernel, Src, Uop};
@@ -35,7 +36,7 @@ use crate::instr::{Space, SpecialReg, Value};
 use crate::kernel::Kernel;
 use crate::launch::LaunchConfig;
 use crate::profile::ExecProfile;
-use crate::sched::{BlockScheduler, CoScheduleObserver, DispatchPlan, SchedPolicy};
+use crate::sched::{DispatchPlan, SchedPolicy};
 use crate::trace::{
     AccessKind, BranchEvent, InstrEvent, LaunchStats, MemEvent, NullObserver, TraceObserver,
 };
@@ -102,7 +103,7 @@ pub struct Device {
     /// `Some(_)` forces execution-cost profiling on/off; `None` profiles
     /// exactly when a recorder is installed.
     exec_profiling: Option<bool>,
-    /// Exec profile of the most recent launch / block range, if one was
+    /// Exec profile of the most recent solo launch, if one was
     /// collected. Taken by [`Device::take_exec_profile`].
     last_exec: Option<ExecProfile>,
 }
@@ -175,19 +176,12 @@ impl Device {
         self.exec_profiling = enable;
     }
 
-    /// Takes the execution-cost profile of the most recent launch or
-    /// block range, if one was collected (see
-    /// [`Device::set_exec_profiling`]).
+    /// Takes the execution-cost profile of the most recent launch, if
+    /// it was a solo launch and one was collected (see
+    /// [`Device::set_exec_profiling`]). A co-scheduled launch reports its
+    /// members' profiles to the recorder and leaves none here.
     pub fn take_exec_profile(&mut self) -> Option<ExecProfile> {
         self.last_exec.take()
-    }
-
-    /// Stores `profile` as the most recent launch's execution profile.
-    /// The sharded runtime merges per-shard profiles outside the device
-    /// and deposits the result here, so [`Device::take_exec_profile`]
-    /// behaves identically after serial and sharded launches.
-    pub fn store_exec_profile(&mut self, profile: Option<ExecProfile>) {
-        self.last_exec = profile;
     }
 
     fn exec_profiling_active(&self) -> bool {
@@ -350,85 +344,13 @@ impl Device {
         args: &[Value],
         observer: &mut O,
     ) -> Result<LaunchStats, SimtError> {
-        config.validate()?;
-        kernel.check_args(args)?;
-        observer.on_launch(kernel, config);
-        // One relaxed load + branch when no recorder is installed.
-        gwc_obs::count(self.backend.counter_name(), 1);
-        let t0 = gwc_obs::enabled().then(std::time::Instant::now);
-        let span = gwc_obs::span!("launch/{}", kernel.name());
-        let stats =
-            self.run_block_range(kernel, config, args, 0, config.blocks() as u32, observer)?;
-        drop(span);
-        let wall_ns = t0.map(|t0| t0.elapsed().as_nanos() as u64);
-        if let Some(ns) = wall_ns {
-            gwc_obs::hist("launch.latency_ns", ns);
-        }
-        observer.on_launch_end(&stats);
-        gwc_obs::progress::tick(&gwc_obs::progress::LAUNCHES, 1);
-        crate::trace::record_launch(kernel.name(), &stats, wall_ns.unwrap_or(0));
-        if gwc_obs::enabled() {
-            if let Some(profile) = &self.last_exec {
-                crate::trace::record_exec_profile(kernel, profile);
-            }
-        }
+        let solo = PairLaunch {
+            kernel,
+            config,
+            args,
+        };
+        let [stats] = self.launch_plan([solo], None, observer)?;
         Ok(stats)
-    }
-
-    /// Executes blocks `[first, last)` of a launch, streaming events to
-    /// `observer`. This is the block-sharding primitive of the parallel
-    /// characterization runtime: [`Device::fork`]ed devices each run a
-    /// disjoint block range of one launch, and the shard observers are
-    /// merged back in ascending block order.
-    ///
-    /// Unlike [`Device::launch_observed`] this emits no
-    /// `on_launch`/`on_launch_end` events — the caller owns the launch
-    /// boundary — and the returned stats count only the executed range
-    /// (`stats.blocks == last - first`). The instruction budget applies
-    /// to the range, i.e. per shard when sharded.
-    ///
-    /// Sharded use is only valid for kernels meeting the block-sharding
-    /// contract ([`Kernel::is_block_shardable`]); otherwise run the whole
-    /// launch serially.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Device::launch_observed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `first > last` or `last` exceeds the grid's block count.
-    pub fn run_block_range<O: TraceObserver + ?Sized>(
-        &mut self,
-        kernel: &Kernel,
-        config: &LaunchConfig,
-        args: &[Value],
-        first: u32,
-        last: u32,
-        observer: &mut O,
-    ) -> Result<LaunchStats, SimtError> {
-        config.validate()?;
-        kernel.check_args(args)?;
-        assert!(
-            first <= last && last as usize <= config.blocks(),
-            "block range {first}..{last} out of grid bounds"
-        );
-
-        // Solo launches and shards are the trivial plan: one slice of
-        // kernel 0. The plan executor re-bases slice ranges at 0, so a
-        // shard's range is expressed directly.
-        let plan = DispatchPlan::single(first..last);
-        let mut member = PlanMember::new(kernel, config, args, self.exec_profiling_active());
-        self.run_plan(
-            std::slice::from_mut(&mut member),
-            &plan,
-            observer,
-            |_, _, _| {},
-        )?;
-        // Always overwrite: a stale profile from an earlier launch must
-        // not outlive the launch it measured.
-        self.last_exec = member.exec;
-        Ok(member.stats)
     }
 
     /// Co-schedules two kernels on this device: their block dispatch is
@@ -437,110 +359,119 @@ impl Device {
     /// pairwise-interference characterization measures).
     ///
     /// Each kernel still executes its own blocks in ascending order with
-    /// its own statistics, budget, and (via
-    /// [`CoScheduleObserver::on_slice`] routing) its own observations —
+    /// its own statistics, budget, execution profile and (via
+    /// [`TraceObserver::on_member`] routing) its own observations —
     /// per-kernel results are bit-identical to solo launches of the same
     /// kernels on the same memory image. The plan is a pure function of
     /// `(policy, grid geometry)`, so a pair launch is as deterministic
     /// as a solo one, on either backend.
     ///
-    /// Execution-cost profiling is not collected on the pair path (an
-    /// [`ExecProfile`] is per-µop-stream and the members have different
-    /// streams); any previously collected profile is cleared.
-    ///
     /// # Errors
     ///
     /// Same as [`Device::launch_observed`], for either member; member 0
-    /// is validated first.
-    pub fn launch_pair<O: CoScheduleObserver + ?Sized>(
+    /// is validated first. A member that faults ends the launch with the
+    /// error its solo launch would have returned.
+    pub fn launch_pair<O: TraceObserver + ?Sized>(
         &mut self,
         a: PairLaunch<'_>,
         b: PairLaunch<'_>,
         policy: SchedPolicy,
         observer: &mut O,
     ) -> Result<[LaunchStats; 2], SimtError> {
-        for m in [&a, &b] {
-            m.config.validate()?;
-            m.kernel.check_args(m.args)?;
-        }
-        let grids = [a.config.blocks() as u32, b.config.blocks() as u32];
-        let plan = policy.plan(&grids);
-        debug_assert!(
-            plan.validate(&grids).is_ok(),
-            "policy produced invalid plan"
-        );
+        self.launch_plan([a, b], Some(policy), observer)
+    }
 
-        observer.on_member_launch(0, a.kernel, a.config);
-        observer.on_member_launch(1, b.kernel, b.config);
-        // Two kernels launch through the backend, counted like two solo
-        // launches plus the pair-level rollups.
-        gwc_obs::count(self.backend.counter_name(), 2);
-        gwc_obs::count("pair.launches", 1);
-        gwc_obs::count(&format!("pair.policy.{}", policy.name()), 1);
-        gwc_obs::count("pair.slices", plan.slices().len() as u64);
+    /// The one launch boundary behind [`Device::launch_observed`] (one
+    /// member, one slice; `policy` is `None`) and
+    /// [`Device::launch_pair`]: validates every member, executes the
+    /// dispatch plan, and books each member's launch exactly once —
+    /// observer `on_launch`/`on_launch_end`, backend counter,
+    /// [`crate::trace::record_launch`] and exec profile — under one
+    /// `launch/<a>[+<b>]` span and one `launch.latency_ns` sample.
+    fn launch_plan<O: TraceObserver + ?Sized, const N: usize>(
+        &mut self,
+        launches: [PairLaunch<'_>; N],
+        policy: Option<SchedPolicy>,
+        observer: &mut O,
+    ) -> Result<[LaunchStats; N], SimtError> {
+        for l in &launches {
+            l.config.validate()?;
+            l.kernel.check_args(l.args)?;
+        }
+        let grids = launches.map(|l| l.config.blocks() as u32);
+        let plan = match policy {
+            Some(policy) => policy.plan(&grids),
+            None => DispatchPlan::single(0..grids[0]),
+        };
+        debug_assert!(plan.validate(&grids).is_ok(), "invalid dispatch plan");
+
+        for (m, l) in launches.iter().enumerate() {
+            if N > 1 {
+                observer.on_member(m);
+            }
+            observer.on_launch(l.kernel, l.config);
+        }
+        // One relaxed load + branch per call when no recorder is installed.
+        gwc_obs::count(self.backend.counter_name(), N as u64);
+        if let Some(policy) = policy.filter(|_| gwc_obs::enabled()) {
+            gwc_obs::count("pair.launches", 1);
+            gwc_obs::count(&format!("pair.policy.{}", policy.name()), 1);
+            gwc_obs::count("pair.slices", plan.slices().len() as u64);
+        }
+        gwc_obs::progress::declare(&gwc_obs::progress::BLOCKS, plan.total_blocks());
         let t0 = gwc_obs::enabled().then(std::time::Instant::now);
-        let span = gwc_obs::span!("launch_pair/{}+{}", a.kernel.name(), b.kernel.name());
-        let mut members = [
-            PlanMember::new(a.kernel, a.config, a.args, false),
-            PlanMember::new(b.kernel, b.config, b.args, false),
-        ];
-        self.run_plan(&mut members, &plan, observer, |obs, kernel, blocks| {
-            obs.on_slice(kernel, blocks)
-        })?;
+        let span = gwc_obs::span!("launch/{}", launches.map(|l| l.kernel.name()).join("+"));
+        let profile_exec = self.exec_profiling_active();
+        let mut members = launches.map(|l| PlanMember::new(l, profile_exec));
+        match self.backend {
+            BackendKind::Scalar => {
+                self.run_plan::<ScalarBackend, O, N>(&mut members, &plan, observer)?
+            }
+            BackendKind::Simd => {
+                self.run_plan::<SimdBackend, O, N>(&mut members, &plan, observer)?
+            }
+        }
         drop(span);
         let wall_ns = t0.map(|t0| t0.elapsed().as_nanos() as u64);
         if let Some(ns) = wall_ns {
-            gwc_obs::hist("pair.latency_ns", ns);
-        }
-        let [ma, mb] = members;
-        observer.on_member_launch_end(0, &ma.stats);
-        observer.on_member_launch_end(1, &mb.stats);
-        gwc_obs::progress::tick(&gwc_obs::progress::LAUNCHES, 2);
-        // Each member is recorded with the co-run wall: that is the wall
-        // the kernel experienced while co-resident.
-        crate::trace::record_launch(a.kernel.name(), &ma.stats, wall_ns.unwrap_or(0));
-        crate::trace::record_launch(b.kernel.name(), &mb.stats, wall_ns.unwrap_or(0));
-        self.last_exec = None;
-        Ok([ma.stats, mb.stats])
-    }
-
-    /// Executes a [`DispatchPlan`] over `members`: dispatches on the
-    /// backend once (outside the slice loop, so each engine's block/warp
-    /// loop monomorphizes fully), then runs every slice's block range
-    /// against its member's launch context. `on_slice` fires before each
-    /// slice so co-schedule observers can route events per member.
-    fn run_plan<O: TraceObserver + ?Sized>(
-        &mut self,
-        members: &mut [PlanMember<'_>],
-        plan: &DispatchPlan,
-        observer: &mut O,
-        mut on_slice: impl FnMut(&mut O, usize, &std::ops::Range<u32>),
-    ) -> Result<(), SimtError> {
-        for (k, m) in members.iter_mut().enumerate() {
-            m.stats.blocks = plan.blocks_of(k);
-        }
-        // Block progress is declared per plan, so shard declares sum to
-        // the launch's grid and a pair declares both grids.
-        gwc_obs::progress::declare(&gwc_obs::progress::BLOCKS, plan.total_blocks());
-        match self.backend {
-            BackendKind::Scalar => {
-                self.run_plan_backend::<ScalarBackend, O>(members, plan, observer, &mut on_slice)
-            }
-            BackendKind::Simd => {
-                self.run_plan_backend::<SimdBackend, O>(members, plan, observer, &mut on_slice)
+            gwc_obs::hist("launch.latency_ns", ns);
+            if policy.is_some() {
+                gwc_obs::hist("pair.latency_ns", ns);
             }
         }
+        for (m, member) in members.iter().enumerate() {
+            if N > 1 {
+                observer.on_member(m);
+            }
+            observer.on_launch_end(&member.stats);
+            // A co-scheduled member is booked with the co-run wall: that
+            // is the wall the kernel experienced while co-resident.
+            crate::trace::record_launch(member.kernel.name(), &member.stats, wall_ns.unwrap_or(0));
+            if let Some(profile) = &member.exec {
+                crate::trace::record_exec_profile(member.kernel, profile);
+            }
+        }
+        gwc_obs::progress::tick(&gwc_obs::progress::LAUNCHES, N as u64);
+        // The device holds one profile: a solo launch's. Overwrite even
+        // with `None`, so no profile outlives the launch it measured.
+        self.last_exec = if N == 1 { members[0].exec.take() } else { None };
+        Ok(members.map(|m| m.stats))
     }
 
-    fn run_plan_backend<B: ExecBackend, O: TraceObserver + ?Sized>(
+    /// Runs every slice of `plan` against its member's launch context on
+    /// backend `B`, routing observer events per member when there is
+    /// more than one. Generic over the backend so each engine's
+    /// block/warp loop monomorphizes fully.
+    fn run_plan<B: ExecBackend, O: TraceObserver + ?Sized, const N: usize>(
         &mut self,
-        members: &mut [PlanMember<'_>],
+        members: &mut [PlanMember<'_>; N],
         plan: &DispatchPlan,
         observer: &mut O,
-        on_slice: &mut impl FnMut(&mut O, usize, &std::ops::Range<u32>),
     ) -> Result<(), SimtError> {
         for slice in plan.slices() {
-            on_slice(observer, slice.kernel, &slice.blocks);
+            if N > 1 {
+                observer.on_member(slice.kernel);
+            }
             let m = &mut members[slice.kernel];
             // The launch context borrows device memory, so it is rebuilt
             // per slice; everything kernel-specific (µop stream, params,
@@ -568,10 +499,9 @@ impl Device {
     }
 
     /// Clones the device — global and constant memory plus limits,
-    /// backend and fusion setting — so a shard can execute a block range
-    /// against its own copy of global memory while other shards run
-    /// concurrently. A sharded launch therefore uses one engine
-    /// throughout.
+    /// backend, fusion and profiling settings — so the copy can run
+    /// launches from the same memory image while this device stays
+    /// untouched (e.g. to measure one set-up several ways).
     pub fn fork(&self) -> Device {
         Device {
             global: self.global.clone(),
@@ -584,42 +514,10 @@ impl Device {
         }
     }
 
-    /// The current global-memory image (e.g. to snapshot before forking).
+    /// The current global-memory image (e.g. to compare two devices'
+    /// results byte for byte).
     pub fn global_image(&self) -> &[u8] {
         &self.global
-    }
-
-    /// Copies every byte where `shard`'s global memory differs from
-    /// `base` (the pre-launch snapshot all forks started from) into this
-    /// device. Applying shards in ascending block order reproduces the
-    /// serial memory image for kernels meeting the block-sharding
-    /// contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three memory images have different lengths (the
-    /// shard must have been forked from this device after `base` was
-    /// snapshotted, and kernels cannot allocate).
-    pub fn absorb_writes(&mut self, base: &[u8], shard: &Device) {
-        assert_eq!(self.global.len(), shard.global.len());
-        assert_eq!(self.global.len(), base.len());
-        // Chunked comparison: slice equality is a fast memcmp, and almost
-        // all chunks are untouched.
-        const CHUNK: usize = 64;
-        let n = self.global.len();
-        let mut i = 0;
-        while i < n {
-            let end = (i + CHUNK).min(n);
-            if shard.global[i..end] != base[i..end] {
-                let dst = &mut self.global[i..end];
-                for ((d, &s), &b) in dst.iter_mut().zip(&shard.global[i..end]).zip(&base[i..end]) {
-                    if s != b {
-                        *d = s;
-                    }
-                }
-            }
-            i = end;
-        }
     }
 }
 
@@ -658,7 +556,7 @@ impl Warp {
     }
 }
 
-/// Reusable per-launch (per-shard) allocations: shared/local memory
+/// Reusable per-launch allocations: shared/local memory
 /// images and warp states are cleared and refilled per block instead of
 /// reallocated, so a many-block launch allocates O(1) times.
 #[derive(Default)]
@@ -668,8 +566,8 @@ struct LaunchScratch {
     warps: Vec<Warp>,
 }
 
-/// One member of a co-scheduled pair launch: a kernel, its launch
-/// geometry, and its arguments. [`Device::launch_pair`] takes two.
+/// One member of a launch: a kernel, its launch geometry, and its
+/// arguments. [`Device::launch_pair`] takes two.
 #[derive(Clone, Copy)]
 pub struct PairLaunch<'a> {
     /// The kernel to launch.
@@ -694,25 +592,24 @@ struct PlanMember<'a> {
 }
 
 impl<'a> PlanMember<'a> {
-    fn new(
-        kernel: &'a Kernel,
-        config: &'a LaunchConfig,
-        args: &[Value],
-        profile_exec: bool,
-    ) -> Self {
+    fn new(launch: PairLaunch<'a>, profile_exec: bool) -> Self {
         // The µop stream and per-pc side tables: decoded on the kernel's
-        // first launch, shared by every launch (and shard) after that.
-        let dec = kernel.decoded().clone();
+        // first launch, shared by every launch after that.
+        let dec = launch.kernel.decoded().clone();
         // Parameters are uniform across the grid; resolve them to raw
         // bits once per launch.
-        let params: Vec<u32> = args.iter().map(|v| v.to_bits()).collect();
+        let params: Vec<u32> = launch.args.iter().map(|v| v.to_bits()).collect();
         let exec = profile_exec.then(|| ExecProfile::new(dec.len()));
         Self {
             dec,
-            kernel,
-            config,
+            kernel: launch.kernel,
+            config: launch.config,
             params,
-            stats: LaunchStats::default(),
+            // Every plan covers each member's whole grid.
+            stats: LaunchStats {
+                blocks: launch.config.blocks() as u64,
+                ..LaunchStats::default()
+            },
             exec,
             scratch: LaunchScratch::default(),
         }

@@ -32,7 +32,7 @@ pub struct Kernel {
     local_bytes: u32,
     reconv: Vec<Option<usize>>,
     /// Lazily decoded µop stream ([`crate::decode`]), shared by every
-    /// launch of this kernel (and, via `Arc`, by clones and forked shard
+    /// launch of this kernel (and, via `Arc`, by clones and forked
     /// devices). Cloning a kernel clones the `Arc`, not the decode.
     decoded: OnceLock<Arc<DecodedKernel>>,
 }
@@ -74,8 +74,8 @@ impl Kernel {
     }
 
     /// The predecoded µop stream, decoding on first use and cached for
-    /// every later launch. Thread-safe: forked shard devices executing
-    /// disjoint block ranges of one launch share a single decode.
+    /// every later launch. Thread-safe: devices launching the kernel from
+    /// several threads share a single decode.
     pub fn decoded(&self) -> &Arc<DecodedKernel> {
         self.decoded
             .get_or_init(|| Arc::new(DecodedKernel::decode(self)))
@@ -173,60 +173,6 @@ impl Kernel {
     /// and unconditional branches.
     pub fn reconvergence_pc(&self, pc: usize) -> Option<usize> {
         self.reconv.get(pc).copied().flatten()
-    }
-
-    /// Whether the kernel contains any global-memory atomic.
-    pub fn has_global_atomics(&self) -> bool {
-        self.instrs.iter().any(|i| {
-            matches!(
-                i,
-                Instr::Atom {
-                    space: Space::Global,
-                    ..
-                }
-            )
-        })
-    }
-
-    /// Why this kernel's blocks may **not** be executed as disjoint
-    /// block ranges, or `None` if block sharding is safe.
-    ///
-    /// This is the machine-readable side of
-    /// [`Kernel::is_block_shardable`]: the parallel runtime records the
-    /// returned reason through the observability recorder so serial
-    /// fallbacks are visible in `regen --metrics` instead of silently
-    /// costing a thread's worth of speedup.
-    pub fn shard_blocker(&self) -> Option<&'static str> {
-        if self.has_global_atomics() {
-            return Some("global-atomics");
-        }
-        None
-    }
-
-    /// Whether this kernel's blocks may be dispatched as disjoint block
-    /// ranges out of grid order — on forked devices (the sharded plan,
-    /// `Device::run_block_range` per shard) or interleaved with a
-    /// co-resident kernel's slices (`Device::launch_pair` under a
-    /// `sched::DispatchPlan`) — with results identical to serial
-    /// execution.
-    ///
-    /// The static contract, checked from the IR: no global-memory atomics.
-    /// Shared-memory atomics and barriers are block-local and always safe.
-    /// Plain global loads/stores are permitted because the CUDA execution
-    /// model the workloads are written against already forbids depending
-    /// on cross-block store→load ordering within a launch (blocks may run
-    /// in any order, even sequentially); kernels that break that rule are
-    /// not shardable and must go through the serial path. The determinism
-    /// test suite cross-checks every registered workload against this
-    /// contract. [`Kernel::shard_blocker`] names the reason.
-    ///
-    /// Co-scheduling is less demanding than sharding: every dispatch
-    /// policy keeps a kernel's own blocks in ascending order on one
-    /// device, so even kernels with global atomics pair safely — the
-    /// contract only matters when block ranges run on diverged memory
-    /// images.
-    pub fn is_block_shardable(&self) -> bool {
-        self.shard_blocker().is_none()
     }
 
     /// Checks launch arguments against the parameter declarations.

@@ -18,11 +18,9 @@
 //!   writes.
 //! * Global stores go only to `out[i]`/`fout[i]` where `i` is the global
 //!   thread id and the buffers have exactly one slot per thread —
-//!   disjoint across blocks, so thread-sharded characterization replays
-//!   identically.
-//! * Global atomics hit a tiny `atoms` buffer (data-dependent slot); a
-//!   kernel that rolls atomics is simply non-shardable and exercises the
-//!   serial fallback instead.
+//!   disjoint across blocks and threads.
+//! * Global atomics hit a tiny `atoms` buffer (data-dependent slot), so
+//!   many lanes contend for each slot.
 //! * Integer division/remainder divisors are `x | 1` — never zero.
 //!   Signed division is never generated (`i32::MIN / -1` would trap).
 //! * Loops are `for_range_u32` with a trip count fixed at generation
@@ -542,8 +540,7 @@ pub fn generate_seeded(seed: u64) -> Result<GeneratedKernel, SimtError> {
 /// distances as far as the shared timeline allows.
 ///
 /// `atomic_density` is zero by construction: the thrasher stays free of
-/// global atomics, so it can co-schedule (and block-shard) against any
-/// partner.
+/// global atomics, so it can co-schedule against any partner.
 pub fn thrash_knobs(seed: u64) -> KgenKnobs {
     KgenKnobs {
         seed,
@@ -633,8 +630,8 @@ mod tests {
     #[test]
     fn thrasher_is_atomic_free_deterministic_and_runs() {
         let g = generate_thrasher(7).unwrap();
-        assert!(
-            g.kernel.is_block_shardable(),
+        assert_eq!(
+            g.knobs.atomic_density, 0,
             "thrasher must stay free of global atomics"
         );
         let again = generate_thrasher(7).unwrap();

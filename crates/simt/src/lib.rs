@@ -27,10 +27,11 @@
 //! * [`backend`] — runtime-selectable warp engines: the scalar reference
 //!   and the 8-wide SIMD lane-group engine ([`simd`]), required to be
 //!   bit-identical and differentially tested against each other.
-//! * [`sched`] — policy-driven block dispatch: [`sched::BlockScheduler`]
+//! * [`sched`] — policy-driven block dispatch: [`sched::SchedPolicy`]
 //!   turns grid geometry into a deterministic [`sched::DispatchPlan`],
-//!   which the device consumes for solo launches (trivial plan) and for
-//!   co-scheduled kernel pairs ([`exec::Device::launch_pair`]).
+//!   which the device's one launch path consumes for solo launches
+//!   (trivial plan) and for co-scheduled kernel pairs
+//!   ([`exec::Device::launch_pair`]).
 //! * [`kgen`] — a seeded random kernel generator (divergence / stride /
 //!   atomic-density knobs) feeding the cross-backend differential
 //!   harness hundreds of structurally safe kernels, plus an adversarial

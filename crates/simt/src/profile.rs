@@ -7,10 +7,8 @@
 //! engine), so collection is cheap enough to leave on whenever a
 //! recorder is installed — and exactly one branch when it is not.
 //!
-//! Profiles are plain counter arrays, so shard profiles merge like
-//! observers do: [`ExecProfile::merge`] is an elementwise add, hence
-//! associative, commutative, and invariant under the block sharding of
-//! the parallel characterization runtime.
+//! Every launched kernel gets its own profile — a co-scheduled pair
+//! launch collects one per member, exactly as their solo launches would.
 
 use crate::instr::InstrClass;
 
@@ -38,7 +36,7 @@ impl UopCounts {
 }
 
 /// Per-µop-class and per-pc retired-µop/active-lane counters for one
-/// launch (or one block-range shard of a launch).
+/// launched kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecProfile {
     classes: [UopCounts; N_CLASSES],
@@ -65,26 +63,6 @@ impl ExecProfile {
         let p = &mut self.pcs[pc];
         p.warp_uops += 1;
         p.lane_uops += lanes;
-    }
-
-    /// Adds `other` into `self`, elementwise. Associative and
-    /// commutative, so shard profiles may merge in any grouping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profiles cover kernels of different lengths.
-    pub fn merge(&mut self, other: &ExecProfile) {
-        assert_eq!(
-            self.pcs.len(),
-            other.pcs.len(),
-            "merging exec profiles of different kernels"
-        );
-        for (c, o) in self.classes.iter_mut().zip(&other.classes) {
-            c.add(*o);
-        }
-        for (p, o) in self.pcs.iter_mut().zip(&other.pcs) {
-            p.add(*o);
-        }
     }
 
     /// Counters for one µop class.
@@ -133,22 +111,6 @@ impl ExecProfile {
 mod tests {
     use super::*;
 
-    fn sample(seed: u64, n_pcs: usize) -> ExecProfile {
-        let mut p = ExecProfile::new(n_pcs);
-        let mut x = seed;
-        for pc in 0..n_pcs {
-            // Deterministic pseudo-random counts per pc.
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let class = InstrClass::ALL[(x >> 32) as usize % N_CLASSES];
-            for _ in 0..(x % 5) {
-                p.bump(pc, class, (x as u32) | 1);
-            }
-        }
-        p
-    }
-
     #[test]
     fn class_indices_match_all_order() {
         for (i, &c) in InstrClass::ALL.iter().enumerate() {
@@ -171,39 +133,6 @@ mod tests {
         assert_eq!(p.pcs()[2].warp_uops, 2);
         assert_eq!(p.pcs()[2].lane_uops, 4);
         assert_eq!(p.total().warp_uops, 2);
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let a = sample(1, 16);
-        let b = sample(2, 16);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-    }
-
-    #[test]
-    fn merge_is_associative() {
-        let a = sample(3, 16);
-        let b = sample(4, 16);
-        let c = sample(5, 16);
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right);
-    }
-
-    #[test]
-    #[should_panic(expected = "different kernels")]
-    fn merge_rejects_mismatched_lengths() {
-        let mut a = ExecProfile::new(4);
-        a.merge(&ExecProfile::new(5));
     }
 
     #[test]

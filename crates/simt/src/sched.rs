@@ -2,7 +2,7 @@
 //!
 //! "Which block of which kernel runs next" is a scheduling decision, not
 //! a property of the warp engine. This module makes that decision
-//! explicit: a [`BlockScheduler`] turns the grid geometry of one or more
+//! explicit: a [`SchedPolicy`] turns the grid geometry of one or more
 //! co-resident kernels into a [`DispatchPlan`] — a deterministic sequence
 //! of `(kernel, block_range)` slices — and the executor
 //! ([`crate::exec::Device`]) simply consumes the plan, one slice at a
@@ -51,9 +51,9 @@ pub struct DispatchPlan {
 
 impl DispatchPlan {
     /// The trivial single-kernel plan: one slice covering `blocks` of
-    /// kernel 0. [`crate::exec::Device::run_block_range`] dispatches
-    /// through this, so the solo launch path is plan-driven too —
-    /// bit-identically to the pre-plan block loop.
+    /// kernel 0. A solo launch ([`crate::exec::Device::launch_observed`])
+    /// dispatches through this, so it runs the same plan executor as a
+    /// co-scheduled one.
     pub fn single(blocks: Range<u32>) -> Self {
         Self {
             slices: vec![DispatchSlice { kernel: 0, blocks }],
@@ -130,178 +130,35 @@ impl DispatchPlan {
     }
 }
 
-/// Decides the block dispatch order for a set of co-resident kernels.
-///
-/// Implementations must be pure functions of the grid geometry: the same
-/// `grids` must always yield the same plan.
-pub trait BlockScheduler {
-    /// Builds the dispatch plan for kernels with `grids[k]` blocks each.
-    fn plan(&self, grids: &[u32]) -> DispatchPlan;
-}
-
-/// Round-robin interleave: kernels alternate, `chunk` blocks at a time,
-/// until every grid is exhausted. The finest-grained mixing — the
-/// canonical high-contention co-schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundRobinInterleave {
-    /// Blocks each kernel dispatches per turn (≥ 1).
-    pub chunk: u32,
-}
-
-impl Default for RoundRobinInterleave {
-    fn default() -> Self {
-        Self { chunk: 1 }
-    }
-}
-
-impl BlockScheduler for RoundRobinInterleave {
-    fn plan(&self, grids: &[u32]) -> DispatchPlan {
-        let chunk = self.chunk.max(1);
-        let mut next: Vec<u32> = vec![0; grids.len()];
-        let mut slices = Vec::new();
-        loop {
-            let mut emitted = false;
-            for (k, &grid) in grids.iter().enumerate() {
-                if next[k] < grid {
-                    let end = (next[k] + chunk).min(grid);
-                    slices.push(DispatchSlice {
-                        kernel: k,
-                        blocks: next[k]..end,
-                    });
-                    next[k] = end;
-                    emitted = true;
-                }
-            }
-            if !emitted {
-                return DispatchPlan::from_slices(slices);
-            }
-        }
-    }
-}
-
-/// Streaming-multiprocessor count the SM-partitioned policy models. The
-/// value matters only as a ratio (it sets the relative slice widths);
-/// 16 matches the GT200-class machines of the source study.
+/// Streaming-multiprocessor count the SM-partitioned and leftover-fill
+/// policies model. The value matters only as a ratio (it sets the
+/// relative slice widths); 16 matches the GT200-class machines of the
+/// source study.
 pub const MODEL_SMS: u32 = 16;
 
-/// SM-partitioned: the modeled machine's [`MODEL_SMS`] SMs are split
-/// evenly between the kernels (remainder to the earlier kernels), and
-/// each round dispatches every kernel's per-round share of blocks. A
-/// kernel that exhausts its grid leaves its partition idle — partitions
-/// are static, which is what distinguishes this policy from
-/// [`LeftoverFill`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SmPartition {
-    /// Modeled SM count split across the kernels.
-    pub sms: u32,
-}
-
-impl Default for SmPartition {
-    fn default() -> Self {
-        Self { sms: MODEL_SMS }
-    }
-}
-
-impl BlockScheduler for SmPartition {
-    fn plan(&self, grids: &[u32]) -> DispatchPlan {
-        let n = grids.len().max(1) as u32;
-        let sms = self.sms.max(n);
-        let base = sms / n;
-        let rem = sms % n;
-        let share: Vec<u32> = (0..grids.len() as u32)
-            .map(|k| base + u32::from(k < rem))
-            .collect();
-        let mut next: Vec<u32> = vec![0; grids.len()];
-        let mut slices = Vec::new();
-        loop {
-            let mut emitted = false;
-            for (k, &grid) in grids.iter().enumerate() {
-                if next[k] < grid {
-                    let end = (next[k] + share[k]).min(grid);
-                    slices.push(DispatchSlice {
-                        kernel: k,
-                        blocks: next[k]..end,
-                    });
-                    next[k] = end;
-                    emitted = true;
-                }
-            }
-            if !emitted {
-                return DispatchPlan::from_slices(slices);
-            }
-        }
-    }
-}
-
-/// Leftover-fill: the kernel with the larger grid is the primary and
-/// streams through the machine in full-machine waves of [`MODEL_SMS`]
-/// blocks; the other kernel's blocks fill the capacity left at wave
-/// boundaries, spread evenly across the primary's timeline. Grid-size
-/// ties break toward kernel 0 as primary. The coarsest mixing of the
-/// three policies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LeftoverFill;
-
-impl BlockScheduler for LeftoverFill {
-    fn plan(&self, grids: &[u32]) -> DispatchPlan {
-        // General n-kernel form: the largest grid is primary, every other
-        // kernel is a filler spread evenly through its waves.
-        let Some(primary) = (0..grids.len()).max_by_key(|&k| (grids[k], std::cmp::Reverse(k)))
-        else {
-            return DispatchPlan::default();
-        };
-        let big = grids[primary];
-        let mut slices = Vec::new();
-        if big == 0 {
-            // Degenerate: no primary blocks; emit fillers whole.
-            for (k, &g) in grids.iter().enumerate() {
-                if k != primary && g > 0 {
-                    slices.push(DispatchSlice {
-                        kernel: k,
-                        blocks: 0..g,
-                    });
-                }
-            }
-            return DispatchPlan::from_slices(slices);
-        }
-        let waves = big.div_ceil(MODEL_SMS) as u64;
-        let mut next: Vec<u32> = vec![0; grids.len()];
-        for w in 0..waves {
-            let start = (w * MODEL_SMS as u64) as u32;
-            let end = ((w + 1) * MODEL_SMS as u64).min(big as u64) as u32;
-            slices.push(DispatchSlice {
-                kernel: primary,
-                blocks: start..end,
-            });
-            for (k, &g) in grids.iter().enumerate() {
-                if k == primary || g == 0 {
-                    continue;
-                }
-                // After wave w, filler k should have dispatched
-                // floor((w + 1) * g / waves) blocks — an even spread.
-                let due = (((w + 1) * g as u64) / waves) as u32;
-                if due > next[k] {
-                    slices.push(DispatchSlice {
-                        kernel: k,
-                        blocks: next[k]..due,
-                    });
-                    next[k] = due;
-                }
-            }
-        }
-        DispatchPlan::from_slices(slices)
-    }
-}
-
 /// The co-scheduling policies selectable from the command line
-/// (`regen --policy`).
+/// (`regen --policy`). [`SchedPolicy::plan`] turns one into a
+/// [`DispatchPlan`]; every policy is a pure function of the grid
+/// geometry, so the same grids always yield the same plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedPolicy {
-    /// [`RoundRobinInterleave`] with chunk 1.
+    /// Kernels alternate one block at a time until every grid is
+    /// exhausted. The finest-grained mixing — the canonical
+    /// high-contention co-schedule.
     RoundRobin,
-    /// [`SmPartition`] with [`MODEL_SMS`] SMs.
+    /// The modeled machine's [`MODEL_SMS`] SMs are split evenly between
+    /// the kernels (remainder to the earlier kernels), and each round
+    /// dispatches every kernel's per-round share of blocks. A kernel
+    /// that exhausts its grid leaves its partition idle — partitions are
+    /// static, which is what distinguishes this policy from
+    /// [`SchedPolicy::LeftoverFill`].
     SmPartitioned,
-    /// [`LeftoverFill`].
+    /// The kernel with the larger grid is the primary and streams
+    /// through the machine in full-machine waves of [`MODEL_SMS`]
+    /// blocks; the other kernels' blocks fill the capacity left at wave
+    /// boundaries, spread evenly across the primary's timeline.
+    /// Grid-size ties break toward kernel 0 as primary. The coarsest
+    /// mixing of the three policies.
     LeftoverFill,
 }
 
@@ -331,46 +188,106 @@ impl SchedPolicy {
             SchedPolicy::LeftoverFill => "leftover-fill",
         }
     }
-}
 
-impl BlockScheduler for SchedPolicy {
-    fn plan(&self, grids: &[u32]) -> DispatchPlan {
+    /// Builds the dispatch plan for co-resident kernels with `grids[k]`
+    /// blocks each.
+    pub fn plan(self, grids: &[u32]) -> DispatchPlan {
         match self {
-            SchedPolicy::RoundRobin => RoundRobinInterleave::default().plan(grids),
-            SchedPolicy::SmPartitioned => SmPartition::default().plan(grids),
-            SchedPolicy::LeftoverFill => LeftoverFill.plan(grids),
+            SchedPolicy::RoundRobin => interleave(grids, |_| 1),
+            SchedPolicy::SmPartitioned => {
+                let n = grids.len().max(1) as u32;
+                let sms = MODEL_SMS.max(n);
+                interleave(grids, |k| sms / n + u32::from(k < sms % n))
+            }
+            SchedPolicy::LeftoverFill => leftover_fill(grids),
         }
     }
 }
 
-/// Receives the events of a co-scheduled (pair) launch.
-///
-/// Extends [`TraceObserver`] with the co-scheduling boundaries the
-/// dispatch loop crosses: which member kernel the next events belong to
-/// ([`CoScheduleObserver::on_slice`]) and the per-member launch
-/// start/end. The executor keeps per-member statistics separated; this
-/// trait is how observers keep per-member *observations* separated too
-/// (see [`PerKernel`]) — or deliberately share state across members, as
-/// the pairwise-interference model does.
-pub trait CoScheduleObserver: TraceObserver {
-    /// Member `kernel` is launching as part of a co-schedule.
-    fn on_member_launch(&mut self, kernel: usize, k: &Kernel, config: &LaunchConfig) {
-        let _ = (kernel, k, config);
-    }
-    /// The next trace events belong to `kernel`, which is about to
-    /// execute `blocks`.
-    fn on_slice(&mut self, kernel: usize, blocks: &Range<u32>) {
-        let _ = (kernel, blocks);
-    }
-    /// Member `kernel` finished with `stats`.
-    fn on_member_launch_end(&mut self, kernel: usize, stats: &LaunchStats) {
-        let _ = (kernel, stats);
+/// Dispatches `turn(k)` blocks of each kernel `k` in kernel order, round
+/// after round, until every grid is exhausted.
+fn interleave(grids: &[u32], turn: impl Fn(u32) -> u32) -> DispatchPlan {
+    let mut next: Vec<u32> = vec![0; grids.len()];
+    let mut slices = Vec::new();
+    loop {
+        let mut emitted = false;
+        for (k, &grid) in grids.iter().enumerate() {
+            if next[k] < grid {
+                let end = (next[k] + turn(k as u32)).min(grid);
+                slices.push(DispatchSlice {
+                    kernel: k,
+                    blocks: next[k]..end,
+                });
+                next[k] = end;
+                emitted = true;
+            }
+        }
+        if !emitted {
+            return DispatchPlan::from_slices(slices);
+        }
     }
 }
 
+/// [`SchedPolicy::LeftoverFill`] in its general n-kernel form: the
+/// largest grid is primary, every other kernel is a filler spread evenly
+/// through its waves.
+fn leftover_fill(grids: &[u32]) -> DispatchPlan {
+    let Some(primary) = (0..grids.len()).max_by_key(|&k| (grids[k], std::cmp::Reverse(k))) else {
+        return DispatchPlan::default();
+    };
+    let big = grids[primary];
+    let mut slices = Vec::new();
+    if big == 0 {
+        // Degenerate: no primary blocks; emit fillers whole.
+        for (k, &g) in grids.iter().enumerate() {
+            if k != primary && g > 0 {
+                slices.push(DispatchSlice {
+                    kernel: k,
+                    blocks: 0..g,
+                });
+            }
+        }
+        return DispatchPlan::from_slices(slices);
+    }
+    let waves = big.div_ceil(MODEL_SMS) as u64;
+    let mut next: Vec<u32> = vec![0; grids.len()];
+    for w in 0..waves {
+        let start = (w * MODEL_SMS as u64) as u32;
+        let end = ((w + 1) * MODEL_SMS as u64).min(big as u64) as u32;
+        slices.push(DispatchSlice {
+            kernel: primary,
+            blocks: start..end,
+        });
+        for (k, &g) in grids.iter().enumerate() {
+            if k == primary || g == 0 {
+                continue;
+            }
+            // After wave w, filler k should have dispatched
+            // floor((w + 1) * g / waves) blocks — an even spread.
+            let due = (((w + 1) * g as u64) / waves) as u32;
+            if due > next[k] {
+                slices.push(DispatchSlice {
+                    kernel: k,
+                    blocks: next[k]..due,
+                });
+                next[k] = due;
+            }
+        }
+    }
+    DispatchPlan::from_slices(slices)
+}
+
+/// Marker for observers of co-scheduled launches, implemented for every
+/// [`TraceObserver`]: member routing is [`TraceObserver::on_member`], so
+/// any observer can watch a [`crate::exec::Device::launch_pair`].
+pub trait CoScheduleObserver: TraceObserver {}
+
+impl<T: TraceObserver + ?Sized> CoScheduleObserver for T {}
+
 /// Routes a co-scheduled launch's events to one observer per member
 /// kernel, so each member's observer sees exactly the event stream a
-/// solo launch of that kernel would have produced.
+/// solo launch of that kernel would have produced. In a solo launch the
+/// events go to the most recently routed member (member 0 at first).
 #[derive(Debug, Clone)]
 pub struct PerKernel<O> {
     members: Vec<O>,
@@ -398,6 +315,9 @@ impl<O: TraceObserver> PerKernel<O> {
 }
 
 impl<O: TraceObserver> TraceObserver for PerKernel<O> {
+    fn on_member(&mut self, member: usize) {
+        self.current = member;
+    }
     fn on_launch(&mut self, kernel: &Kernel, config: &LaunchConfig) {
         self.members[self.current].on_launch(kernel, config);
     }
@@ -418,23 +338,11 @@ impl<O: TraceObserver> TraceObserver for PerKernel<O> {
     }
 }
 
-impl<O: TraceObserver> CoScheduleObserver for PerKernel<O> {
-    fn on_member_launch(&mut self, kernel: usize, k: &Kernel, config: &LaunchConfig) {
-        self.members[kernel].on_launch(k, config);
-    }
-    fn on_slice(&mut self, kernel: usize, _blocks: &Range<u32>) {
-        self.current = kernel;
-    }
-    fn on_member_launch_end(&mut self, kernel: usize, stats: &LaunchStats) {
-        self.members[kernel].on_launch_end(stats);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn check(policy: &dyn BlockScheduler, grids: &[u32]) {
+    fn check(policy: SchedPolicy, grids: &[u32]) {
         let plan = policy.plan(grids);
         plan.validate(grids)
             .unwrap_or_else(|e| panic!("invalid plan for grids {grids:?}: {e}"));
@@ -451,30 +359,12 @@ mod tests {
     #[test]
     fn every_policy_covers_every_grid_exactly_once() {
         let mut rng = crate::kgen::Rng::new(0x0C05_C4ED);
-        let policies: [&dyn BlockScheduler; 3] = [
-            &RoundRobinInterleave { chunk: 1 },
-            &SmPartition { sms: MODEL_SMS },
-            &LeftoverFill,
-        ];
         for _ in 0..300 {
             let ga = rng.below(257);
             let gb = rng.below(257);
-            for p in policies {
+            for p in SchedPolicy::ALL {
                 check(p, &[ga, gb]);
             }
-            // Chunked round-robin and odd SM counts.
-            check(
-                &RoundRobinInterleave {
-                    chunk: 1 + rng.below(7),
-                },
-                &[ga, gb],
-            );
-            check(
-                &SmPartition {
-                    sms: 2 + rng.below(31),
-                },
-                &[ga, gb],
-            );
         }
         // Corner geometries every policy must survive.
         for grids in [
@@ -485,12 +375,12 @@ mod tests {
             &[1, 1024],
             &[1024, 1],
         ] {
-            for p in policies {
+            for p in SchedPolicy::ALL {
                 check(p, grids);
             }
         }
         // Policies are not limited to pairs.
-        for p in policies {
+        for p in SchedPolicy::ALL {
             check(p, &[3, 0, 17, 64]);
         }
     }
@@ -514,7 +404,7 @@ mod tests {
 
     #[test]
     fn round_robin_alternates_single_blocks() {
-        let plan = RoundRobinInterleave { chunk: 1 }.plan(&[2, 2]);
+        let plan = SchedPolicy::RoundRobin.plan(&[2, 2]);
         let got: Vec<(usize, Range<u32>)> = plan
             .slices()
             .iter()
@@ -525,8 +415,8 @@ mod tests {
 
     #[test]
     fn sm_partition_slices_by_share() {
-        // 16 SMs over 2 kernels: 8-block turns.
-        let plan = SmPartition { sms: 16 }.plan(&[16, 8]);
+        // MODEL_SMS = 16 SMs over 2 kernels: 8-block turns.
+        let plan = SchedPolicy::SmPartitioned.plan(&[16, 8]);
         let first: Vec<(usize, Range<u32>)> = plan
             .slices()
             .iter()
@@ -540,7 +430,7 @@ mod tests {
     fn leftover_fill_spreads_the_smaller_kernel() {
         // One full-machine wave per 16 primary blocks; the filler's
         // blocks land at wave boundaries, spread evenly.
-        let plan = LeftoverFill.plan(&[32, 4]);
+        let plan = SchedPolicy::LeftoverFill.plan(&[32, 4]);
         let got: Vec<(usize, Range<u32>)> = plan
             .slices()
             .iter()
@@ -549,7 +439,7 @@ mod tests {
         assert_eq!(got, vec![(0, 0..16), (1, 0..2), (0, 16..32), (1, 2..4)]);
         // Ties pick kernel 0 as primary and still mix more coarsely
         // than round-robin or the SM partition.
-        let tie = LeftoverFill.plan(&[16, 16]);
+        let tie = SchedPolicy::LeftoverFill.plan(&[16, 16]);
         assert_eq!(
             tie.slices()[0],
             DispatchSlice {

@@ -128,11 +128,9 @@ pub struct LaunchStats {
 /// barriers) plus the global `simt.*` counters. One branch when no
 /// recorder is installed.
 ///
-/// [`crate::exec::Device::launch_observed`] calls this for serial
-/// launches; the sharded runtime calls it once per sharded launch with
-/// the summed shard stats, so a launch is reported exactly once either
-/// way.
-pub fn record_launch(kernel: &str, stats: &LaunchStats, wall_ns: u64) {
+/// The device's launch boundary calls this once per launched kernel:
+/// once for a solo launch, once per member of a co-scheduled one.
+pub(crate) fn record_launch(kernel: &str, stats: &LaunchStats, wall_ns: u64) {
     let Some(rec) = gwc_obs::recorder() else {
         return;
     };
@@ -157,10 +155,10 @@ pub fn record_launch(kernel: &str, stats: &LaunchStats, wall_ns: u64) {
 /// Reports one retired launch's execution-cost profile: nonzero µop
 /// classes plus the [`crate::profile::HOTSPOT_TOP_N`] hottest pcs, each
 /// tagged with its class from the kernel's decoded stream. Like
-/// [`record_launch`], a sharded launch reports once with the merged
-/// shard profiles. One branch when no recorder is installed; the
-/// payload slices live on this stack frame.
-pub fn record_exec_profile(kernel: &Kernel, profile: &crate::profile::ExecProfile) {
+/// [`record_launch`], reported once per launched kernel. One branch when
+/// no recorder is installed; the payload slices live on this stack
+/// frame.
+pub(crate) fn record_exec_profile(kernel: &Kernel, profile: &crate::profile::ExecProfile) {
     let Some(rec) = gwc_obs::recorder() else {
         return;
     };
@@ -206,6 +204,14 @@ pub fn record_exec_profile(kernel: &Kernel, profile: &crate::profile::ExecProfil
 /// they need. Observers run synchronously inside the executor loop; heavy
 /// observers should stream-update their statistics rather than buffer.
 pub trait TraceObserver {
+    /// The events that follow belong to member `member` of a
+    /// co-scheduled launch ([`crate::exec::Device::launch_pair`]). Fires
+    /// before each member's [`Self::on_launch`] and [`Self::on_launch_end`]
+    /// and before each of its dispatch slices; never fires for a solo
+    /// launch, so an observer keeps its own member choice there.
+    fn on_member(&mut self, member: usize) {
+        let _ = member;
+    }
     /// A kernel launch is starting.
     fn on_launch(&mut self, kernel: &Kernel, config: &LaunchConfig) {
         let _ = (kernel, config);
@@ -358,68 +364,6 @@ impl TraceObserver for TraceHasher {
     }
 }
 
-/// Fans events out to several observers in order.
-#[derive(Default)]
-pub struct MultiObserver<'a> {
-    observers: Vec<&'a mut dyn TraceObserver>,
-}
-
-impl std::fmt::Debug for MultiObserver<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiObserver")
-            .field("observers", &self.observers.len())
-            .finish()
-    }
-}
-
-impl<'a> MultiObserver<'a> {
-    /// Creates an empty fan-out observer.
-    pub fn new() -> Self {
-        Self {
-            observers: Vec::new(),
-        }
-    }
-
-    /// Adds an observer to the fan-out list.
-    pub fn push(&mut self, obs: &'a mut dyn TraceObserver) -> &mut Self {
-        self.observers.push(obs);
-        self
-    }
-}
-
-impl TraceObserver for MultiObserver<'_> {
-    fn on_launch(&mut self, kernel: &Kernel, config: &LaunchConfig) {
-        for o in &mut self.observers {
-            o.on_launch(kernel, config);
-        }
-    }
-    fn on_instr(&mut self, event: &InstrEvent<'_>) {
-        for o in &mut self.observers {
-            o.on_instr(event);
-        }
-    }
-    fn on_mem(&mut self, event: &MemEvent<'_>) {
-        for o in &mut self.observers {
-            o.on_mem(event);
-        }
-    }
-    fn on_branch(&mut self, event: &BranchEvent) {
-        for o in &mut self.observers {
-            o.on_branch(event);
-        }
-    }
-    fn on_barrier(&mut self, block: u32) {
-        for o in &mut self.observers {
-            o.on_barrier(block);
-        }
-    }
-    fn on_launch_end(&mut self, stats: &LaunchStats) {
-        for o in &mut self.observers {
-            o.on_launch_end(stats);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,26 +415,5 @@ mod tests {
             srcs: &[],
         };
         assert_eq!(e.active_lanes(), 32);
-    }
-
-    #[test]
-    fn multi_observer_fans_out() {
-        #[derive(Default)]
-        struct Counter(u32);
-        impl TraceObserver for Counter {
-            fn on_barrier(&mut self, _b: u32) {
-                self.0 += 1;
-            }
-        }
-        let mut a = Counter::default();
-        let mut b = Counter::default();
-        {
-            let mut multi = MultiObserver::new();
-            multi.push(&mut a).push(&mut b);
-            multi.on_barrier(0);
-            multi.on_barrier(1);
-        }
-        assert_eq!(a.0, 2);
-        assert_eq!(b.0, 2);
     }
 }

@@ -1,12 +1,10 @@
 //! The predecoded µop stream is computed once per kernel and shared.
 //!
 //! `Kernel::decoded` backs every launch; if the cache ever stopped
-//! hitting, each launch (and each shard of a parallel study) would
-//! re-lower the kernel and the predecode optimization would silently
-//! evaporate. These tests pin the caching contract: lazy on first use,
-//! stable across launches, and shared (same `Arc`) by clones made after
-//! the first decode — which is exactly what forked shard devices rely
-//! on.
+//! hitting, each launch would re-lower the kernel and the predecode
+//! optimization would silently evaporate. These tests pin the caching
+//! contract: lazy on first use, stable across launches, and shared (same
+//! `Arc`) by clones made after the first decode.
 
 use std::sync::Arc;
 

@@ -13,8 +13,7 @@
 //!    global memory must match byte for byte, and the workload's own
 //!    `verify()` must pass on the SIMD device.
 //! 3. **Profiles** — the 33-dimension characteristic vector produced
-//!    by the sharded characterization runtime matches bitwise across
-//!    backends at 1, 2, 4 and 8 threads.
+//!    by the characterization profiler matches bitwise across backends.
 //! 4. **Generated kernels** — hundreds of seeded random kernels from
 //!    [`gwc::simt::kgen`] (divergence / stride / atomic-density knobs)
 //!    sweep the corners registry workloads don't reach. Set
@@ -27,7 +26,7 @@
 
 use std::collections::HashSet;
 
-use gwc::characterize::characterize_launch_sharded;
+use gwc::characterize::characterize_launch;
 use gwc::simt::backend::BackendKind;
 use gwc::simt::exec::Device;
 use gwc::simt::kgen;
@@ -118,41 +117,28 @@ fn registry_traces_bit_identical_across_backends() {
     );
 }
 
-/// The characteristic vectors from the sharded runtime must match
-/// bitwise across backends at every supported thread count.
+/// The characteristic vectors of every registry launch must match
+/// bitwise across backends.
 #[test]
-fn registry_profiles_bit_identical_across_backends_and_threads() {
-    for threads in [1usize, 2, 4, 8] {
-        let mut scalar_wl = registry::all_workloads(SEED);
-        let mut simd_wl = registry::all_workloads(SEED);
-        for (ws, wp) in scalar_wl.iter_mut().zip(simd_wl.iter_mut()) {
-            let name = ws.meta().name;
-            let mut ds = Device::with_backend(BackendKind::Scalar);
-            let mut dp = Device::with_backend(BackendKind::Simd);
-            let specs_s = ws.setup(&mut ds, Scale::Tiny).expect("scalar setup");
-            let specs_p = wp.setup(&mut dp, Scale::Tiny).expect("simd setup");
+fn registry_profiles_bit_identical_across_backends() {
+    let mut scalar_wl = registry::all_workloads(SEED);
+    let mut simd_wl = registry::all_workloads(SEED);
+    for (ws, wp) in scalar_wl.iter_mut().zip(simd_wl.iter_mut()) {
+        let name = ws.meta().name;
+        let mut ds = Device::with_backend(BackendKind::Scalar);
+        let mut dp = Device::with_backend(BackendKind::Simd);
+        let specs_s = ws.setup(&mut ds, Scale::Tiny).expect("scalar setup");
+        let specs_p = wp.setup(&mut dp, Scale::Tiny).expect("simd setup");
 
-            for (ls, lp) in specs_s.iter().zip(specs_p.iter()) {
-                let ps =
-                    characterize_launch_sharded(&mut ds, &ls.kernel, &ls.config, &ls.args, threads)
-                        .expect("scalar profile");
-                let pp =
-                    characterize_launch_sharded(&mut dp, &lp.kernel, &lp.config, &lp.args, threads)
-                        .expect("simd profile");
-                assert_eq!(
-                    ps.raw(),
-                    pp.raw(),
-                    "{name}/{} @{threads} threads: raw counts",
-                    ls.label
-                );
-                let vs: Vec<u64> = ps.values().iter().map(|v| v.to_bits()).collect();
-                let vp: Vec<u64> = pp.values().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(
-                    vs, vp,
-                    "{name}/{} @{threads} threads: characteristic vector",
-                    ls.label
-                );
-            }
+        for (ls, lp) in specs_s.iter().zip(specs_p.iter()) {
+            let ps = characterize_launch(&mut ds, &ls.kernel, &ls.config, &ls.args)
+                .expect("scalar profile");
+            let pp = characterize_launch(&mut dp, &lp.kernel, &lp.config, &lp.args)
+                .expect("simd profile");
+            assert_eq!(ps.raw(), pp.raw(), "{name}/{}: raw counts", ls.label);
+            let vs: Vec<u64> = ps.values().iter().map(|v| v.to_bits()).collect();
+            let vp: Vec<u64> = pp.values().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(vs, vp, "{name}/{}: characteristic vector", ls.label);
         }
     }
 }
@@ -248,47 +234,45 @@ fn generated_kernels_bit_identical_across_backends() {
     }
 }
 
-/// Generated kernels without atomics honor the block-sharding contract
-/// (read-only loads, thread-private stores), so their profiles must
-/// also agree across backends and thread counts. Kernels with atomics
-/// exercise the serial fallback instead — both are profiled.
+/// Generated kernels' profiles must also agree across backends, for
+/// kernels with and without global atomics alike.
 #[test]
 fn generated_kernel_profiles_match_across_backends() {
     for seed in 200..240 {
         let gk = kgen::generate_seeded(seed).expect("kernel generation");
-        for threads in [1usize, 4] {
-            let mut ds = Device::with_backend(BackendKind::Scalar);
-            let mut dp = Device::with_backend(BackendKind::Simd);
-            let args_s = gk.alloc_args(&mut ds);
-            let args_p = gk.alloc_args(&mut dp);
-            let ps =
-                characterize_launch_sharded(&mut ds, &gk.kernel, &gk.config, &args_s.args, threads);
-            let pp =
-                characterize_launch_sharded(&mut dp, &gk.kernel, &gk.config, &args_p.args, threads);
-            match (ps, pp) {
-                (Ok(ps), Ok(pp)) => {
-                    assert_eq!(ps.raw(), pp.raw(), "seed {seed} @{threads}: raw counts");
-                    let vs: Vec<u64> = ps.values().iter().map(|v| v.to_bits()).collect();
-                    let vp: Vec<u64> = pp.values().iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(vs, vp, "seed {seed} @{threads}: characteristic vector");
-                }
-                (Err(es), Err(ep)) => {
-                    assert_eq!(format!("{es:?}"), format!("{ep:?}"), "seed {seed}: errors")
-                }
-                (ps, pp) => panic!("seed {seed}: backend disagreement: {ps:?} vs {pp:?}"),
+        let mut ds = Device::with_backend(BackendKind::Scalar);
+        let mut dp = Device::with_backend(BackendKind::Simd);
+        let args_s = gk.alloc_args(&mut ds);
+        let args_p = gk.alloc_args(&mut dp);
+        let ps = characterize_launch(&mut ds, &gk.kernel, &gk.config, &args_s.args);
+        let pp = characterize_launch(&mut dp, &gk.kernel, &gk.config, &args_p.args);
+        match (ps, pp) {
+            (Ok(ps), Ok(pp)) => {
+                assert_eq!(ps.raw(), pp.raw(), "seed {seed}: raw counts");
+                let vs: Vec<u64> = ps.values().iter().map(|v| v.to_bits()).collect();
+                let vp: Vec<u64> = pp.values().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(vs, vp, "seed {seed}: characteristic vector");
             }
+            (Err(es), Err(ep)) => {
+                assert_eq!(format!("{es:?}"), format!("{ep:?}"), "seed {seed}: errors")
+            }
+            (ps, pp) => panic!("seed {seed}: backend disagreement: {ps:?} vs {pp:?}"),
         }
     }
 }
 
 /// Faulting kernels must fault identically: same error, same partial
-/// memory writes, same trace prefix. Exercises the out-of-bounds and
-/// divide-by-zero paths the generator deliberately avoids.
+/// memory writes, same trace prefix — across backends, and as either
+/// member of a pair launch under every policy, where each must return
+/// its solo launch's error and trace prefix. Exercises the out-of-bounds
+/// and divide-by-zero paths the generator deliberately avoids.
 #[test]
 fn faulting_kernels_fail_identically_across_backends() {
     use gwc::simt::builder::KernelBuilder;
+    use gwc::simt::exec::PairLaunch;
     use gwc::simt::instr::Value;
     use gwc::simt::launch::LaunchConfig;
+    use gwc::simt::sched::{PerKernel, SchedPolicy};
 
     // Out-of-bounds store at a thread-dependent pc.
     let mut b = KernelBuilder::new("oob_store");
@@ -307,6 +291,27 @@ fn faulting_kernels_fail_identically_across_backends() {
     let addr = b.index(out, i, 4);
     b.st_global_u32(addr, q);
     let div = b.build().expect("build div kernel");
+
+    // The benign pair partner: every thread stores to its own slot.
+    let mut b = KernelBuilder::new("fill");
+    let out = b.param_u32("out");
+    let i = b.global_tid_x();
+    let addr = b.index(out, i, 4);
+    b.st_global_u32(addr, i);
+    let fill = b.build().expect("build fill kernel");
+    let fill_cfg = LaunchConfig::linear(256, 32);
+    // Allocates the faulting kernel's and the partner's buffers in member
+    // order, so a pair device and its solo reference share one layout
+    // (out-of-bounds errors name the global memory size).
+    let alloc = |dev: &mut Device, member: usize| {
+        if member == 0 {
+            let faulting = dev.alloc_zeroed_u32(8);
+            (faulting, dev.alloc_zeroed_u32(256))
+        } else {
+            let partner = dev.alloc_zeroed_u32(256);
+            (dev.alloc_zeroed_u32(8), partner)
+        }
+    };
 
     for kernel in [&oob, &div] {
         let mut ds = Device::with_backend(BackendKind::Scalar);
@@ -337,6 +342,60 @@ fn faulting_kernels_fail_identically_across_backends() {
             "{}: partial writes",
             kernel.name()
         );
+
+        for member in 0..2 {
+            let mut solo_dev = Device::with_backend(BackendKind::Simd);
+            let (buf, _) = alloc(&mut solo_dev, member);
+            let mut solo = TraceHasher::new();
+            let solo_err = solo_dev
+                .launch_observed(kernel, &cfg, &[buf.arg()], &mut solo)
+                .expect_err("solo launch must fault");
+            for policy in SchedPolicy::ALL {
+                let mut images = Vec::new();
+                for backend in [BackendKind::Scalar, BackendKind::Simd] {
+                    let what = format!(
+                        "{} as member {member} under {} on {backend:?}",
+                        kernel.name(),
+                        policy.name()
+                    );
+                    let mut dev = Device::with_backend(backend);
+                    let (buf, partner_buf) = alloc(&mut dev, member);
+                    let (args, partner_args) = ([buf.arg()], [partner_buf.arg()]);
+                    let faulting = PairLaunch {
+                        kernel,
+                        config: &cfg,
+                        args: &args,
+                    };
+                    let partner = PairLaunch {
+                        kernel: &fill,
+                        config: &fill_cfg,
+                        args: &partner_args,
+                    };
+                    let [a, b] = if member == 0 {
+                        [faulting, partner]
+                    } else {
+                        [partner, faulting]
+                    };
+                    let mut hashers = PerKernel::new(vec![TraceHasher::new(), TraceHasher::new()]);
+                    let err = dev
+                        .launch_pair(a, b, policy, &mut hashers)
+                        .expect_err("pair launch must fault");
+                    assert_eq!(format!("{err:?}"), format!("{solo_err:?}"), "{what}: error");
+                    assert_eq!(
+                        hashers.members()[member].digest(),
+                        solo.digest(),
+                        "{what}: trace prefix"
+                    );
+                    images.push(dev.global_image().to_vec());
+                }
+                assert_eq!(
+                    images[0],
+                    images[1],
+                    "{}: pair partial writes",
+                    kernel.name()
+                );
+            }
+        }
     }
 }
 

@@ -1,27 +1,21 @@
 //! Determinism suite: the parallel characterization runtime must be
 //! bit-identical to the serial one.
 //!
-//! Three guarantees, each checked over the full workload registry:
+//! Two guarantees, each checked over the full workload registry:
 //!
-//! 1. **Block sharding** — profiling a workload with its launches
-//!    sharded across {2, 4, 8} threads yields the same 33-dimension
-//!    characteristic vector, bit for bit, as the serial run
-//!    (`Study::run_one_threads` vs `Study::run_one`). Kernels outside
-//!    the block-sharding contract fall back to serial, so this holds
-//!    for *every* workload, atomics and all.
-//! 2. **Workload fan-out** — `Study::run_threads` distributes whole
+//! 1. **Workload fan-out** — `Study::run_threads` distributes whole
 //!    workloads across workers and reassembles records in registry
 //!    order; the study matrix matches the serial study bitwise.
-//! 3. **Seed stability** — two runs with the same seed and thread
+//! 2. **Seed stability** — two runs with the same seed and thread
 //!    count are identical, and runs at different thread counts agree.
 //!
 //! Floating-point equality here is deliberate and exact
 //! (`f64::to_bits`): the observers accumulate in integer domain and
 //! convert to `f64` only at read time in a fixed order, so any
-//! difference is a real merge bug, not roundoff.
+//! difference is a real bug, not roundoff.
 
 use gwc::core::study::{KernelRecord, Study, StudyConfig};
-use gwc::workloads::{registry, Scale};
+use gwc::workloads::Scale;
 
 fn tiny_config(seed: u64) -> StudyConfig {
     StudyConfig {
@@ -57,25 +51,6 @@ fn assert_records_identical(serial: &[KernelRecord], parallel: &[KernelRecord], 
                 "{what}: {} dim {dim}: {a} vs {b}",
                 s.label()
             );
-        }
-    }
-}
-
-#[test]
-fn every_workload_block_sharded_matches_serial() {
-    let config = tiny_config(7);
-    let serial: Vec<Vec<KernelRecord>> = registry::all_workloads(config.seed)
-        .iter_mut()
-        .map(|w| Study::run_one(w.as_mut(), &config).expect("serial run"))
-        .collect();
-    for threads in [2usize, 4, 8] {
-        let sharded: Vec<Vec<KernelRecord>> = registry::all_workloads(config.seed)
-            .iter_mut()
-            .map(|w| Study::run_one_threads(w.as_mut(), &config, threads).expect("sharded run"))
-            .collect();
-        for (s, p) in serial.iter().zip(&sharded) {
-            let name = s.first().map_or("<empty>", |r| r.workload);
-            assert_records_identical(s, p, &format!("{name} at {threads} threads"));
         }
     }
 }

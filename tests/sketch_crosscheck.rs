@@ -11,7 +11,7 @@
 //! * every non-locality characteristic is bit-identical between tiers
 //!   (the sketch replaces only the locality observer);
 //! * locality/sharing characteristics stay within the declared bounds;
-//! * the sketch study is thread-deterministic (sharded merge ==
+//! * the sketch study is thread-deterministic (parallel fan-out ==
 //!   serial), like the exact tier;
 //! * sketch observer memory is bounded: the exact tier's peak
 //!   footprint-tracking bytes exceed the sketch's by >= 5x on the
@@ -136,8 +136,8 @@ fn generated_kernels_stay_within_sketch_bounds() {
     assert!(checked >= 100, "sweep too small: {checked}");
 }
 
-/// The sketch tier keeps the study's cornerstone guarantee: sharded
-/// parallel runs produce bit-identical records to the serial path.
+/// The sketch tier keeps the study's cornerstone guarantee: parallel
+/// runs produce bit-identical records to the serial path.
 #[test]
 fn sketch_study_is_thread_deterministic() {
     let config = study_config(ObserverTier::Sketch);
