@@ -10,6 +10,8 @@
 //! cargo run --release -p gwc-bench --bin regen e9 e10     # just two
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod cli;
 pub mod experiments;
 pub mod telemetry;

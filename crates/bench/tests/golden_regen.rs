@@ -9,7 +9,8 @@
 //! study runs at the machine's available parallelism, it doubles as a
 //! determinism check of the parallel runtime at Small scale. The sketch
 //! snapshot pins the sketch tier's estimated rows exactly, not just to
-//! within its declared error bounds.
+//! within its declared error bounds. A third test keeps EXPERIMENTS.md's
+//! quoted output in step with the exact snapshot.
 //!
 //! After an *intentional* output change (new characteristic, PRNG
 //! algorithm change, report tweak), re-bless both snapshots:
@@ -76,4 +77,31 @@ fn regen_matches_golden_snapshot() {
 #[test]
 fn sketch_regen_matches_golden_snapshot() {
     check_golden("regen_all_small_seed7_sketch.txt", ObserverTier::Sketch);
+}
+
+/// Every fenced `text` block in EXPERIMENTS.md is a run of whole lines of
+/// the exact snapshot, so the numbers the document quotes cannot drift
+/// from what `regen` prints.
+#[test]
+fn experiments_md_quotes_the_golden() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let doc = fs::read_to_string(root.join("EXPERIMENTS.md")).expect("read EXPERIMENTS.md");
+    let golden = fs::read_to_string(root.join("results/regen_all_small_seed7.txt"))
+        .expect("read the golden snapshot");
+    let golden = format!("\n{golden}");
+    let mut lines = doc.lines();
+    let mut blocks = 0;
+    while let Some(line) = lines.next() {
+        if line != "```text" {
+            continue;
+        }
+        let block: Vec<&str> = lines.by_ref().take_while(|l| *l != "```").collect();
+        let excerpt = format!("\n{}\n", block.join("\n"));
+        assert!(
+            golden.contains(&excerpt),
+            "EXPERIMENTS.md text block {blocks} is not verbatim in the golden:{excerpt}"
+        );
+        blocks += 1;
+    }
+    assert!(blocks >= 6, "only {blocks} text blocks in EXPERIMENTS.md");
 }

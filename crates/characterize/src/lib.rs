@@ -45,6 +45,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod cache;
 pub mod coalescing;
 pub mod divergence;

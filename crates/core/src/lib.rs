@@ -40,6 +40,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod analysis;
 pub mod diversity;
 pub mod eval;

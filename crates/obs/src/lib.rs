@@ -47,6 +47,8 @@
 //! Cross-thread nesting is expressed with explicit `/`-separated paths
 //! at the call site (worker threads start with an empty span stack).
 
+#![deny(unsafe_code)]
+
 pub mod hist;
 pub mod json;
 pub mod metrics;

@@ -80,6 +80,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod backend;
 pub mod builder;
 pub mod cfg;

@@ -36,6 +36,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod corr;
 pub mod describe;
 pub mod distance;

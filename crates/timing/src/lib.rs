@@ -20,6 +20,8 @@
 //! what the design-space experiments need is that different workloads
 //! respond differently — and plausibly — to parameter changes.
 
+#![deny(unsafe_code)]
+
 pub mod model;
 pub mod sweep;
 

@@ -30,6 +30,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod fingerprint;
 pub mod pairs;
 pub mod registry;

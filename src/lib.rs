@@ -11,6 +11,8 @@
 //! * [`timing`] — analytical GPU performance model,
 //! * [`core`] — the end-to-end characterization pipeline and analyses.
 
+#![deny(unsafe_code)]
+
 pub use gwc_characterize as characterize;
 pub use gwc_core as core;
 pub use gwc_obs as obs;
