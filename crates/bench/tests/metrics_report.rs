@@ -174,3 +174,51 @@ fn metrics_report_has_stages_pools_and_workloads() {
         assert!(!hotspots.is_empty(), "profile without hotspots");
     }
 }
+
+/// Span paths do not depend on the thread count: pool tasks (study
+/// workloads, E14 scenarios) nest their spans where the serial loop's
+/// would. Tiny scale keeps the two runs cheap; the nesting is the same
+/// at every scale.
+#[test]
+fn span_paths_are_independent_of_thread_count() {
+    use std::collections::BTreeSet;
+
+    use gwc_core::pipeline::PipelineConfig;
+    use gwc_workloads::Scale;
+
+    let paths = |threads: usize| -> BTreeSet<String> {
+        let mut cfg = PipelineConfig {
+            threads,
+            ..PipelineConfig::default()
+        };
+        cfg.study.scale = Scale::Tiny;
+        let rec = Arc::new(MetricsRecorder::default());
+        let guard = gwc_obs::install(rec.clone());
+        let artifacts = StudyArtifacts::collect(&cfg);
+        let text = render_experiments(&["e14"], &artifacts);
+        drop(guard);
+        assert!(text.contains("E14:"));
+        rec.snapshot().spans.into_iter().map(|s| s.path).collect()
+    };
+    let serial = paths(1);
+    assert_eq!(serial, paths(2), "span paths at 1 vs 2 threads");
+    assert!(
+        serial.iter().any(|p| p.starts_with("study/launch/")),
+        "study launches nest under the study span: {serial:?}"
+    );
+    let scenario_launch = serial
+        .iter()
+        .filter_map(|p| p.strip_prefix("experiment/e14/study/pairs/"))
+        .find(|rest| {
+            rest.split_once('/')
+                .is_some_and(|(_, l)| l.starts_with("launch/"))
+        });
+    assert!(
+        scenario_launch.is_some(),
+        "pair launches nest under their scenario span: {serial:?}"
+    );
+    assert!(
+        !serial.iter().any(|p| p.contains("study/pairs/study/pairs")),
+        "scenario spans carry no doubled prefix"
+    );
+}

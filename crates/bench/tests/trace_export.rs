@@ -78,9 +78,15 @@ fn trace_export_is_valid_chrome_trace_json() {
     ] {
         assert!(names.contains(&want), "missing span `{want}`");
     }
+    // Pool workers enter the study span, so launches nest under it at
+    // any thread count.
     assert!(
-        names.iter().any(|n| n.starts_with("launch/")),
-        "kernel launch spans captured"
+        names.iter().any(|n| n.starts_with("study/launch/")),
+        "kernel launch spans captured under the study span"
+    );
+    assert!(
+        !names.iter().any(|n| n.starts_with("launch/")),
+        "no launch span escapes to the root"
     );
 
     // Every span has the complete-event shape with sane timestamps.

@@ -57,6 +57,7 @@ pub mod mix;
 pub mod pair;
 pub mod profile;
 pub mod profiler;
+mod reuse;
 pub mod runtime;
 pub mod schema;
 pub mod serialize;

@@ -1,105 +1,66 @@
 //! Temporal locality (LRU stack distances) and data sharing of global
 //! memory, at 128-byte line granularity.
 //!
-//! Reuse distance — the number of *distinct* lines touched between two
-//! accesses to the same line — is the canonical microarchitecture-
-//! independent locality metric: a fully associative LRU cache of `N` lines
-//! hits exactly the accesses with distance `< N`. We compute it exactly
-//! with the classic last-access-time + Fenwick-tree algorithm, compressing
-//! the time axis when it fills.
+//! The exact tier: the crate's one LRU reuse stack over the whole
+//! footprint, plus sharing flags for every line.
 
-use gwc_simt::instr::Space;
 use gwc_simt::trace::{MemEvent, TraceObserver};
 
-use crate::coalescing::SEGMENT_BYTES;
-use crate::fxhash::FxHashMap;
+use crate::reuse::{global_lines, ReuseStack};
 
 /// Reuse-distance histogram thresholds, in 128-byte lines.
 pub const REUSE_THRESHOLDS: [u64; 3] = [16, 256, 4096];
 
-/// Binary indexed tree over time slots. Shared with the bounded-window
-/// sketch tier (see [`crate::sketch`]), which runs the same
-/// last-access-time algorithm over a capped recency window.
-#[derive(Debug, Clone)]
-pub(crate) struct Fenwick {
-    tree: Vec<u32>,
-}
-
-impl Fenwick {
-    pub(crate) fn new(n: usize) -> Self {
-        Self {
-            tree: vec![0; n + 1],
-        }
-    }
-
-    /// Backing-array length in slots, for memory accounting.
-    pub(crate) fn slots(&self) -> usize {
-        self.tree.len()
-    }
-
-    pub(crate) fn add(&mut self, mut i: usize, delta: i32) {
-        i += 1;
-        while i < self.tree.len() {
-            self.tree[i] = (self.tree[i] as i64 + delta as i64) as u32;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Sum of `[0, i]`.
-    pub(crate) fn prefix(&self, mut i: usize) -> u64 {
-        i += 1;
-        let mut s = 0u64;
-        while i > 0 {
-            s += self.tree[i] as u64;
-            i -= i & i.wrapping_neg();
-        }
-        s
-    }
-
-    /// Sum of `[lo, hi]` (inclusive); 0 when the range is empty.
-    pub(crate) fn range(&self, lo: usize, hi: usize) -> u64 {
-        if lo > hi {
-            return 0;
-        }
-        let head = if lo == 0 { 0 } else { self.prefix(lo - 1) };
-        self.prefix(hi) - head
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct LineInfo {
-    last_time: usize,
+/// Which warps touched a line: its first toucher, and whether another
+/// warp, or a warp of another block, followed. Kept for every line by
+/// the exact observer and for the sampled lines by the sketch.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Sharing {
     first_warp: (u32, u32),
     multi_warp: bool,
     multi_block: bool,
 }
 
-/// Streams global accesses into reuse-distance and sharing statistics.
-#[derive(Debug)]
-pub struct LocalityObserver {
-    lines: FxHashMap<u32, LineInfo>,
-    fenwick: Fenwick,
-    now: usize,
-    cap: usize,
-    /// Reuses bucketed by [`REUSE_THRESHOLDS`], with a final overflow
-    /// bucket.
-    hist: [u64; 4],
-    cold: u64,
-    touches: u64,
+impl Sharing {
+    pub(crate) fn new(warp: (u32, u32)) -> Self {
+        Self {
+            first_warp: warp,
+            multi_warp: false,
+            multi_block: false,
+        }
+    }
+
+    pub(crate) fn see(&mut self, warp: (u32, u32)) {
+        if self.first_warp != warp {
+            self.multi_warp = true;
+            if self.first_warp.0 != warp.0 {
+                self.multi_block = true;
+            }
+        }
+    }
+
+    /// Fractions of `lines` touched by at least two warps and by at
+    /// least two blocks; zero when there are none.
+    pub(crate) fn fractions<'a>(lines: impl ExactSizeIterator<Item = &'a Sharing>) -> [f64; 2] {
+        let n = lines.len();
+        if n == 0 {
+            return [0.0; 2];
+        }
+        let mut shared = [0usize; 2];
+        for l in lines {
+            shared[0] += usize::from(l.multi_warp);
+            shared[1] += usize::from(l.multi_block);
+        }
+        shared.map(|k| k as f64 / n as f64)
+    }
 }
 
-/// Initial time-axis capacity. Deliberately small: a study creates one
-/// observer per kernel label, most with small footprints, and a large
-/// up-front zeroed Fenwick allocation would cost page faults for all of
-/// them. The axis grows geometrically with the footprint, so large
-/// workloads still get a long axis — they just pay for it only when
-/// they actually touch that many lines.
-pub(crate) const INITIAL_CAP: usize = 1 << 12;
-
-impl Default for LocalityObserver {
-    fn default() -> Self {
-        Self::with_capacity(INITIAL_CAP)
-    }
+/// Streams global accesses into reuse-distance and sharing statistics.
+#[derive(Debug, Default)]
+pub struct LocalityObserver {
+    stack: ReuseStack<1>,
+    /// Sharing flags by line id.
+    sharing: Vec<Sharing>,
 }
 
 impl LocalityObserver {
@@ -108,31 +69,23 @@ impl LocalityObserver {
         Self::default()
     }
 
-    /// Creates an observer compressing its time axis every `cap` touches.
+    /// Creates an observer whose time axis starts at `cap` slots.
+    /// Results are the same at every capacity.
     pub fn with_capacity(cap: usize) -> Self {
         Self {
-            lines: FxHashMap::default(),
-            fenwick: Fenwick::new(cap),
-            now: 0,
-            cap,
-            hist: [0; 4],
-            cold: 0,
-            touches: 0,
+            stack: ReuseStack::with_capacity(cap),
+            sharing: Vec::new(),
         }
     }
 
     /// Total line touches (one per distinct line per warp access).
     pub fn touches(&self) -> u64 {
-        self.touches
+        self.stack.touches(0)
     }
 
     /// Fraction of touches that were first-touch (cold).
     pub fn cold_frac(&self) -> f64 {
-        if self.touches == 0 {
-            0.0
-        } else {
-            self.cold as f64 / self.touches as f64
-        }
+        self.stack.cold_frac(0)
     }
 
     /// Fraction of *reuses* with stack distance at most
@@ -142,145 +95,54 @@ impl LocalityObserver {
     ///
     /// Panics if `bucket >= 3`.
     pub fn reuse_cdf(&self, bucket: usize) -> f64 {
-        assert!(bucket < REUSE_THRESHOLDS.len());
-        let reuses: u64 = self.hist.iter().sum();
-        if reuses == 0 {
-            return 0.0;
-        }
-        let upto: u64 = self.hist.iter().take(bucket + 1).sum();
-        upto as f64 / reuses as f64
+        self.stack.reuse_cdf(0, bucket)
     }
 
     /// Distinct 128-byte lines touched.
     pub fn footprint_lines(&self) -> u64 {
-        self.lines.len() as u64
+        self.stack.lines()
     }
 
     /// Fraction of lines touched by at least two distinct warps.
     pub fn inter_warp_sharing(&self) -> f64 {
-        self.sharing(|l| l.multi_warp)
+        Sharing::fractions(self.sharing.iter())[0]
     }
 
     /// Fraction of lines touched by at least two distinct blocks.
     pub fn inter_block_sharing(&self) -> f64 {
-        self.sharing(|l| l.multi_block)
-    }
-
-    fn sharing(&self, pred: impl Fn(&LineInfo) -> bool) -> f64 {
-        if self.lines.is_empty() {
-            return 0.0;
-        }
-        let shared = self.lines.values().filter(|l| pred(l)).count();
-        shared as f64 / self.lines.len() as f64
+        Sharing::fractions(self.sharing.iter())[1]
     }
 
     /// Approximate heap bytes held by this observer's per-line state.
     /// Capacity-based (not length-based): it is the allocation, not the
     /// occupancy, that the `observer.bytes_peak` gauge must account for.
     pub fn bytes_in_use(&self) -> u64 {
-        let map_entry = std::mem::size_of::<(u32, LineInfo)>() + 1;
-        (self.lines.capacity() * map_entry + self.fenwick.slots() * std::mem::size_of::<u32>())
-            as u64
+        self.stack.bytes_in_use()
+            + (self.sharing.capacity() * std::mem::size_of::<Sharing>()) as u64
     }
 
     /// Reuse histogram (the [`REUSE_THRESHOLDS`] buckets, then overflow)
     /// and cold-touch count, for the sketch tier's exactness tests.
     #[cfg(test)]
     pub(crate) fn hist_and_cold(&self) -> ([u64; 4], u64) {
-        (self.hist, self.cold)
+        (self.stack.hist(0), self.stack.cold(0))
     }
 
     pub(crate) fn touch(&mut self, line: u32, warp: (u32, u32)) {
-        self.touches += 1;
-        if self.now >= self.cap {
-            // Compression needs headroom over the live footprint; grow
-            // the axis instead when the footprint itself filled it.
-            // Either way the recency order — and with it every future
-            // distance — is preserved, so when growth (or compression)
-            // happens cannot affect results.
-            if self.lines.len() * 2 > self.cap {
-                self.cap = (self.lines.len() * 4).next_power_of_two();
-            }
-            self.compress();
+        let t = self.stack.touch(0, line);
+        if t.cold {
+            self.sharing.push(Sharing::new(warp));
+        } else {
+            self.sharing[t.id].see(warp);
         }
-        match self.lines.get_mut(&line) {
-            Some(info) => {
-                let t = info.last_time;
-                // Lines whose most recent access is after t = LRU depth.
-                let distance = self.fenwick.range(t + 1, self.now.saturating_sub(1));
-                let bucket = REUSE_THRESHOLDS
-                    .iter()
-                    .position(|&th| distance <= th)
-                    .unwrap_or(REUSE_THRESHOLDS.len());
-                self.hist[bucket] += 1;
-                self.fenwick.add(t, -1);
-                self.fenwick.add(self.now, 1);
-                info.last_time = self.now;
-                if info.first_warp != warp {
-                    info.multi_warp = true;
-                    if info.first_warp.0 != warp.0 {
-                        info.multi_block = true;
-                    }
-                }
-            }
-            None => {
-                self.cold += 1;
-                self.fenwick.add(self.now, 1);
-                self.lines.insert(
-                    line,
-                    LineInfo {
-                        last_time: self.now,
-                        first_warp: warp,
-                        multi_warp: false,
-                        multi_block: false,
-                    },
-                );
-            }
-        }
-        self.now += 1;
-    }
-
-    /// Reassigns time slots densely, preserving order.
-    fn compress(&mut self) {
-        let mut order: Vec<(usize, u32)> = self
-            .lines
-            .iter()
-            .map(|(&line, info)| (info.last_time, line))
-            .collect();
-        order.sort_unstable();
-        self.fenwick = Fenwick::new(self.cap);
-        for (new_t, &(_, line)) in order.iter().enumerate() {
-            self.lines.get_mut(&line).expect("line exists").last_time = new_t;
-            self.fenwick.add(new_t, 1);
-        }
-        self.now = order.len();
-        assert!(
-            self.now < self.cap,
-            "footprint exceeds locality time-axis capacity"
-        );
     }
 }
 
 impl TraceObserver for LocalityObserver {
     fn on_mem(&mut self, e: &MemEvent<'_>) {
-        if e.space != Space::Global {
-            return;
-        }
-        // Stack-buffered line extraction: at most 32 lanes, so the sort
-        // and dedup run on a fixed array with no per-event allocation.
-        let mut lines = [0u32; gwc_simt::WARP_SIZE];
-        let mut n = 0usize;
-        for a in e.active_addrs() {
-            lines[n] = a / SEGMENT_BYTES;
-            n += 1;
-        }
-        lines[..n].sort_unstable();
-        let mut prev = u32::MAX;
-        for (i, &line) in lines[..n].iter().enumerate() {
-            if i == 0 || line != prev {
-                self.touch(line, (e.block, e.warp));
-            }
-            prev = line;
+        let mut buf = [0u32; gwc_simt::WARP_SIZE];
+        for &line in global_lines(e, &mut buf) {
+            self.touch(line, (e.block, e.warp));
         }
     }
 }
@@ -288,23 +150,10 @@ impl TraceObserver for LocalityObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gwc_simt::instr::Space;
 
     fn touch(o: &mut LocalityObserver, line: u32) {
         o.touch(line, (0, 0));
-    }
-
-    #[test]
-    fn fenwick_basics() {
-        let mut f = Fenwick::new(16);
-        f.add(3, 1);
-        f.add(7, 1);
-        f.add(10, 1);
-        assert_eq!(f.prefix(15), 3);
-        assert_eq!(f.range(4, 9), 1);
-        assert_eq!(f.range(0, 3), 1);
-        f.add(7, -1);
-        assert_eq!(f.range(4, 9), 0);
-        assert_eq!(f.range(5, 4), 0);
     }
 
     #[test]

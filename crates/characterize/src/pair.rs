@@ -16,61 +16,34 @@
 //! * a **shared stack** ([`InterferenceStack`]) fed both members'
 //!   global accesses in dispatch order, accumulating reuse statistics
 //!   *per member* — the co-resident (contention-adjusted) locality;
-//! * one **solo stack** per member (a plain
-//!   [`crate::locality::LocalityObserver`]) fed only that member's
-//!   accesses — the isolated baseline, bit-identical to what a solo
-//!   launch of the member would measure.
+//! * one **solo stack** per member fed only that member's accesses —
+//!   the isolated baseline, bit-identical to what a solo launch of the
+//!   member would measure.
 //!
 //! The interference delta of a member is `co − solo` per statistic: a
 //! pure partner effect, exact by construction because both timelines
-//! observe the same single execution. Both stacks run the same
-//! last-access-time + Fenwick algorithm at 128-byte granularity with the
+//! observe the same single execution. Both are the crate's one LRU reuse
+//! stack at 128-byte granularity with the
 //! [`crate::locality::REUSE_THRESHOLDS`] buckets, so co and solo numbers
 //! are directly comparable.
 
-use gwc_simt::instr::Space;
 use gwc_simt::trace::{MemEvent, TraceObserver};
 
-use crate::coalescing::SEGMENT_BYTES;
-use crate::fxhash::FxHashMap;
-use crate::locality::{Fenwick, LocalityObserver, REUSE_THRESHOLDS};
-
-/// Per-line state of the shared stack: recency plus a member-ownership
-/// bitmask (bit `k` set iff member `k` touched the line).
-#[derive(Debug, Clone, Copy)]
-struct SharedLine {
-    last_time: usize,
-    owners: u8,
-}
-
-/// Initial time-axis capacity; grows geometrically like the solo
-/// observer's (see `locality::INITIAL_CAP` rationale).
-const INITIAL_CAP: usize = 1 << 12;
+use crate::locality::REUSE_THRESHOLDS;
+use crate::reuse::{global_lines, ReuseStack};
 
 /// A reuse-distance stack over the *merged* access stream of two
 /// co-scheduled kernels, attributing every touch to the member that
 /// issued it.
 ///
-/// Same exact algorithm as [`LocalityObserver`] — last-access-time with
-/// a Fenwick tree over the time axis, geometric capacity growth,
-/// order-preserving compression — but the histogram, cold and touch
-/// counters are per member, and each line carries an owner bitmask for
-/// footprint-overlap accounting.
-#[derive(Debug)]
+/// The exact observer's stack with per-member histogram, cold and touch
+/// counters, plus a member-ownership bitmask per line (bit `k` set iff
+/// member `k` touched it) for footprint-overlap accounting.
+#[derive(Debug, Default)]
 pub struct InterferenceStack {
-    lines: FxHashMap<u32, SharedLine>,
-    fenwick: Fenwick,
-    now: usize,
-    cap: usize,
-    hist: [[u64; 4]; 2],
-    cold: [u64; 2],
-    touches: [u64; 2],
-}
-
-impl Default for InterferenceStack {
-    fn default() -> Self {
-        Self::with_capacity(INITIAL_CAP)
-    }
+    stack: ReuseStack<2>,
+    /// Owner bits by line id.
+    owners: Vec<u8>,
 }
 
 impl InterferenceStack {
@@ -79,16 +52,12 @@ impl InterferenceStack {
         Self::default()
     }
 
-    /// Creates a stack compressing its time axis every `cap` touches.
+    /// Creates a stack whose time axis starts at `cap` slots. Results
+    /// are the same at every capacity.
     pub fn with_capacity(cap: usize) -> Self {
         Self {
-            lines: FxHashMap::default(),
-            fenwick: Fenwick::new(cap),
-            now: 0,
-            cap,
-            hist: [[0; 4]; 2],
-            cold: [0; 2],
-            touches: [0; 2],
+            stack: ReuseStack::with_capacity(cap),
+            owners: Vec::new(),
         }
     }
 
@@ -98,75 +67,22 @@ impl InterferenceStack {
     ///
     /// Panics if `member >= 2`.
     pub fn touch(&mut self, member: usize, line: u32) {
-        self.touches[member] += 1;
-        if self.now >= self.cap {
-            if self.lines.len() * 2 > self.cap {
-                self.cap = (self.lines.len() * 4).next_power_of_two();
-            }
-            self.compress();
+        let t = self.stack.touch(member, line);
+        if t.cold {
+            self.owners.push(1 << member);
+        } else {
+            self.owners[t.id] |= 1 << member;
         }
-        match self.lines.get_mut(&line) {
-            Some(info) => {
-                let t = info.last_time;
-                let distance = self.fenwick.range(t + 1, self.now.saturating_sub(1));
-                let bucket = REUSE_THRESHOLDS
-                    .iter()
-                    .position(|&th| distance <= th)
-                    .unwrap_or(REUSE_THRESHOLDS.len());
-                self.hist[member][bucket] += 1;
-                self.fenwick.add(t, -1);
-                self.fenwick.add(self.now, 1);
-                info.last_time = self.now;
-                info.owners |= 1 << member;
-            }
-            None => {
-                self.cold[member] += 1;
-                self.fenwick.add(self.now, 1);
-                self.lines.insert(
-                    line,
-                    SharedLine {
-                        last_time: self.now,
-                        owners: 1 << member,
-                    },
-                );
-            }
-        }
-        self.now += 1;
-    }
-
-    /// Reassigns time slots densely, preserving recency order (and with
-    /// it every future distance).
-    fn compress(&mut self) {
-        let mut order: Vec<(usize, u32)> = self
-            .lines
-            .iter()
-            .map(|(&line, info)| (info.last_time, line))
-            .collect();
-        order.sort_unstable();
-        self.fenwick = Fenwick::new(self.cap);
-        for (new_t, &(_, line)) in order.iter().enumerate() {
-            self.lines.get_mut(&line).expect("line exists").last_time = new_t;
-            self.fenwick.add(new_t, 1);
-        }
-        self.now = order.len();
-        assert!(
-            self.now < self.cap,
-            "footprint exceeds interference time-axis capacity"
-        );
     }
 
     /// Member `m`'s line touches on the shared timeline.
     pub fn touches(&self, m: usize) -> u64 {
-        self.touches[m]
+        self.stack.touches(m)
     }
 
     /// Member `m`'s cold-touch fraction on the shared timeline.
     pub fn cold_frac(&self, m: usize) -> f64 {
-        if self.touches[m] == 0 {
-            0.0
-        } else {
-            self.cold[m] as f64 / self.touches[m] as f64
-        }
+        self.stack.cold_frac(m)
     }
 
     /// Member `m`'s cumulative reuse CDF at
@@ -176,31 +92,25 @@ impl InterferenceStack {
     ///
     /// Panics if `bucket >= 3`.
     pub fn reuse_cdf(&self, m: usize, bucket: usize) -> f64 {
-        assert!(bucket < REUSE_THRESHOLDS.len());
-        let reuses: u64 = self.hist[m].iter().sum();
-        if reuses == 0 {
-            return 0.0;
-        }
-        let upto: u64 = self.hist[m].iter().take(bucket + 1).sum();
-        upto as f64 / reuses as f64
+        self.stack.reuse_cdf(m, bucket)
     }
 
     /// Distinct lines on the shared timeline (the combined footprint).
     pub fn footprint_lines(&self) -> u64 {
-        self.lines.len() as u64
+        self.stack.lines()
     }
 
     /// Distinct lines touched by member `m`.
     pub fn member_lines(&self, m: usize) -> u64 {
         let bit = 1u8 << m;
-        self.lines.values().filter(|l| l.owners & bit != 0).count() as u64
+        self.owners.iter().filter(|&&o| o & bit != 0).count() as u64
     }
 
     /// Lines touched by *both* members. Registry pairs allocate disjoint
     /// buffers, so this is normally zero — it is a sanity metric (a
     /// nonzero value means the pair genuinely shares data).
     pub fn overlap_lines(&self) -> u64 {
-        self.lines.values().filter(|l| l.owners == 0b11).count() as u64
+        self.owners.iter().filter(|&&o| o == 0b11).count() as u64
     }
 }
 
@@ -216,6 +126,19 @@ pub struct LocalitySummary {
     pub reuse_cdf: [f64; 3],
     /// Distinct 128-byte lines.
     pub footprint_lines: u64,
+}
+
+impl LocalitySummary {
+    /// Member `m`'s summary on `stack`, with its footprint counted by
+    /// the caller.
+    fn of<const M: usize>(stack: &ReuseStack<M>, m: usize, footprint_lines: u64) -> Self {
+        Self {
+            touches: stack.touches(m),
+            cold_frac: stack.cold_frac(m),
+            reuse_cdf: [0, 1, 2].map(|b| stack.reuse_cdf(m, b)),
+            footprint_lines,
+        }
+    }
 }
 
 /// One member's solo-vs-co-resident locality characteristics.
@@ -326,7 +249,7 @@ impl PairProfile {
 #[derive(Debug, Default)]
 pub struct PairObserver {
     shared: InterferenceStack,
-    solo: [LocalityObserver; 2],
+    solo: [ReuseStack<1>; 2],
     current: usize,
 }
 
@@ -351,53 +274,21 @@ impl PairObserver {
         self.current = m;
     }
 
-    /// Member `m`'s solo timeline.
-    pub fn solo(&self, m: usize) -> &LocalityObserver {
-        &self.solo[m]
-    }
-
-    fn summary(&self, m: usize) -> (LocalitySummary, LocalitySummary) {
-        let solo = LocalitySummary {
-            touches: self.solo[m].touches(),
-            cold_frac: self.solo[m].cold_frac(),
-            reuse_cdf: [
-                self.solo[m].reuse_cdf(0),
-                self.solo[m].reuse_cdf(1),
-                self.solo[m].reuse_cdf(2),
-            ],
-            footprint_lines: self.solo[m].footprint_lines(),
-        };
-        let co = LocalitySummary {
-            touches: self.shared.touches(m),
-            cold_frac: self.shared.cold_frac(m),
-            reuse_cdf: [
-                self.shared.reuse_cdf(m, 0),
-                self.shared.reuse_cdf(m, 1),
-                self.shared.reuse_cdf(m, 2),
-            ],
-            footprint_lines: self.shared.member_lines(m),
-        };
-        (solo, co)
+    /// Member `m`'s touch to both of its timelines.
+    fn touch(&mut self, m: usize, line: u32) {
+        self.solo[m].touch(0, line);
+        self.shared.touch(m, line);
     }
 
     /// Finalizes the profile. `names` label the members (workload or
     /// kernel names); `policy` is the dispatch policy's canonical name.
     pub fn finish(self, names: [&str; 2], policy: &'static str) -> PairProfile {
-        let (solo_a, co_a) = self.summary(0);
-        let (solo_b, co_b) = self.summary(1);
         PairProfile {
-            members: [
-                PairMemberProfile {
-                    name: names[0].to_string(),
-                    solo: solo_a,
-                    co: co_a,
-                },
-                PairMemberProfile {
-                    name: names[1].to_string(),
-                    solo: solo_b,
-                    co: co_b,
-                },
-            ],
+            members: [0, 1].map(|m| PairMemberProfile {
+                name: names[m].to_string(),
+                solo: LocalitySummary::of(&self.solo[m], 0, self.solo[m].lines()),
+                co: LocalitySummary::of(&self.shared.stack, m, self.shared.member_lines(m)),
+            }),
             policy,
             footprint_lines: self.shared.footprint_lines(),
             overlap_lines: self.shared.overlap_lines(),
@@ -410,27 +301,12 @@ impl TraceObserver for PairObserver {
         self.current = member;
     }
 
+    /// Extracts the access's line set once and feeds it to the current
+    /// member's solo stack and to the shared stack.
     fn on_mem(&mut self, e: &MemEvent<'_>) {
-        if e.space != Space::Global {
-            return;
-        }
-        // The solo stack consumes the raw event (its own line
-        // extraction); the shared stack gets the identically deduped
-        // per-warp line set, attributed to the current member.
-        self.solo[self.current].on_mem(e);
-        let mut lines = [0u32; gwc_simt::WARP_SIZE];
-        let mut n = 0usize;
-        for a in e.active_addrs() {
-            lines[n] = a / SEGMENT_BYTES;
-            n += 1;
-        }
-        lines[..n].sort_unstable();
-        let mut prev = u32::MAX;
-        for (i, &line) in lines[..n].iter().enumerate() {
-            if i == 0 || line != prev {
-                self.shared.touch(self.current, line);
-            }
-            prev = line;
+        let mut buf = [0u32; gwc_simt::WARP_SIZE];
+        for &line in global_lines(e, &mut buf) {
+            self.touch(self.current, line);
         }
     }
 }
@@ -438,6 +314,7 @@ impl TraceObserver for PairObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::locality::LocalityObserver;
 
     /// A member alone on the shared stack measures exactly what the solo
     /// observer measures — the timelines only diverge when the partner
@@ -474,13 +351,9 @@ mod tests {
     fn partner_traffic_widens_reuse_distances() {
         let mut obs = PairObserver::new();
         for round in 0..10u32 {
-            obs.current = 0;
-            obs.shared.touch(0, round % 2);
-            obs.solo[0].touch(round % 2, (0, 0));
-            obs.current = 1;
+            obs.touch(0, round % 2);
             for l in 0..40u32 {
-                obs.shared.touch(1, 1000 + l);
-                obs.solo[1].touch(1000 + l, (0, 0));
+                obs.touch(1, 1000 + l);
             }
         }
         let profile = obs.finish(["victim", "aggressor"], "round-robin");
@@ -537,8 +410,12 @@ mod tests {
             big.touch(m, line);
         }
         for m in 0..2 {
-            assert_eq!(small.hist[m], big.hist[m], "member {m} histograms");
-            assert_eq!(small.cold[m], big.cold[m]);
+            assert_eq!(
+                small.stack.hist(m),
+                big.stack.hist(m),
+                "member {m} histograms"
+            );
+            assert_eq!(small.stack.cold(m), big.stack.cold(m));
         }
         assert_eq!(small.footprint_lines(), big.footprint_lines());
     }

@@ -8,18 +8,17 @@
 //! *exact* or carries a declared error bound (see [`bounds`]):
 //!
 //! 1. **Bounded recency window** of the `W = REUSE_THRESHOLDS[2] + 1`
-//!    most recently touched distinct lines, running the same
-//!    last-access-time + Fenwick algorithm as the exact observer. A
-//!    touch that hits the window has a true LRU stack distance of at
-//!    most `REUSE_THRESHOLDS[2]`, so the three bounded histogram
-//!    buckets the schema reports (`reuse_cdf(0..=2)`) are **exact** —
-//!    the window is precisely the region the thresholds can see. A
-//!    touch that misses the window is either a cold touch or a reuse at
-//!    distance `> REUSE_THRESHOLDS[2]`; only that *split* is estimated.
-//!    The time axis is a dense slot array (time → line): LRU eviction
-//!    advances a monotone cursor to the oldest live slot, and
-//!    compression walks the array in order. The axis grows with the
-//!    live window as the exact observer's does, so it never exceeds
+//!    most recently touched distinct lines: the exact observer's LRU
+//!    reuse stack under a window bound. A touch that hits the window has
+//!    a true LRU stack distance of at most `REUSE_THRESHOLDS[2]`, so the
+//!    three bounded histogram buckets the schema reports
+//!    (`reuse_cdf(0..=2)`) are **exact** — the window is precisely the
+//!    region the thresholds can see. A touch that misses the window is
+//!    either a cold touch or a reuse at distance
+//!    `> REUSE_THRESHOLDS[2]`; only that *split* is estimated. LRU
+//!    eviction advances a monotone cursor to the oldest live slot, and
+//!    the time axis grows with the live window as the exact observer's
+//!    does with its footprint, so it never exceeds
 //!    `(4 W).next_power_of_two()` slots.
 //! 2. **KMV (bottom-k) distinct sample** over line ids: the `K`
 //!    smallest `splitmix64` images of the lines seen, each carrying the
@@ -38,12 +37,11 @@
 
 use std::collections::BinaryHeap;
 
-use gwc_simt::instr::Space;
 use gwc_simt::trace::{MemEvent, TraceObserver};
 
-use crate::coalescing::SEGMENT_BYTES;
 use crate::fxhash::FxHashMap;
-use crate::locality::{Fenwick, INITIAL_CAP, REUSE_THRESHOLDS};
+use crate::locality::{Sharing, REUSE_THRESHOLDS};
+use crate::reuse::{global_lines, ReuseStack};
 
 /// Which implementation backs the heavy observers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -88,15 +86,6 @@ pub const WINDOW_LINES: usize = REUSE_THRESHOLDS[2] as usize + 1;
 /// is ~`1/sqrt(K - 1)` ≈ 3.1%.
 pub const KMV_K: usize = 1024;
 
-/// Ceiling of the window's time axis: the axis grows to four times the
-/// live window, which never exceeds `WINDOW_LINES`.
-const SKETCH_CAP: usize = (WINDOW_LINES * 4).next_power_of_two();
-
-/// Marks a time slot whose touch is no longer its line's latest, or
-/// whose line left the window. Never a line id: lines are 32-bit byte
-/// addresses divided by `SEGMENT_BYTES`.
-const VACANT: u32 = u32::MAX;
-
 /// Declared error bounds for sketch-derived characteristics, asserted
 /// by the exact-vs-sketch cross-check suite. All bounds are conditional
 /// only on the KMV estimate (the reuse histogram buckets are exact):
@@ -124,13 +113,6 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct KmvEntry {
-    first_warp: (u32, u32),
-    multi_warp: bool,
-    multi_block: bool,
-}
-
 /// Bottom-k distinct sample keyed by `splitmix64(line)`, with exact
 /// sharing flags for every surviving entry. The acceptance threshold
 /// (the k-th smallest hash) only ever decreases, so a line rejected at
@@ -138,7 +120,7 @@ struct KmvEntry {
 /// the line's true first touch — its flags are exact.
 #[derive(Debug, Default)]
 struct KmvSketch {
-    entries: FxHashMap<u64, KmvEntry>,
+    entries: FxHashMap<u64, Sharing>,
     /// The sampled hashes, largest on top: the k-th smallest once full.
     heap: BinaryHeap<u64>,
 }
@@ -150,26 +132,14 @@ impl KmvSketch {
             return;
         }
         if let Some(e) = self.entries.get_mut(&hash) {
-            if e.first_warp != warp {
-                e.multi_warp = true;
-                if e.first_warp.0 != warp.0 {
-                    e.multi_block = true;
-                }
-            }
+            e.see(warp);
             return;
         }
         if full {
             self.evict_largest();
         }
         self.heap.push(hash);
-        self.entries.insert(
-            hash,
-            KmvEntry {
-                first_warp: warp,
-                multi_warp: false,
-                multi_block: false,
-            },
-        );
+        self.entries.insert(hash, Sharing::new(warp));
     }
 
     fn evict_largest(&mut self) {
@@ -188,17 +158,9 @@ impl KmvSketch {
         }
     }
 
-    fn sharing(&self, pred: impl Fn(&KmvEntry) -> bool) -> f64 {
-        if self.entries.is_empty() {
-            return 0.0;
-        }
-        let shared = self.entries.values().filter(|e| pred(e)).count();
-        shared as f64 / self.entries.len() as f64
-    }
-
-    fn bytes_in_use(&self) -> usize {
-        self.entries.capacity() * (std::mem::size_of::<(u64, KmvEntry)>() + 1)
-            + self.heap.capacity() * std::mem::size_of::<u64>()
+    fn bytes_in_use(&self) -> u64 {
+        (self.entries.capacity() * (std::mem::size_of::<(u64, Sharing)>() + 1)
+            + self.heap.capacity() * std::mem::size_of::<u64>()) as u64
     }
 }
 
@@ -207,40 +169,19 @@ impl KmvSketch {
 /// `KMV_K`), independent of the address footprint.
 #[derive(Debug)]
 pub struct SketchLocalityObserver {
-    /// Lines currently inside the recency window, by last access time.
-    window: FxHashMap<u32, usize>,
-    /// `slots[t]` is the line touched at time `t` if that touch is still
-    /// its line's latest in the window, else [`VACANT`]. Its length is
-    /// the current time.
-    slots: Vec<u32>,
-    /// Every slot below this index is vacant: the LRU line sits at the
-    /// first live slot at or after it.
-    oldest: usize,
-    fenwick: Fenwick,
-    /// Time-axis capacity; compression (or growth) runs when
-    /// `slots` reaches it.
-    cap: usize,
-    /// In-window reuses bucketed by [`REUSE_THRESHOLDS`] — exact; an
-    /// in-window distance never exceeds `REUSE_THRESHOLDS[2]`.
-    hist: [u64; 3],
-    /// Touches that missed the window: cold touches plus reuses at
-    /// distance `> REUSE_THRESHOLDS[2]`, split via the KMV estimate.
-    misses: u64,
-    touches: u64,
+    /// The reuse stack bounded to the recency window. Its histogram's
+    /// in-window reuses are exact (an in-window distance never exceeds
+    /// `REUSE_THRESHOLDS[2]`); its cold touches are window misses: cold
+    /// touches plus reuses at distance `> REUSE_THRESHOLDS[2]`, split
+    /// via the KMV estimate.
+    window: ReuseStack<1>,
     kmv: KmvSketch,
 }
 
 impl Default for SketchLocalityObserver {
     fn default() -> Self {
         Self {
-            window: FxHashMap::default(),
-            slots: Vec::new(),
-            oldest: 0,
-            fenwick: Fenwick::new(INITIAL_CAP),
-            cap: INITIAL_CAP,
-            hist: [0; 3],
-            misses: 0,
-            touches: 0,
+            window: ReuseStack::windowed(WINDOW_LINES),
             kmv: KmvSketch::default(),
         }
     }
@@ -252,7 +193,7 @@ impl SketchLocalityObserver {
     }
 
     pub fn touches(&self) -> u64 {
-        self.touches
+        self.window.touches(0)
     }
 
     /// Estimated distinct 128-byte lines touched (exact below
@@ -264,21 +205,23 @@ impl SketchLocalityObserver {
     fn cold_estimate(&self) -> f64 {
         // Every cold touch is a window miss, and the number of cold
         // touches is exactly the distinct-line count the KMV estimates.
-        self.kmv.footprint_estimate().min(self.misses as f64)
+        self.kmv
+            .footprint_estimate()
+            .min(self.window.cold(0) as f64)
     }
 
     /// Estimated reuses at distance beyond the window (bit-exact zero
     /// when the footprint fits the summaries).
     fn far_reuse_estimate(&self) -> f64 {
-        (self.misses as f64 - self.cold_estimate()).max(0.0)
+        (self.window.cold(0) as f64 - self.cold_estimate()).max(0.0)
     }
 
     /// Fraction of touches that were first-touch (cold), estimated.
     pub fn cold_frac(&self) -> f64 {
-        if self.touches == 0 {
+        if self.touches() == 0 {
             0.0
         } else {
-            self.cold_estimate() / self.touches as f64
+            self.cold_estimate() / self.touches() as f64
         }
     }
 
@@ -291,23 +234,24 @@ impl SketchLocalityObserver {
     /// Panics if `bucket >= 3`.
     pub fn reuse_cdf(&self, bucket: usize) -> f64 {
         assert!(bucket < REUSE_THRESHOLDS.len());
-        let in_window: u64 = self.hist.iter().sum();
+        let hist = self.window.hist(0);
+        let in_window: u64 = hist.iter().sum();
         let reuses = in_window as f64 + self.far_reuse_estimate();
         if reuses == 0.0 {
             return 0.0;
         }
-        let upto: u64 = self.hist.iter().take(bucket + 1).sum();
+        let upto: u64 = hist.iter().take(bucket + 1).sum();
         upto as f64 / reuses
     }
 
     /// Fraction of sampled lines touched by at least two warps.
     pub fn inter_warp_sharing(&self) -> f64 {
-        self.kmv.sharing(|e| e.multi_warp)
+        Sharing::fractions(self.kmv.entries.values())[0]
     }
 
     /// Fraction of sampled lines touched by at least two blocks.
     pub fn inter_block_sharing(&self) -> f64 {
-        self.kmv.sharing(|e| e.multi_block)
+        Sharing::fractions(self.kmv.entries.values())[1]
     }
 
     /// Approximate heap bytes held. Capacity-based, like
@@ -315,104 +259,20 @@ impl SketchLocalityObserver {
     /// and bounded by construction: O(`WINDOW_LINES` + `KMV_K`)
     /// whatever the footprint.
     pub fn bytes_in_use(&self) -> u64 {
-        let window_entry = std::mem::size_of::<(u32, usize)>() + 1;
-        (self.window.capacity() * window_entry
-            + self.slots.capacity() * std::mem::size_of::<u32>()
-            + self.fenwick.slots() * std::mem::size_of::<u32>()
-            + self.kmv.bytes_in_use()) as u64
+        self.window.bytes_in_use() + self.kmv.bytes_in_use()
     }
 
     pub(crate) fn touch(&mut self, line: u32, warp: (u32, u32)) {
-        self.touches += 1;
         self.kmv.observe(splitmix64(line as u64), warp);
-        if self.slots.len() == self.cap {
-            self.compress();
-        }
-        let now = self.slots.len();
-        match self.window.get_mut(&line) {
-            Some(last) => {
-                let t = *last;
-                // Distinct lines between two touches never outnumber
-                // the time slots between them, so a short gap is a
-                // bucket-0 reuse without a Fenwick query.
-                let bucket = if (now - t - 1) as u64 <= REUSE_THRESHOLDS[0] {
-                    0
-                } else {
-                    let distance = self.fenwick.range(t + 1, now - 1);
-                    REUSE_THRESHOLDS
-                        .iter()
-                        .position(|&th| distance <= th)
-                        .expect("in-window distance is at most REUSE_THRESHOLDS[2]")
-                };
-                self.hist[bucket] += 1;
-                self.fenwick.add(t, -1);
-                self.slots[t] = VACANT;
-                *last = now;
-            }
-            None => {
-                self.misses += 1;
-                self.window.insert(line, now);
-                if self.window.len() > WINDOW_LINES {
-                    while self.slots[self.oldest] == VACANT {
-                        self.oldest += 1;
-                    }
-                    let lru = std::mem::replace(&mut self.slots[self.oldest], VACANT);
-                    self.window.remove(&lru);
-                    self.fenwick.add(self.oldest, -1);
-                }
-            }
-        }
-        self.fenwick.add(now, 1);
-        self.slots.push(line);
-    }
-
-    /// Reassigns time slots densely, preserving recency order — same
-    /// invariant as the exact observer's compression — and grows the
-    /// axis as the exact observer does when the live window would fill
-    /// more than half of it.
-    fn compress(&mut self) {
-        let order: Vec<u32> = self.slots[self.oldest..]
-            .iter()
-            .copied()
-            .filter(|&line| line != VACANT)
-            .collect();
-        if order.len() * 2 > self.cap {
-            self.cap = (order.len() * 4).next_power_of_two();
-        }
-        debug_assert!(self.cap <= SKETCH_CAP, "window exceeds sketch time axis");
-        self.window.clear();
-        self.slots.clear();
-        self.slots.reserve_exact(self.cap);
-        self.oldest = 0;
-        self.fenwick = Fenwick::new(self.cap);
-        for (t, &line) in order.iter().enumerate() {
-            self.window.insert(line, t);
-            self.slots.push(line);
-            self.fenwick.add(t, 1);
-        }
+        self.window.touch(0, line);
     }
 }
 
 impl TraceObserver for SketchLocalityObserver {
     fn on_mem(&mut self, e: &MemEvent<'_>) {
-        if e.space != Space::Global {
-            return;
-        }
-        // Identical lane handling to the exact observer: stack-buffered
-        // line extraction, per-warp dedup, global space only.
-        let mut lines = [0u32; gwc_simt::WARP_SIZE];
-        let mut n = 0usize;
-        for a in e.active_addrs() {
-            lines[n] = a / SEGMENT_BYTES;
-            n += 1;
-        }
-        lines[..n].sort_unstable();
-        let mut prev = u32::MAX;
-        for (i, &line) in lines[..n].iter().enumerate() {
-            if i == 0 || line != prev {
-                self.touch(line, (e.block, e.warp));
-            }
-            prev = line;
+        let mut buf = [0u32; gwc_simt::WARP_SIZE];
+        for &line in global_lines(e, &mut buf) {
+            self.touch(line, (e.block, e.warp));
         }
     }
 }
@@ -524,8 +384,10 @@ mod tests {
             sketch.touch(line, warp);
         }
         let (hist, cold) = exact.hist_and_cold();
-        assert_eq!(sketch.hist[..], hist[..3]);
-        assert_eq!(sketch.misses, cold + hist[3]);
+        let window = sketch.window.hist(0);
+        assert_eq!(window[..3], hist[..3]);
+        assert_eq!(window[3], 0, "an in-window distance is at most W - 1");
+        assert_eq!(sketch.window.cold(0), cold + hist[3]);
     }
 
     /// Memory stays under a fixed ceiling, and a small footprint holds
@@ -568,8 +430,8 @@ mod tests {
         }
         sketch.touch(0, (0, 0));
         exact.touch(0, (0, 0));
-        assert_eq!(sketch.hist.iter().sum::<u64>(), 0);
-        assert_eq!(sketch.misses, WINDOW_LINES as u64 + 2);
+        assert_eq!(sketch.window.hist(0).iter().sum::<u64>(), 0);
+        assert_eq!(sketch.window.cold(0), WINDOW_LINES as u64 + 2);
         // Exact: one reuse, in the overflow bucket -> cdf(2) = 0.
         assert_eq!(exact.reuse_cdf(2), 0.0);
         assert_eq!(sketch.reuse_cdf(2), 0.0);

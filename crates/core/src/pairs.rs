@@ -11,11 +11,12 @@
 //! same timeline. Both members verify against their CPU references
 //! afterwards — co-residence must not change results.
 //!
-//! The co-run is serial by nature (a shared timeline is a total order),
-//! so pair records are bit-identical at any worker-thread count; the
-//! solo *reference* columns come from the (profile-cache-backed) solo
-//! study artifact, which is where threads and the content-addressed
-//! cache pay off.
+//! The scenarios are independent — each owns its device and observer
+//! and only reads the solo study — so they fan out over the worker pool
+//! and reassemble in curated order. Each scenario's own co-run stays
+//! serial (a shared timeline is a total order), so pair records are
+//! bit-identical at any worker-thread count. The solo *reference*
+//! columns come from the (profile-cache-backed) solo study artifact.
 
 use gwc_characterize::{PairObserver, PairProfile};
 use gwc_simt::exec::{Device, PairLaunch};
@@ -23,6 +24,7 @@ use gwc_simt::sched::SchedPolicy;
 use gwc_stats::{Matrix, MatrixBuilder};
 use gwc_workloads::pairs::{partner_member, registry_member, PairScenario, PAIR_SCENARIOS};
 
+use crate::parallel::parallel_map_named;
 use crate::pipeline::StudyArtifact;
 use crate::study::Study;
 
@@ -59,10 +61,11 @@ pub struct PairStudy {
 }
 
 impl PairStudy {
-    /// Co-runs every curated scenario under `policy`, seeding members
-    /// from `seed` (the same derivation as the solo study, so the study
-    /// artifact's rows are input-identical baselines). `solo` provides
-    /// the reference columns; `verify` gates CPU-reference checks.
+    /// Co-runs every curated scenario under `policy` on up to `threads`
+    /// workers, seeding members from `seed` (the same derivation as the
+    /// solo study, so the study artifact's rows are input-identical
+    /// baselines). `solo` provides the reference columns; `verify` gates
+    /// CPU-reference checks. Records are identical at every `threads`.
     ///
     /// # Panics
     ///
@@ -74,15 +77,14 @@ impl PairStudy {
         verify: bool,
         policy: SchedPolicy,
         solo: &Study,
+        threads: usize,
     ) -> Self {
-        let records = PAIR_SCENARIOS
-            .iter()
-            .map(|&scenario| {
-                let _span = gwc_obs::span!("study/pairs/{}", scenario.name);
-                gwc_obs::count("pair.scenarios", 1);
-                run_scenario(scenario, seed, scale, verify, policy, solo)
-            })
-            .collect();
+        let records = parallel_map_named("pairs", PAIR_SCENARIOS.len(), threads, |i| {
+            let scenario = PAIR_SCENARIOS[i];
+            let _span = gwc_obs::span!("{}", scenario.name);
+            gwc_obs::count("pair.scenarios", 1);
+            run_scenario(scenario, seed, scale, verify, policy, solo)
+        });
         Self { policy, records }
     }
 
@@ -221,6 +223,7 @@ pub fn run_from_artifact(
         cfg.study.verify,
         cfg.pair_policy,
         &study.study,
+        cfg.threads,
     )
 }
 
@@ -243,7 +246,7 @@ mod tests {
     #[test]
     fn pair_study_runs_verifies_and_produces_deltas() {
         let solo = tiny_solo();
-        let pairs = PairStudy::run(7, Scale::Tiny, true, SchedPolicy::RoundRobin, &solo);
+        let pairs = PairStudy::run(7, Scale::Tiny, true, SchedPolicy::RoundRobin, &solo, 2);
         assert_eq!(pairs.records().len(), PAIR_SCENARIOS.len());
         // The acceptance bar: at least one pair shows a non-zero
         // contention-adjusted locality delta vs its in-pass solo
@@ -274,8 +277,8 @@ mod tests {
     fn pair_study_is_deterministic_per_policy() {
         let solo = tiny_solo();
         for policy in SchedPolicy::ALL {
-            let x = PairStudy::run(7, Scale::Tiny, false, policy, &solo);
-            let y = PairStudy::run(7, Scale::Tiny, false, policy, &solo);
+            let x = PairStudy::run(7, Scale::Tiny, false, policy, &solo, 1);
+            let y = PairStudy::run(7, Scale::Tiny, false, policy, &solo, 1);
             for (rx, ry) in x.records().iter().zip(y.records()) {
                 assert_eq!(
                     rx.profile,

@@ -20,6 +20,7 @@ use std::thread;
 use std::time::Instant;
 
 use gwc_obs::recorder::PoolWorker;
+use gwc_obs::span::Inherited;
 
 /// Threads to use by default: the machine's available parallelism, or 1
 /// if that cannot be determined.
@@ -53,9 +54,12 @@ where
 /// is installed (see `gwc-obs`), every worker reports its task count,
 /// steal count (tasks claimed beyond an even `n / workers` share), busy
 /// time, and wall time under this name, and each task's duration lands
-/// in the `pool.task_ns.{name}` latency histogram. With no recorder
-/// installed the per-task clock reads are skipped entirely and the
-/// schedule is unchanged — results are bit-identical either way.
+/// in the `pool.task_ns.{name}` latency histogram. Workers also enter
+/// the caller's open spans, so a task's spans get the paths the serial
+/// loop would give them, at any thread count. With no recorder
+/// installed the per-task clock reads and the span hand-over are
+/// skipped entirely and the schedule is unchanged — results are
+/// bit-identical either way.
 ///
 /// # Panics
 ///
@@ -101,6 +105,7 @@ where
     // `Option<&dyn Recorder>` is `Copy`, so each worker closure can
     // take its own copy without touching the `Arc`.
     let rec = rec.as_deref();
+    let parent = &Inherited::capture();
     let fair_share = (n / workers) as u64;
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
@@ -110,6 +115,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 scope.spawn(move || {
+                    let _entered = parent.enter();
                     let task_hist = rec.map(|_| format!("pool.task_ns.{pool}"));
                     let wall = Instant::now();
                     let mut busy_ns = 0u64;

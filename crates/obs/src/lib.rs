@@ -44,8 +44,9 @@
 //!
 //! Spans nest per thread: a span opened while another is active on the
 //! same thread records under the parent's path (`"study/observe"`).
-//! Cross-thread nesting is expressed with explicit `/`-separated paths
-//! at the call site (worker threads start with an empty span stack).
+//! Worker threads start with an empty span stack; a pool task enters
+//! its caller's stack ([`span::Inherited`]) so it nests as it would have
+//! on the caller's thread.
 
 #![deny(unsafe_code)]
 
@@ -123,8 +124,7 @@ pub fn exec_profile(kernel: &str, classes: &[ExecClass], hotspots: &[ExecHotspot
 /// Opens a timed span; the span ends (and records) when the returned
 /// guard drops. The name is a `format!` spec evaluated **only when a
 /// recorder is installed**, so dynamic names are free on the disabled
-/// path. Use `/` in the name to place the span under an explicit parent
-/// (worker threads have no inherited span stack).
+/// path.
 #[macro_export]
 macro_rules! span {
     ($($arg:tt)*) => {

@@ -9,6 +9,11 @@
 //! Construct spans with the [`crate::span!`] macro — it performs the
 //! enabled check before evaluating the name, which keeps dynamic names
 //! allocation-free on the disabled path.
+//!
+//! A thread starts with an empty stack. Work handed to another thread
+//! nests where it would have on the handing thread by carrying an
+//! [`Inherited`] snapshot of that thread's stack across and entering it
+//! there, so span paths do not depend on which thread ran the work.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -124,6 +129,51 @@ impl Drop for SpanGuard {
     }
 }
 
+/// A snapshot of one thread's open span names, outermost first, for
+/// work that runs on another thread (see the module docs).
+#[derive(Debug, Clone, Default)]
+pub struct Inherited(Vec<String>);
+
+impl Inherited {
+    /// The calling thread's open span names. Empty, without allocating,
+    /// when no recorder is installed.
+    pub fn capture() -> Self {
+        if !crate::enabled() {
+            return Self::default();
+        }
+        Self(STACK.with(|s| s.borrow().clone()))
+    }
+
+    /// Opens the snapshot's names on the calling thread's span stack,
+    /// untimed, until the returned guard drops: spans opened meanwhile
+    /// record under them. The snapshot's spans themselves record only on
+    /// the thread that opened them.
+    pub fn enter(&self) -> Entered {
+        if self.0.is_empty() {
+            return Entered(None);
+        }
+        Entered(Some(STACK.with(|s| {
+            let mut stack = s.borrow_mut();
+            let depth = stack.len();
+            stack.extend(self.0.iter().cloned());
+            depth
+        })))
+    }
+}
+
+/// An entered [`Inherited`] snapshot: the stack depth it was entered
+/// at, if it had names. Leaves it on drop.
+#[derive(Debug)]
+pub struct Entered(Option<usize>);
+
+impl Drop for Entered {
+    fn drop(&mut self) {
+        if let Some(depth) = self.0 {
+            STACK.with(|s| s.borrow_mut().truncate(depth));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use crate::metrics::MetricsRecorder;
@@ -158,6 +208,27 @@ mod tests {
             "closed spans leave the mirror"
         );
         super::set_open_tracking(false);
+    }
+
+    #[test]
+    fn entered_snapshot_nests_spans_of_another_thread() {
+        let rec = Arc::new(MetricsRecorder::default());
+        let guard = crate::install(rec.clone());
+        {
+            let _outer = crate::span!("outer/x");
+            let _inner = crate::span!("inner");
+            let parent = super::Inherited::capture();
+            std::thread::spawn(move || {
+                let _entered = parent.enter();
+                let _task = crate::span!("task");
+            })
+            .join()
+            .unwrap();
+        }
+        drop(guard);
+        let snap = rec.snapshot();
+        let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(paths, ["outer/x", "outer/x/inner", "outer/x/inner/task"]);
     }
 
     #[test]

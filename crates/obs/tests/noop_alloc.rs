@@ -48,6 +48,8 @@ fn measure_window() -> usize {
     for i in 0..10_000u64 {
         // Dynamic span names: the format! must not run while disabled.
         let _s = gwc_obs::span!("hot/kernel-{i}");
+        // A pool task entering its caller's span stack.
+        let _entered = gwc_obs::span::Inherited::capture().enter();
         gwc_obs::count("simt.warp_instrs", i);
         gwc_obs::count_max("observer.bytes_peak", i);
         gwc_obs::gauge("pool.busy", i as f64);

@@ -78,11 +78,12 @@ fn same_seed_repeats_identically() {
 }
 
 /// The co-scheduled pair study (experiment E14's input) is bit-identical
-/// no matter how many threads computed the solo study it references:
-/// the co-run itself is serial by construction (a shared timeline is a
-/// total order), and the solo-reference columns come from the study
-/// fan-out, which guarantees 1 above. Checked under every dispatch
-/// policy, including a same-policy repeat.
+/// at any thread count, both its own and the solo study's it
+/// references: its scenarios fan out across workers and reassemble in
+/// curated order, each scenario's co-run stays on one worker (a shared
+/// timeline is a total order), and the solo-reference columns come from
+/// the study fan-out, which guarantees 1 above. Checked under every
+/// dispatch policy against a serial baseline.
 #[test]
 fn pair_study_identical_across_thread_counts_and_policies() {
     use gwc::core::pairs::PairStudy;
@@ -92,18 +93,18 @@ fn pair_study_identical_across_thread_counts_and_policies() {
     let serial = Study::run(&config).expect("serial study");
     let baseline: Vec<PairStudy> = SchedPolicy::ALL
         .iter()
-        .map(|&p| PairStudy::run(7, Scale::Tiny, false, p, &serial))
+        .map(|&p| PairStudy::run(7, Scale::Tiny, false, p, &serial, 1))
         .collect();
     for threads in [1usize, 2, 4, 8] {
         let parallel = Study::run_threads(&config, threads).expect("parallel study");
         for (policy, base) in SchedPolicy::ALL.iter().zip(&baseline) {
-            let again = PairStudy::run(7, Scale::Tiny, false, *policy, &parallel);
+            let again = PairStudy::run(7, Scale::Tiny, false, *policy, &parallel, threads);
             assert_eq!(base.records().len(), again.records().len());
             for (x, y) in base.records().iter().zip(again.records()) {
                 assert_eq!(
                     x.profile,
                     y.profile,
-                    "{} under {} with a {threads}-thread solo study",
+                    "{} under {} at {threads} threads",
                     x.scenario.name,
                     policy.name()
                 );
