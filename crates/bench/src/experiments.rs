@@ -9,13 +9,14 @@ use std::fmt::Write as _;
 use gwc_characterize::schema;
 use gwc_core::analysis::ClusterAnalysis;
 use gwc_core::diversity::suite_diversity;
-use gwc_core::eval::{evaluate_subset_threads, random_subset_errors_threads, stress_selection};
+use gwc_core::eval::{design_sweep, evaluate_subset, random_subset_errors, stress_selection};
 use gwc_core::pipeline::ArtifactKind;
 use gwc_core::report;
 use gwc_core::study::StudyConfig;
 use gwc_core::subspace::{Subspace, SubspaceAnalysis};
 use gwc_stats::corr::correlated_groups;
 use gwc_stats::describe::mean;
+use gwc_stats::kmeans::kmeans;
 use gwc_stats::normalize::zscore;
 use gwc_timing::sweep::default_design_space;
 use gwc_timing::GpuConfig;
@@ -262,10 +263,11 @@ pub fn e8_clusters(a: &StudyArtifacts) -> String {
             let _ = writeln!(out, "    {m}");
         }
     }
+    let scores = a.space().scores();
     for k in [4, 8] {
-        let fixed = ClusterAnalysis::fit_k(a.space().scores(), k, 7).expect("fits");
-        let reps: Vec<&str> = fixed
-            .representatives()
+        let reps: Vec<&str> = kmeans(scores, k, 7)
+            .expect("fits")
+            .representatives(scores)
             .iter()
             .map(|&r| labels[r].as_str())
             .collect();
@@ -329,8 +331,7 @@ pub fn e11_suite_diversity(a: &StudyArtifacts) -> String {
 /// E12 — design-space evaluation metrics.
 pub fn e12_eval_metrics(a: &StudyArtifacts) -> String {
     let mut out = String::from("E12: design-space evaluation metrics\n");
-    let baseline = GpuConfig::baseline();
-    let configs = default_design_space();
+    let sweep = design_sweep(a.study(), &GpuConfig::baseline(), &default_design_space());
     let reps = a.analysis().representatives();
     let labels = &a.matrix.labels;
     let rep_names: Vec<&str> = reps.iter().map(|&r| labels[r].as_str()).collect();
@@ -341,7 +342,7 @@ pub fn e12_eval_metrics(a: &StudyArtifacts) -> String {
         labels.len(),
         rep_names.join(", ")
     );
-    let eval = evaluate_subset_threads(a.study(), &baseline, &configs, reps, a.config.threads);
+    let eval = evaluate_subset(&sweep, reps);
     let _ = writeln!(
         out,
         "\n{:<16} {:>10} {:>10} {:>8}",
@@ -360,30 +361,14 @@ pub fn e12_eval_metrics(a: &StudyArtifacts) -> String {
         100.0 * eval.mean_error(),
         100.0 * eval.max_error()
     );
-    let random = random_subset_errors_threads(
-        a.study(),
-        &baseline,
-        &configs,
-        reps.len(),
-        20,
-        99,
-        a.config.threads,
-    );
+    let random = random_subset_errors(&sweep, reps.len(), 20, 99);
     let _ = writeln!(
         out,
         "random subsets (same size, 20 draws): mean error {:.2}%",
         100.0 * mean(&random)
     );
     for size in [2usize, 4, 8] {
-        let r = random_subset_errors_threads(
-            a.study(),
-            &baseline,
-            &configs,
-            size,
-            20,
-            1234 + size as u64,
-            a.config.threads,
-        );
+        let r = random_subset_errors(&sweep, size, 20, 1234 + size as u64);
         let _ = writeln!(
             out,
             "random subsets of size {size}: mean error {:.2}%",

@@ -177,16 +177,20 @@ fn metrics_report_has_stages_pools_and_workloads() {
 
 /// Span paths do not depend on the thread count: pool tasks (study
 /// workloads, E14 scenarios) nest their spans where the serial loop's
-/// would. Tiny scale keeps the two runs cheap; the nesting is the same
-/// at every scale.
+/// would, and a study launch nests under its workload's span. At one
+/// thread, the study's children also fit inside its wall time. Tiny
+/// scale keeps the two runs cheap; the nesting is the same at every
+/// scale.
 #[test]
 fn span_paths_are_independent_of_thread_count() {
     use std::collections::BTreeSet;
 
     use gwc_core::pipeline::PipelineConfig;
+    use gwc_obs::metrics::MetricsSnapshot;
+    use gwc_obs::selftime::fold;
     use gwc_workloads::Scale;
 
-    let paths = |threads: usize| -> BTreeSet<String> {
+    let run = |threads: usize| -> MetricsSnapshot {
         let mut cfg = PipelineConfig {
             threads,
             ..PipelineConfig::default()
@@ -198,13 +202,28 @@ fn span_paths_are_independent_of_thread_count() {
         let text = render_experiments(&["e14"], &artifacts);
         drop(guard);
         assert!(text.contains("E14:"));
-        rec.snapshot().spans.into_iter().map(|s| s.path).collect()
+        rec.snapshot()
     };
-    let serial = paths(1);
-    assert_eq!(serial, paths(2), "span paths at 1 vs 2 threads");
+    let paths = |snap: &MetricsSnapshot| -> BTreeSet<String> {
+        snap.spans.iter().map(|s| s.path.clone()).collect()
+    };
+    let serial_snap = run(1);
+    let serial = paths(&serial_snap);
+    assert_eq!(serial, paths(&run(2)), "span paths at 1 vs 2 threads");
+    let workload_launch = serial
+        .iter()
+        .filter_map(|p| p.strip_prefix("study/workload/"))
+        .find(|rest| {
+            rest.split_once('/')
+                .is_some_and(|(_, l)| l.starts_with("launch/"))
+        });
     assert!(
-        serial.iter().any(|p| p.starts_with("study/launch/")),
-        "study launches nest under the study span: {serial:?}"
+        workload_launch.is_some(),
+        "study launches nest under their workload span: {serial:?}"
+    );
+    assert!(
+        !serial.iter().any(|p| p.starts_with("study/launch/")),
+        "no study launch records beside its workload: {serial:?}"
     );
     let scenario_launch = serial
         .iter()
@@ -220,5 +239,18 @@ fn span_paths_are_independent_of_thread_count() {
     assert!(
         !serial.iter().any(|p| p.contains("study/pairs/study/pairs")),
         "scenario spans carry no doubled prefix"
+    );
+
+    // Serially, the workload spans run one after another inside the
+    // study span, so the fold's inclusive time is the study's own total.
+    let tree = fold(&serial_snap.spans);
+    let study = tree
+        .nodes
+        .iter()
+        .find(|n| n.path == "study")
+        .expect("study span recorded");
+    assert!(
+        study.inclusive_ns <= study.total_ns,
+        "study children sum past its wall time: {study:?}"
     );
 }

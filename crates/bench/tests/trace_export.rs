@@ -78,15 +78,20 @@ fn trace_export_is_valid_chrome_trace_json() {
     ] {
         assert!(names.contains(&want), "missing span `{want}`");
     }
-    // Pool workers enter the study span, so launches nest under it at
-    // any thread count.
+    // Pool workers enter the study span, and each workload's span
+    // encloses its launches, at any thread count.
     assert!(
-        names.iter().any(|n| n.starts_with("study/launch/")),
-        "kernel launch spans captured under the study span"
+        names.iter().any(|n| n
+            .strip_prefix("study/workload/")
+            .and_then(|rest| rest.split_once('/'))
+            .is_some_and(|(_, l)| l.starts_with("launch/"))),
+        "kernel launch spans captured under their workload span"
     );
     assert!(
-        !names.iter().any(|n| n.starts_with("launch/")),
-        "no launch span escapes to the root"
+        !names
+            .iter()
+            .any(|n| n.starts_with("launch/") || n.starts_with("study/launch/")),
+        "no launch span escapes its workload"
     );
 
     // Every span has the complete-event shape with sane timestamps.

@@ -1,7 +1,7 @@
 //! Stage 3: clustering and representative selection in the reduced space.
 
 use gwc_stats::hclust::{hierarchical, Dendrogram, Linkage};
-use gwc_stats::kmeans::{kmeans, kmeans_best_bic, KMeans};
+use gwc_stats::kmeans::{kmeans_best_bic, KMeans};
 use gwc_stats::{Matrix, StatsError};
 
 /// The clustering artifacts for one (sub)space.
@@ -23,22 +23,6 @@ impl ClusterAnalysis {
     pub fn fit(scores: &Matrix, max_k: usize, seed: u64) -> Result<Self, StatsError> {
         let dendrogram = hierarchical(scores, Linkage::Average)?;
         let kmeans = kmeans_best_bic(scores, max_k, seed)?;
-        let representatives = kmeans.representatives(scores);
-        Ok(Self {
-            dendrogram,
-            kmeans,
-            representatives,
-        })
-    }
-
-    /// Clusters with a fixed `k` instead of BIC selection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StatsError`] (e.g. bad cluster counts).
-    pub fn fit_k(scores: &Matrix, k: usize, seed: u64) -> Result<Self, StatsError> {
-        let dendrogram = hierarchical(scores, Linkage::Average)?;
-        let kmeans = kmeans(scores, k, seed)?;
         let representatives = kmeans.representatives(scores);
         Ok(Self {
             dendrogram,
@@ -100,13 +84,6 @@ mod tests {
                 assert_eq!(a.labels()[blob * 4], a.labels()[blob * 4 + i]);
             }
         }
-    }
-
-    #[test]
-    fn fixed_k_override() {
-        let a = ClusterAnalysis::fit_k(&blobs(), 2, 1).unwrap();
-        assert_eq!(a.k(), 2);
-        assert_eq!(a.representatives().len(), 2);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 
 use gwc_characterize::schema;
 use gwc_stats::describe::{mean, relative_error};
-use gwc_timing::{speedups, DesignPoint, GpuConfig};
+use gwc_timing::{speedups, GpuConfig, SweepResult};
 
-use crate::parallel::parallel_map_named;
 use crate::study::Study;
 
 /// Per-design-point estimation errors of a subset-based evaluation.
@@ -35,41 +34,30 @@ impl SubsetEvaluation {
     }
 }
 
-/// Evaluates how well `subset` predicts the full population's mean
-/// speedup at every design point.
-pub fn evaluate_subset(
-    study: &Study,
-    baseline: &GpuConfig,
-    configs: &[GpuConfig],
-    subset: &[usize],
-) -> SubsetEvaluation {
-    evaluate_subset_threads(study, baseline, configs, subset, 1)
+/// Every study kernel's speedup over `baseline` at each of `configs`:
+/// the one timing-model sweep that every subset evaluation reads.
+pub fn design_sweep(study: &Study, baseline: &GpuConfig, configs: &[GpuConfig]) -> SweepResult {
+    let profiles: Vec<_> = study.records().iter().map(|r| r.profile.clone()).collect();
+    speedups(&profiles, baseline, configs)
 }
 
-/// [`evaluate_subset`] with the design-point sweep fanned out across up
-/// to `threads` threads (one task per design point). Each point's
-/// timing model runs unchanged on one thread and rows are reassembled
-/// in config order, so the result is bit-identical to the serial sweep.
-pub fn evaluate_subset_threads(
-    study: &Study,
-    baseline: &GpuConfig,
-    configs: &[GpuConfig],
-    subset: &[usize],
-    threads: usize,
-) -> SubsetEvaluation {
-    let profiles: Vec<_> = study.records().iter().map(|r| r.profile.clone()).collect();
-    let rows = parallel_map_named("eval.sweep", configs.len(), threads, |i| {
-        let sweep = speedups(&profiles, baseline, &configs[i..i + 1]);
-        let p: &DesignPoint = &sweep.points[0];
-        let truth = p.mean_speedup();
-        let estimate = p.subset_mean(subset);
-        (
-            p.config.name.clone(),
-            truth,
-            estimate,
-            relative_error(estimate, truth),
-        )
-    });
+/// Evaluates how well `subset` predicts the full population's mean
+/// speedup at every design point of `sweep`.
+pub fn evaluate_subset(sweep: &SweepResult, subset: &[usize]) -> SubsetEvaluation {
+    let rows = sweep
+        .points
+        .iter()
+        .map(|p| {
+            let truth = p.mean_speedup();
+            let estimate = p.subset_mean(subset);
+            (
+                p.config.name.clone(),
+                truth,
+                estimate,
+                relative_error(estimate, truth),
+            )
+        })
+        .collect();
     SubsetEvaluation {
         subset: subset.to_vec(),
         rows,
@@ -77,34 +65,11 @@ pub fn evaluate_subset_threads(
 }
 
 /// Draws `count` random subsets of size `size` (deterministic in `seed`)
-/// and returns their mean errors — the baseline the representative subset
-/// must beat.
-pub fn random_subset_errors(
-    study: &Study,
-    baseline: &GpuConfig,
-    configs: &[GpuConfig],
-    size: usize,
-    count: usize,
-    seed: u64,
-) -> Vec<f64> {
-    random_subset_errors_threads(study, baseline, configs, size, count, seed, 1)
-}
-
-/// [`random_subset_errors`] with the draws fanned out across up to
-/// `threads` threads. The subsets themselves are drawn serially from the
-/// seeded generator before any evaluation starts, so the returned errors
-/// are bit-identical to the serial path at any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn random_subset_errors_threads(
-    study: &Study,
-    baseline: &GpuConfig,
-    configs: &[GpuConfig],
-    size: usize,
-    count: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<f64> {
-    let n = study.records().len();
+/// of the sweep's kernels and returns their mean errors — the baseline
+/// the representative subset must beat.
+pub fn random_subset_errors(sweep: &SweepResult, size: usize, count: usize, seed: u64) -> Vec<f64> {
+    // Every design point holds one speedup per kernel.
+    let n = sweep.points.first().map_or(0, |p| p.speedups.len());
     let mut state = seed.wrapping_mul(2).wrapping_add(1);
     let mut next = move || {
         // xorshift64*
@@ -114,7 +79,7 @@ pub fn random_subset_errors_threads(
         state = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
         state
     };
-    let subsets: Vec<Vec<usize>> = (0..count)
+    (0..count)
         .map(|_| {
             let mut subset: Vec<usize> = Vec::with_capacity(size);
             while subset.len() < size.min(n) {
@@ -123,12 +88,9 @@ pub fn random_subset_errors_threads(
                     subset.push(pick);
                 }
             }
-            subset
+            evaluate_subset(sweep, &subset).mean_error()
         })
-        .collect();
-    parallel_map_named("eval.random", subsets.len(), threads, |i| {
-        evaluate_subset(study, baseline, configs, &subsets[i]).mean_error()
-    })
+        .collect()
 }
 
 /// A stress-workload recommendation: the kernels that exercise one
@@ -206,7 +168,8 @@ mod tests {
     fn full_population_subset_has_zero_error() {
         let s = study();
         let all: Vec<usize> = (0..s.records().len()).collect();
-        let eval = evaluate_subset(&s, &GpuConfig::baseline(), &default_design_space(), &all);
+        let sweep = design_sweep(&s, &GpuConfig::baseline(), &default_design_space());
+        let eval = evaluate_subset(&sweep, &all);
         assert!(eval.mean_error() < 1e-12);
         assert_eq!(eval.rows.len(), default_design_space().len());
     }
@@ -214,9 +177,9 @@ mod tests {
     #[test]
     fn random_subsets_are_deterministic_per_seed() {
         let s = study();
-        let cfgs = default_design_space();
-        let a = random_subset_errors(&s, &GpuConfig::baseline(), &cfgs, 4, 3, 99);
-        let b = random_subset_errors(&s, &GpuConfig::baseline(), &cfgs, 4, 3, 99);
+        let sweep = design_sweep(&s, &GpuConfig::baseline(), &default_design_space());
+        let a = random_subset_errors(&sweep, 4, 3, 99);
+        let b = random_subset_errors(&sweep, 4, 3, 99);
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
     }

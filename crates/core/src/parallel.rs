@@ -10,8 +10,8 @@
 //! always reassembled in index order, so any computation whose items are
 //! independent produces output bit-identical to a serial loop. Every
 //! parallel path in the pipeline (workload fan-out in
-//! [`Study::run_threads`](crate::study::Study::run_threads), the E12
-//! design-point sweep in [`eval`](crate::eval)) is built on this
+//! [`Study::run_threads`](crate::study::Study::run_threads), the E14
+//! scenario fan-out in [`pairs`](crate::pairs)) is built on this
 //! property, and `tests/determinism.rs` verifies it end to end.
 
 use std::num::NonZeroUsize;

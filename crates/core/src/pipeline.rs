@@ -402,10 +402,9 @@ pub struct Artifacts {
     pub reduced: ReducedArtifact,
     /// Cluster-stage output.
     pub clustering: ClusteringArtifact,
-    /// The configuration the artifacts were collected under. Downstream
-    /// consumers read it for worker threads (experiment E12's
-    /// design-point sweep) and to run the lazy pair stage (experiment
-    /// E14) against the same seed, scale, and dispatch policy.
+    /// The configuration the artifacts were collected under. Experiment
+    /// E14 reads it to run the lazy pair stage against the same seed,
+    /// scale, dispatch policy and worker threads.
     pub config: PipelineConfig,
 }
 

@@ -182,6 +182,8 @@ impl Study {
         cache: Option<&ProfileCache>,
     ) -> Result<Vec<KernelRecord>, WorkloadError> {
         let meta = workload.meta();
+        // The workload's span encloses its launches, so they nest under it.
+        let _span = gwc_obs::span!("workload/{}", meta.name);
         let rec = gwc_obs::recorder();
         let start = rec.as_ref().map(|_| std::time::Instant::now());
         let mut dev = Device::new();
@@ -258,9 +260,6 @@ impl Study {
         if let (Some(rec), Some(start)) = (rec, start) {
             let nanos = start.elapsed().as_nanos() as u64;
             rec.record_workload(meta.name, records.len() as u64, nanos);
-            // Workloads run on pool workers with no inherited span
-            // stack, so the span carries its parent explicitly.
-            rec.record_span(&format!("study/workload/{}", meta.name), nanos);
         }
         Ok(records)
     }

@@ -141,6 +141,14 @@ impl Dendrogram {
 /// Runs agglomerative clustering on the rows of `data` with the given
 /// linkage, using Euclidean distance and Lance–Williams updates.
 ///
+/// Each step merges the closest pair of clusters. A cluster is numbered
+/// by its smallest leaf; among equally close pairs the step takes the
+/// first `(i, j)`, `i < j`, in row-major order of those numbers, and
+/// reports cluster `i` as the merge's `a`. The closest pair comes from a
+/// cached nearest-later-neighbour per cluster, refreshed after a merge
+/// only where the merge can have changed it, so a run costs O(n²) on
+/// typical data rather than the O(n³) of rescanning every pair.
+///
 /// # Errors
 ///
 /// * [`StatsError::Empty`] when `data` has no rows.
@@ -152,77 +160,85 @@ pub fn hierarchical(data: &Matrix, linkage: Linkage) -> Result<Dendrogram, Stats
     data.check_finite()?;
     let n = data.rows();
 
-    // Active cluster set: (current cluster id, leaf count).
-    let mut active: Vec<(usize, usize)> = (0..n).map(|i| (i, 1)).collect();
-    // Distance matrix between active clusters, indexed by position in `active`.
-    let mut dist: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|j| euclidean(data.row(i), data.row(j)))
-                .collect()
-        })
-        .collect();
-
-    let mut merges = Vec::with_capacity(n.saturating_sub(1));
-    while active.len() > 1 {
-        // Find the closest pair (deterministic tie-break on indices).
-        let (mut bi, mut bj, mut best) = (0usize, 1usize, f64::INFINITY);
-        for (i, row) in dist.iter().enumerate().take(active.len()) {
-            for (j, &d) in row.iter().enumerate().take(active.len()).skip(i + 1) {
-                if d < best {
-                    best = d;
-                    bi = i;
-                    bj = j;
-                }
+    // A live cluster occupies the slot of its smallest leaf. `dist` is the
+    // symmetric n × n slot matrix; retired slots' rows and columns go stale.
+    let mut dist = vec![0.0; n * n];
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let d = euclidean(data.row(i), data.row(j));
+            dist[i * n + j] = d;
+            dist[j * n + i] = d;
+        }
+    }
+    let mut live: Vec<usize> = (0..n).collect();
+    let mut id: Vec<usize> = (0..n).collect();
+    let mut size = vec![1usize; n];
+    // The first later live slot at the least finite distance from the slot
+    // at `live[pos]`, or `(usize::MAX, ∞)` when there is none.
+    let nearest = |dist: &[f64], live: &[usize], pos: usize| {
+        let row = &dist[live[pos] * n..][..n];
+        let mut best = (usize::MAX, f64::INFINITY);
+        for &j in &live[pos + 1..] {
+            if row[j] < best.1 {
+                best = (j, row[j]);
             }
         }
-        let (id_a, size_a) = active[bi];
-        let (id_b, size_b) = active[bj];
-        let new_id = n + merges.len();
-        let new_size = size_a + size_b;
+        best
+    };
+    let mut nn: Vec<(usize, f64)> = (0..n).map(|pos| nearest(&dist, &live, pos)).collect();
+
+    let mut merges = Vec::with_capacity(n - 1);
+    while live.len() > 1 {
+        // The first slot at the least neighbour distance; the first two
+        // live slots if every distance is infinite.
+        let (mut a, mut b, mut height) = (live[0], live[1], f64::INFINITY);
+        for &i in &live {
+            if nn[i].1 < height {
+                (a, b, height) = (i, nn[i].0, nn[i].1);
+            }
+        }
+        let (size_a, size_b) = (size[a] as f64, size[b] as f64);
+        let new_size = size[a] + size[b];
         merges.push(Merge {
-            a: id_a,
-            b: id_b,
-            height: best,
+            a: id[a],
+            b: id[b],
+            height,
             size: new_size,
         });
 
-        // Lance–Williams distance update from the merged cluster to others.
-        let mut new_row = Vec::with_capacity(active.len());
-        for (k, (&dak, &dbk)) in dist[bi]
-            .iter()
-            .zip(&dist[bj])
-            .enumerate()
-            .take(active.len())
-        {
-            if k == bi || k == bj {
-                new_row.push(0.0);
+        // Lance–Williams distance update from the merged cluster, which
+        // keeps slot `a`, to the others; slot `b` retires.
+        live.retain(|&k| k != b);
+        for &k in &live {
+            if k == a {
                 continue;
             }
+            let (dak, dbk) = (dist[a * n + k], dist[b * n + k]);
             let d = match linkage {
                 Linkage::Single => dak.min(dbk),
                 Linkage::Complete => dak.max(dbk),
-                Linkage::Average => (size_a as f64 * dak + size_b as f64 * dbk) / new_size as f64,
+                Linkage::Average => (size_a * dak + size_b * dbk) / new_size as f64,
             };
-            new_row.push(d);
+            dist[a * n + k] = d;
+            dist[k * n + a] = d;
         }
+        id[a] = n + merges.len() - 1;
+        size[a] = new_size;
 
-        // Replace cluster bi with the merged cluster; remove bj.
-        active[bi] = (new_id, new_size);
-        active.remove(bj);
-        for k in 0..dist.len() {
-            dist[bi][k] = new_row[k];
-            dist[k][bi] = new_row[k];
+        // Only slot `a`'s row and column changed: rescan the rows that
+        // lost their neighbour or are `a`'s own, and let rows before `a`
+        // take it as their neighbour if it is now at least as close.
+        for (pos, &i) in live.iter().enumerate() {
+            let (j, d) = nn[i];
+            if i == a || j == a || j == b {
+                nn[i] = nearest(&dist, &live, pos);
+            } else if i < a {
+                let d_ia = dist[i * n + a];
+                if d_ia < d || (d_ia == d && a < j) {
+                    nn[i] = (a, d_ia);
+                }
+            }
         }
-        // Drop row/col bj.
-        dist.remove(bj);
-        for row in &mut dist {
-            row.remove(bj);
-        }
-        // Recompute bi index shift: if bj < bi, bi moved left by one.
-        // (Handled implicitly because we removed after writing row bi when
-        // bj > bi; assert the invariant.)
-        debug_assert!(bi < bj);
     }
 
     Ok(Dendrogram { n, merges })
@@ -231,6 +247,112 @@ pub fn hierarchical(data: &Matrix, linkage: Linkage) -> Result<Dendrogram, Stats
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference [`hierarchical`] is checked against: rescan every
+    /// pair for the closest on each merge, and delete the merged-away
+    /// cluster's row and column from a nested distance matrix.
+    fn naive(data: &Matrix, linkage: Linkage) -> Vec<Merge> {
+        let n = data.rows();
+        // Active cluster set: (current cluster id, leaf count).
+        let mut active: Vec<(usize, usize)> = (0..n).map(|i| (i, 1)).collect();
+        let mut dist: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| euclidean(data.row(i), data.row(j)))
+                    .collect()
+            })
+            .collect();
+        let mut merges = Vec::with_capacity(n.saturating_sub(1));
+        while active.len() > 1 {
+            // Find the closest pair (deterministic tie-break on indices).
+            let (mut bi, mut bj, mut best) = (0usize, 1usize, f64::INFINITY);
+            for (i, row) in dist.iter().enumerate().take(active.len()) {
+                for (j, &d) in row.iter().enumerate().take(active.len()).skip(i + 1) {
+                    if d < best {
+                        best = d;
+                        bi = i;
+                        bj = j;
+                    }
+                }
+            }
+            let (id_a, size_a) = active[bi];
+            let (id_b, size_b) = active[bj];
+            let new_id = n + merges.len();
+            let new_size = size_a + size_b;
+            merges.push(Merge {
+                a: id_a,
+                b: id_b,
+                height: best,
+                size: new_size,
+            });
+            // Lance–Williams distance update from the merged cluster.
+            let mut new_row = Vec::with_capacity(active.len());
+            for (k, (&dak, &dbk)) in dist[bi]
+                .iter()
+                .zip(&dist[bj])
+                .enumerate()
+                .take(active.len())
+            {
+                if k == bi || k == bj {
+                    new_row.push(0.0);
+                    continue;
+                }
+                new_row.push(match linkage {
+                    Linkage::Single => dak.min(dbk),
+                    Linkage::Complete => dak.max(dbk),
+                    Linkage::Average => {
+                        (size_a as f64 * dak + size_b as f64 * dbk) / new_size as f64
+                    }
+                });
+            }
+            // Cluster bi becomes the merged cluster; bj (> bi) goes.
+            active[bi] = (new_id, new_size);
+            active.remove(bj);
+            for k in 0..dist.len() {
+                dist[bi][k] = new_row[k];
+                dist[k][bi] = new_row[k];
+            }
+            dist.remove(bj);
+            for row in &mut dist {
+                row.remove(bj);
+            }
+        }
+        merges
+    }
+
+    #[test]
+    fn merges_match_the_naive_reference() {
+        let mut rng = crate::SplitMix64::new(0x6c1);
+        for case in 0..300 {
+            let rows = 1 + rng.next_below(40);
+            let cols = 1 + rng.next_below(4);
+            // Small integer coordinates make equal distances common, so
+            // the tie-break is exercised as much as the ordering.
+            let integers = case % 2 == 0;
+            let data = (0..rows * cols)
+                .map(|_| {
+                    if integers {
+                        rng.next_below(4) as f64
+                    } else {
+                        rng.next_f64() * 200.0 - 100.0
+                    }
+                })
+                .collect();
+            let m = Matrix::from_vec(rows, cols, data).unwrap();
+            for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
+                let want = naive(&m, linkage);
+                let got = hierarchical(&m, linkage).unwrap();
+                assert_eq!(got.merges().len(), want.len());
+                for (step, (g, w)) in got.merges().iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        (g.a, g.b, g.size, g.height.to_bits()),
+                        (w.a, w.b, w.size, w.height.to_bits()),
+                        "case {case} ({rows}x{cols}), {linkage}, merge {step}"
+                    );
+                }
+            }
+        }
+    }
 
     fn two_blobs() -> Matrix {
         Matrix::from_rows(&[

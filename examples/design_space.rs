@@ -5,7 +5,7 @@
 //! cargo run --release --example design_space
 //! ```
 
-use gwc::core::eval::{evaluate_subset, random_subset_errors, stress_selection};
+use gwc::core::eval::{design_sweep, evaluate_subset, random_subset_errors, stress_selection};
 use gwc::core::pipeline::{Artifacts, PipelineConfig};
 use gwc::stats::describe::mean;
 use gwc::timing::sweep::default_design_space;
@@ -26,9 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {}", labels[r]);
     }
 
-    let baseline = GpuConfig::baseline();
-    let configs = default_design_space();
-    let eval = evaluate_subset(study, &baseline, &configs, &reps);
+    let sweep = design_sweep(study, &GpuConfig::baseline(), &default_design_space());
+    let eval = evaluate_subset(&sweep, &reps);
     println!(
         "\n{:<16} {:>10} {:>10} {:>8}",
         "design point", "truth", "estimate", "error"
@@ -45,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * eval.max_error()
     );
 
-    let random = random_subset_errors(study, &baseline, &configs, reps.len(), 20, 99);
+    let random = random_subset_errors(&sweep, reps.len(), 20, 99);
     println!(
         "random subsets of the same size:  {:.2}% mean error over 20 draws",
         100.0 * mean(&random)

@@ -2,19 +2,44 @@
 //! strict extension of the standard study (base records bit-identical,
 //! replicas appended after), and a profile cache warmed by a standard
 //! run must fully cover the base of a large run — that coverage is what
-//! makes warm large-scale regens cheap.
+//! makes warm large-scale regens cheap. Over that warm cache, the large
+//! population's rendered experiments E1–E13 are pinned by digest: the
+//! goldens cover only the standard population, and the large one is
+//! where the clustering and design-space analysis see hundreds of rows.
 //!
 //! One `#[test]`: the phases share a cache directory and the global
 //! metrics recorder.
 
 use std::sync::Arc;
 
+use gwc::core::pipeline::{Artifacts, PipelineConfig};
 use gwc::core::study::{Study, StudyConfig};
 use gwc::obs::metrics::MetricsRecorder;
+use gwc::simt::hash::Fnv1a;
 use gwc::workloads::registry::LARGE_REPLICAS;
 use gwc::workloads::{Scale, StudyScale};
+use gwc_bench::render_experiments;
 
 const REGISTRY_SIZE: usize = 26;
+
+/// FNV-1a digest of each experiment's rendered output for the large
+/// population at `Scale::Tiny`, seed 7 (the pipeline's other settings at
+/// their defaults). Re-record only for an intended output change.
+const LARGE_DIGESTS: [(&str, u64); 13] = [
+    ("e1", 0xc6d7db79e1768680),
+    ("e2", 0x2ad8a7a99da094ed),
+    ("e3", 0x6c9dd52976459356),
+    ("e4", 0xd303422d1e7f3ab6),
+    ("e5", 0xf9a121d68aa762dc),
+    ("e6", 0xc6ead688888f611e),
+    ("e7", 0xe61a072efe73fdd8),
+    ("e8", 0xb6502619e77b6088),
+    ("e9", 0x6d836407c22d4a9c),
+    ("e10", 0xe65e16fca9589b00),
+    ("e11", 0xa2f79be0c9cdade9),
+    ("e12", 0x8e86e0b5cd2463dd),
+    ("e13", 0xe124bc7fe937b30b),
+];
 
 fn run_counted(cfg: &StudyConfig, cache: &std::path::Path) -> (Study, u64, u64) {
     let rec = Arc::new(MetricsRecorder::default());
@@ -90,6 +115,26 @@ fn large_tier_extends_the_standard_study_bit_identically() {
             s.label()
         );
     }
+
+    // The large population's analysis, rendered over the warm cache.
+    let artifacts = Artifacts::collect(&PipelineConfig {
+        study: large_cfg,
+        threads: 2,
+        cache_dir: Some(cache),
+        ..PipelineConfig::default()
+    });
+    let digests: Vec<(&str, u64)> = LARGE_DIGESTS
+        .iter()
+        .map(|&(id, _)| {
+            let mut h = Fnv1a::new();
+            h.write(render_experiments(&[id], &artifacts).as_bytes());
+            (id, h.finish())
+        })
+        .collect();
+    assert_eq!(
+        digests, LARGE_DIGESTS,
+        "large-population output changed; digests now {digests:#x?}"
+    );
 
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -3,7 +3,7 @@
 
 use gwc::core::analysis::ClusterAnalysis;
 use gwc::core::diversity::suite_diversity;
-use gwc::core::eval::{evaluate_subset, random_subset_errors};
+use gwc::core::eval::{design_sweep, evaluate_subset, random_subset_errors};
 use gwc::core::reduce::ReducedSpace;
 use gwc::core::study::{Study, StudyConfig};
 use gwc::stats::describe::mean;
@@ -98,10 +98,9 @@ fn representatives_beat_random_subsets_on_average() {
     let space = ReducedSpace::fit(&study.matrix(), 0.9).unwrap();
     let analysis = ClusterAnalysis::fit(space.scores(), 12, 7).unwrap();
     let reps = analysis.representatives();
-    let baseline = GpuConfig::baseline();
-    let configs = default_design_space();
-    let rep_err = evaluate_subset(&study, &baseline, &configs, reps).mean_error();
-    let rand_errs = random_subset_errors(&study, &baseline, &configs, reps.len(), 20, 99);
+    let sweep = design_sweep(&study, &GpuConfig::baseline(), &default_design_space());
+    let rep_err = evaluate_subset(&sweep, reps).mean_error();
+    let rand_errs = random_subset_errors(&sweep, reps.len(), 20, 99);
     let rand_mean = mean(&rand_errs);
     assert!(
         rep_err < rand_mean,
