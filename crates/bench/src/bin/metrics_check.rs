@@ -2,59 +2,49 @@
 //!
 //! ```sh
 //! cargo run -p gwc-bench --bin metrics_check -- metrics.json
+//! cargo run -p gwc-bench --bin metrics_check -- \
+//!     --expect cache.misses=0 --expect 'cache.*>=1' \
+//!     --expect 'hist:launch.latency_ns:p99<=5000000' metrics.json
 //! ```
 //!
 //! Parses the file with the `gwc-obs` JSON parser, checks the schema
 //! version (only the one `regen` writes is accepted) and required keys,
 //! and round-trips it (parse -> render -> parse -> compare) to prove the
-//! writer and parser agree. `--counter NAME=VALUE` (repeatable) additionally asserts a
-//! counter's exact value — a counter absent from the report counts as 0,
-//! so `--counter cache.misses=0` holds for a fully warm run that never
-//! incremented it. The name may end in a `*` prefix glob:
-//! `--counter 'cache.*=26'` asserts the *sum* of every counter under
-//! `cache.` and a bare `--counter 'cache.*'` asserts that at least one
-//! such counter exists. `--counter-min NAME=VALUE` is the lower-bound
-//! variant (counter >= VALUE, same glob semantics) — the right shape for
-//! monotone gauges like `observer.bytes_peak` whose exact value is an
-//! implementation detail. `--hist NAME` (repeatable) asserts the named
-//! latency histogram is present; `--hist NAME:p99<=NANOS` (also
-//! `p50`/`p90`/`max`) additionally bounds one of its quantiles —
-//! a latency budget CI can hold. `--heartbeat FILE` validates a
-//! heartbeat NDJSON stream captured with `regen --heartbeat` instead of
-//! (or alongside) a report: every line must parse, sequence numbers
-//! must strictly increase, and progress must be monotone; `--min-ticks
-//! N` requires at least N ticks. Exits 0 when everything is valid, 1 on
-//! a bad report/stream or failed assertion, 2 on usage errors.
+//! writer and parser agree.
+//!
+//! `--expect EXPR` (repeatable) asserts one fact about the report. EXPR
+//! is `SUBJECT OP VALUE` with no spaces, OP one of `=`, `>=`, `<=` and
+//! VALUE an unsigned integer. SUBJECT is
+//!
+//! * a counter `NAME` — a counter absent from the report reads 0, so
+//!   `cache.misses=0` holds on a fully warm run that never bumped it;
+//! * a `PREFIX*` glob — the sum of every counter whose name starts with
+//!   PREFIX (0 when none match, so `cache.*>=1` asserts presence);
+//! * `hist:NAME:FIELD` — a latency histogram's `count`, `p50`, `p90`,
+//!   `p99` or `max`; an absent histogram fails the assertion.
+//!
+//! Exits 0 when the report is valid and every assertion holds, 1 on an
+//! invalid report or a failed assertion (printing the actual value), 2
+//! on a usage error such as a malformed EXPR.
 
-use gwc_bench::cli::{take_count, take_value, unknown_opt, ArgStream, Token};
-use gwc_obs::report::validate_str;
-use gwc_obs::sampler::validate_heartbeat;
+use gwc_bench::cli::{take_value, unknown_opt, ArgStream, Token};
+use gwc_obs::json::Json;
+use gwc_obs::report::{validate_str, SCHEMA_VERSION};
 
 const USAGE: &str = "\
-usage: metrics_check [OPTIONS] [FILE.json]
+usage: metrics_check [--expect EXPR]... FILE.json
 
-Validates a metrics report written by `regen --metrics` and/or a
-heartbeat NDJSON stream written by `--heartbeat`.
+Validates a metrics report written by `regen --metrics`.
 
 options:
-  --counter NAME=VALUE   require the named counter to equal VALUE
-                         (repeatable; an absent counter counts as 0).
-                         NAME may end in `*`: the values of all matching
-                         counters are summed; without `=VALUE` the glob
-                         asserts at least one counter matches
-  --counter-min NAME=VALUE
-                         require the named counter (or glob sum) to be
-                         at least VALUE (repeatable)
-  --hist NAME            require the named latency histogram to be
-                         present (repeatable)
-  --hist NAME:Q<=NANOS   additionally bound quantile Q of that histogram
-                         (Q: p50, p90, p99, or max), e.g.
-                         `--hist 'launch.wall_ns:p99<=5000000'`
-  --heartbeat FILE       validate FILE as a heartbeat NDJSON stream
-                         (makes the positional report optional)
-  --min-ticks N          require at least N heartbeat ticks (default 1;
-                         only with --heartbeat)
-  -h, --help             print this help
+  --expect EXPR   assert SUBJECT OP VALUE (repeatable; no spaces).
+                  OP is `=`, `>=` or `<=`; VALUE an unsigned integer.
+                  SUBJECT is a counter NAME (absent reads 0), a
+                  `PREFIX*` glob (the sum of matching counters), or
+                  `hist:NAME:FIELD` with FIELD one of count, p50,
+                  p90, p99, max (an absent histogram fails), e.g.
+                  `--expect 'hist:launch.latency_ns:p99<=5000000'`
+  -h, --help      print this help
 ";
 
 fn usage_error(msg: &str) -> ! {
@@ -62,89 +52,146 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Whether a counter/histogram name matches a pattern — an exact name,
-/// or a trailing-`*` prefix glob (`cache.*` matches `cache.hits`).
-fn matches(pattern: &str, name: &str) -> bool {
-    match pattern.strip_suffix('*') {
-        Some(prefix) => name.starts_with(prefix),
-        None => name == pattern,
-    }
+/// What an assertion reads from the report.
+enum Subject {
+    /// One counter by exact name.
+    Counter(String),
+    /// The sum of every counter whose name starts with the prefix.
+    Glob(String),
+    /// One summary field of a histogram row (`count`, `p99_ns`, ...).
+    Hist { name: String, field: &'static str },
 }
 
-/// `(matching counters, their summed value)` for a pattern in a
-/// validated report; counters that were never incremented are never
-/// recorded, so an unmatched exact name reads as `(0, 0)`.
-fn counter_sum(doc: &gwc_obs::json::Json, pattern: &str) -> (usize, u64) {
-    doc.get("counters")
-        .and_then(|c| c.as_arr())
-        .unwrap_or(&[])
+/// A comparison operator: `holds(actual, value)`.
+type Compare = fn(&u64, &u64) -> bool;
+
+/// One parsed `--expect` assertion.
+struct Expect {
+    text: String,
+    subject: Subject,
+    holds: Compare,
+    value: u64,
+}
+
+/// The comparison operators, by spelling.
+const OPS: [(&str, Compare); 3] = [("=", u64::eq), (">=", u64::ge), ("<=", u64::le)];
+
+/// Histogram fields an assertion may name, with their report keys.
+const HIST_FIELDS: [(&str, &str); 5] = [
+    ("count", "count"),
+    ("p50", "p50_ns"),
+    ("p90", "p90_ns"),
+    ("p99", "p99_ns"),
+    ("max", "max_ns"),
+];
+
+/// Parses `SUBJECT OP VALUE`; the error names the malformed part.
+fn parse_expect(expr: &str) -> Result<Expect, String> {
+    if expr.contains(char::is_whitespace) {
+        return Err(format!("`{expr}` contains whitespace"));
+    }
+    let Some(at) = expr.find(['=', '<', '>']) else {
+        return Err(format!(
+            "`{expr}` has no operator (expected SUBJECT=VALUE, SUBJECT>=VALUE or SUBJECT<=VALUE)"
+        ));
+    };
+    let (subject, rest) = expr.split_at(at);
+    let Some((holds, value)) = OPS
         .iter()
-        .filter(|row| {
-            row.get("name")
-                .and_then(|n| n.as_str())
-                .is_some_and(|n| matches(pattern, n))
-        })
-        .fold((0, 0), |(n, sum), row| {
-            let v = row.get("value").and_then(|v| v.as_u64()).unwrap_or(0);
-            (n + 1, sum + v)
-        })
-}
-
-/// One `--hist` assertion: histogram presence, optionally bounding a
-/// quantile (`p99<=5000000` keeps `quantile = "p99"`, `bound_ns = 5e6`).
-struct HistAssert {
-    name: String,
-    quantile: Option<(String, u64)>,
-}
-
-/// Parses a `--hist` value: `NAME` or `NAME:Q<=NANOS` with Q one of
-/// p50/p90/p99/max. Only `<=` bounds are supported — a lower bound on a
-/// latency quantile is not a budget anyone checks in CI.
-fn parse_hist_assert(v: &str) -> Result<HistAssert, String> {
-    let Some((name, spec)) = v.split_once(':') else {
-        return Ok(HistAssert {
-            name: v.to_string(),
-            quantile: None,
-        });
+        .find_map(|&(op, holds)| Some((holds, rest.strip_prefix(op)?)))
+    else {
+        return Err(format!("`{rest}`: the operator must be `=`, `>=` or `<=`"));
     };
-    if name.is_empty() {
-        return Err("--hist: empty histogram name".into());
-    }
-    let Some((quant, bound)) = spec.split_once("<=") else {
-        return Err(format!(
-            "--hist: `{spec}` is not a quantile bound (expected Q<=NANOS)"
-        ));
+    let value = value
+        .parse::<u64>()
+        .map_err(|_| format!("`{value}` is not an unsigned integer"))?;
+    let subject = if let Some(hist) = subject.strip_prefix("hist:") {
+        let Some((name, field)) = hist.split_once(':') else {
+            return Err(format!("`{subject}` is not hist:NAME:FIELD"));
+        };
+        if name.is_empty() {
+            return Err(format!("`{subject}`: empty histogram name"));
+        }
+        let Some(&(_, key)) = HIST_FIELDS.iter().find(|(f, _)| *f == field) else {
+            return Err(format!(
+                "`{field}` is not a histogram field (expected count, p50, p90, p99 or max)"
+            ));
+        };
+        Subject::Hist {
+            name: name.to_string(),
+            field: key,
+        }
+    } else {
+        if subject.is_empty() {
+            return Err(format!("`{expr}`: empty subject"));
+        }
+        let prefix = subject.strip_suffix('*');
+        if prefix.unwrap_or(subject).contains('*') {
+            return Err(format!(
+                "`{subject}`: `*` is only allowed as a trailing glob"
+            ));
+        }
+        match prefix {
+            Some(prefix) => Subject::Glob(prefix.to_string()),
+            None => Subject::Counter(subject.to_string()),
+        }
     };
-    if !["p50", "p90", "p99", "max"].contains(&quant) {
-        return Err(format!(
-            "--hist: `{quant}` is not a quantile (expected p50, p90, p99, or max)"
-        ));
-    }
-    let bound_ns: u64 = bound
-        .parse()
-        .map_err(|_| format!("--hist: `{bound}` is not an unsigned nanosecond count"))?;
-    Ok(HistAssert {
-        name: name.to_string(),
-        quantile: Some((quant.to_string(), bound_ns)),
+    Ok(Expect {
+        text: expr.to_string(),
+        subject,
+        holds,
+        value,
     })
 }
 
-/// The report row of the histogram with exactly this name, if any.
-fn hist_row<'d>(doc: &'d gwc_obs::json::Json, name: &str) -> Option<&'d gwc_obs::json::Json> {
-    doc.get("histograms")
-        .and_then(|h| h.as_arr())
+/// The rows of one of the report's `{name, ...}` arrays.
+fn rows<'d>(doc: &'d Json, key: &str) -> impl Iterator<Item = (&'d str, &'d Json)> {
+    doc.get(key)
+        .and_then(Json::as_arr)
         .unwrap_or(&[])
         .iter()
-        .find(|row| row.get("name").and_then(|n| n.as_str()) == Some(name))
+        .filter_map(|row| Some((row.get("name")?.as_str()?, row)))
+}
+
+impl Subject {
+    /// The subject's value in a validated report, or why it has none.
+    fn read(&self, doc: &Json) -> Result<u64, String> {
+        let counter = |row: &Json| row.get("value").and_then(Json::as_u64).unwrap_or(0);
+        match self {
+            Subject::Counter(name) => Ok(rows(doc, "counters")
+                .find(|(n, _)| n == name)
+                .map_or(0, |(_, row)| counter(row))),
+            Subject::Glob(prefix) => rows(doc, "counters")
+                .filter(|(n, _)| n.starts_with(prefix.as_str()))
+                .try_fold(0u64, |sum, (_, row)| sum.checked_add(counter(row)))
+                .ok_or_else(|| format!("the counters matching `{prefix}*` overflow u64")),
+            Subject::Hist { name, field } => rows(doc, "histograms")
+                .find(|(n, _)| n == name)
+                .ok_or_else(|| format!("histogram `{name}` is absent"))
+                .and_then(|(_, row)| {
+                    row.get(field)
+                        .and_then(Json::as_u64)
+                        .ok_or_else(|| format!("histogram `{name}` has no `{field}`"))
+                }),
+        }
+    }
+}
+
+impl Expect {
+    /// Whether the assertion holds on a validated report; if not, why.
+    fn check(&self, doc: &Json) -> Result<(), String> {
+        let actual = self.subject.read(doc)?;
+        if (self.holds)(&actual, &self.value) {
+            Ok(())
+        } else {
+            Err(format!("the actual value is {actual}"))
+        }
+    }
 }
 
 fn main() {
     let mut path: Option<String> = None;
-    let mut counter_asserts: Vec<(String, Option<u64>)> = Vec::new();
-    let mut counter_min_asserts: Vec<(String, u64)> = Vec::new();
-    let mut hist_asserts: Vec<HistAssert> = Vec::new();
-    let mut heartbeat: Option<String> = None;
-    let mut min_ticks: Option<usize> = None;
+    let mut expects: Vec<Expect> = Vec::new();
     let mut args = ArgStream::new(std::env::args().skip(1));
     while let Some(token) = args.next_token() {
         let (flag, inline) = match token {
@@ -158,67 +205,11 @@ fn main() {
             Token::Opt { flag, inline } => (flag, inline),
         };
         match flag.as_str() {
-            "--counter" => {
-                let v = take_value(&flag, inline, &mut args).unwrap_or_else(|e| usage_error(&e));
-                let (name, value) = match v.split_once('=') {
-                    Some((name, value)) => {
-                        let Ok(value) = value.parse::<u64>() else {
-                            usage_error(&format!(
-                                "--counter: `{value}` is not an unsigned integer"
-                            ));
-                        };
-                        (name, Some(value))
-                    }
-                    // A bare glob is a presence assertion; a bare plain
-                    // name stays an error (its absent-reads-as-0
-                    // semantics would make it vacuously true).
-                    None if v.ends_with('*') => (v.as_str(), None),
-                    None => usage_error(&format!("--counter: `{v}` is not NAME=VALUE")),
-                };
-                if name.is_empty() {
-                    usage_error("--counter: empty counter name");
-                }
-                if name.strip_suffix('*').unwrap_or(name).contains('*') {
-                    usage_error(&format!(
-                        "--counter: `{name}`: `*` is only allowed as a trailing glob"
-                    ));
-                }
-                counter_asserts.push((name.to_string(), value));
-            }
-            "--counter-min" => {
-                let v = take_value(&flag, inline, &mut args).unwrap_or_else(|e| usage_error(&e));
-                let Some((name, value)) = v.split_once('=') else {
-                    usage_error(&format!("--counter-min: `{v}` is not NAME=VALUE"));
-                };
-                let Ok(value) = value.parse::<u64>() else {
-                    usage_error(&format!(
-                        "--counter-min: `{value}` is not an unsigned integer"
-                    ));
-                };
-                if name.is_empty() {
-                    usage_error("--counter-min: empty counter name");
-                }
-                if name.strip_suffix('*').unwrap_or(name).contains('*') {
-                    usage_error(&format!(
-                        "--counter-min: `{name}`: `*` is only allowed as a trailing glob"
-                    ));
-                }
-                counter_min_asserts.push((name.to_string(), value));
-            }
-            "--hist" => {
-                let v = take_value(&flag, inline, &mut args).unwrap_or_else(|e| usage_error(&e));
-                if v.is_empty() {
-                    usage_error("--hist: empty histogram name");
-                }
-                hist_asserts.push(parse_hist_assert(&v).unwrap_or_else(|e| usage_error(&e)));
-            }
-            "--heartbeat" => {
-                let v = take_value(&flag, inline, &mut args).unwrap_or_else(|e| usage_error(&e));
-                heartbeat = Some(v);
-            }
-            "--min-ticks" => {
-                let n = take_count(&flag, inline, &mut args).unwrap_or_else(|e| usage_error(&e));
-                min_ticks = Some(n);
+            "--expect" => {
+                let expr = take_value(&flag, inline, &mut args).unwrap_or_else(|e| usage_error(&e));
+                expects.push(
+                    parse_expect(&expr).unwrap_or_else(|e| usage_error(&format!("--expect: {e}"))),
+                );
             }
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -227,119 +218,34 @@ fn main() {
             _ => usage_error(&unknown_opt(&flag, inline.as_deref())),
         }
     }
-    if min_ticks.is_some() && heartbeat.is_none() {
-        usage_error("--min-ticks requires --heartbeat");
-    }
-    if let Some(hb_path) = &heartbeat {
-        let text = std::fs::read_to_string(hb_path).unwrap_or_else(|e| {
-            eprintln!("metrics_check: cannot read `{hb_path}`: {e}");
-            std::process::exit(2);
-        });
-        let summary = validate_heartbeat(&text).unwrap_or_else(|e| {
-            eprintln!("metrics_check: `{hb_path}` is not a valid heartbeat stream: {e}");
-            std::process::exit(1);
-        });
-        let want = min_ticks.unwrap_or(1);
-        if summary.ticks < want {
-            eprintln!(
-                "metrics_check: `{hb_path}`: {} tick(s), expected at least {want}",
-                summary.ticks
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "{hb_path}: valid heartbeat stream ({} tick(s), {} stall event(s))",
-            summary.ticks, summary.stalls
-        );
-    }
     let Some(path) = path else {
-        if heartbeat.is_some() {
-            // Heartbeat-only invocation: the stream above was the job.
-            if !counter_asserts.is_empty()
-                || !counter_min_asserts.is_empty()
-                || !hist_asserts.is_empty()
-            {
-                usage_error("--counter/--hist assertions need a FILE.json to check");
-            }
-            return;
-        }
         usage_error("expected a FILE.json to validate");
     };
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         eprintln!("metrics_check: cannot read `{path}`: {e}");
         std::process::exit(2);
     });
-    match validate_str(&text) {
-        Ok(doc) => {
-            for (name, expected) in &counter_asserts {
-                let (matched, actual) = counter_sum(&doc, name);
-                match expected {
-                    Some(expected) if actual != *expected => {
-                        eprintln!(
-                            "metrics_check: `{path}`: counter `{name}` is {actual}, expected \
-                             {expected}"
-                        );
-                        std::process::exit(1);
-                    }
-                    None if matched == 0 => {
-                        eprintln!("metrics_check: `{path}`: no counter matches `{name}`");
-                        std::process::exit(1);
-                    }
-                    _ => {}
-                }
-            }
-            for (name, floor) in &counter_min_asserts {
-                let (_, actual) = counter_sum(&doc, name);
-                if actual < *floor {
-                    eprintln!(
-                        "metrics_check: `{path}`: counter `{name}` is {actual}, expected at \
-                         least {floor}"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            for assert in &hist_asserts {
-                let name = &assert.name;
-                let Some(row) = hist_row(&doc, name) else {
-                    eprintln!("metrics_check: `{path}`: histogram `{name}` is absent");
-                    std::process::exit(1);
-                };
-                if let Some((quant, bound_ns)) = &assert.quantile {
-                    let field = format!("{quant}_ns");
-                    let actual = row.get(&field).and_then(|v| v.as_u64()).unwrap_or_else(|| {
-                        eprintln!(
-                            "metrics_check: `{path}`: histogram `{name}` has no `{field}` field"
-                        );
-                        std::process::exit(1);
-                    });
-                    if actual > *bound_ns {
-                        eprintln!(
-                            "metrics_check: `{path}`: histogram `{name}` {quant} is {actual}ns, \
-                             over the {bound_ns}ns bound"
-                        );
-                        std::process::exit(1);
-                    }
-                }
-            }
-            let version = doc.get("schema_version").and_then(|v| v.as_u64());
-            let stages = doc
-                .get("stages")
-                .and_then(|s| s.as_arr())
-                .map_or(0, |a| a.len());
-            let asserts = counter_asserts.len() + counter_min_asserts.len() + hist_asserts.len();
-            println!(
-                "{path}: valid metrics report (schema v{}, {stages} stages{})",
-                version.unwrap_or(0),
-                if asserts == 0 {
-                    String::new()
-                } else {
-                    format!(", {asserts} assertion(s) hold")
-                }
-            );
-        }
-        Err(e) => {
-            eprintln!("metrics_check: `{path}` is not a valid metrics report: {e}");
-            std::process::exit(1);
+    let doc = validate_str(&text).unwrap_or_else(|e| {
+        eprintln!("metrics_check: `{path}` is not a valid metrics report: {e}");
+        std::process::exit(1);
+    });
+    let mut failed = false;
+    for expect in &expects {
+        if let Err(why) = expect.check(&doc) {
+            eprintln!("metrics_check: `{path}`: `{}` fails: {why}", expect.text);
+            failed = true;
         }
     }
+    if failed {
+        std::process::exit(1);
+    }
+    let stages = doc
+        .get("stages")
+        .and_then(Json::as_arr)
+        .map_or(0, <[Json]>::len);
+    println!(
+        "{path}: valid metrics report (schema v{SCHEMA_VERSION}, {stages} stages, {} \
+         assertion(s) hold)",
+        expects.len()
+    );
 }

@@ -21,12 +21,9 @@
 //! `chrome://tracing`. `--trace-summary` prints the top spans to
 //! stderr. `--flame PATH` folds the span aggregates into a self-time
 //! tree (see `gwc_obs::selftime`) and writes it in the collapsed-stack
-//! format `flamegraph.pl` and inferno consume. `--heartbeat PATH|-`
-//! streams one self-describing NDJSON object per sampler tick (live
-//! progress, stage, throughput, ETA, stall events; `-` writes to
-//! stderr, never stdout) while the run executes — see
-//! `gwc_obs::sampler`. The flags combine freely (one tee'd recorder)
-//! and none of them perturbs the experiment output on stdout.
+//! format `flamegraph.pl` and inferno consume. The flags combine
+//! freely (one tee'd recorder) and none of them perturbs the experiment
+//! output on stdout.
 //!
 //! Runs are incremental by default: kernel profiles persist in a
 //! content-addressed cache (`.gwc-cache/`, override with `--cache DIR`)
@@ -36,17 +33,16 @@
 //!
 //! Exit status: 0 on success, 2 on a usage error.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use gwc_bench::cli::{reject_value, take_count, take_value, unknown_opt, ArgStream, Token};
-use gwc_bench::telemetry::{self, TelemetryFlags};
 use gwc_bench::{all_experiments, render_experiments, StudyArtifacts, EXPERIMENTS};
 use gwc_characterize::ObserverTier;
 use gwc_core::pipeline::PipelineConfig;
-use gwc_obs::metrics::MetricsRecorder;
-use gwc_obs::report::render_summary;
-use gwc_obs::{Recorder, Sampler, TeeRecorder, TraceRecorder};
+use gwc_obs::metrics::{MetricsRecorder, MetricsSnapshot};
+use gwc_obs::report::{build_report, render_summary, validate, ReportContext, RunMeta};
+use gwc_obs::{Recorder, TeeRecorder, TraceRecorder};
 use gwc_simt::backend::BackendKind;
 use gwc_simt::sched::SchedPolicy;
 use gwc_workloads::StudyScale;
@@ -81,13 +77,6 @@ options:
   --trace-summary    print the top spans by total time to stderr
   --flame PATH       write the folded self-time tree to PATH in the
                      collapsed-stack format (flamegraph.pl / inferno)
-  --heartbeat PATH|-  stream one NDJSON telemetry object per sampler tick
-                     to PATH (`-` = stderr): progress per domain, stage,
-                     throughput, ETA, and stall events
-  --heartbeat-interval-ms N
-                     sampler tick interval (default 500)
-  --stall-after K    fire the stall watchdog after K zero-progress ticks,
-                     0 to disable (default 8)
   -h, --help         print this help
 ";
 
@@ -103,7 +92,6 @@ struct Cli {
     trace: Option<String>,
     trace_summary: bool,
     flame: Option<String>,
-    telemetry: TelemetryFlags,
 }
 
 fn usage_error(msg: &str) -> ! {
@@ -124,7 +112,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Cli {
         trace: None,
         trace_summary: false,
         flame: None,
-        telemetry: TelemetryFlags::default(),
     };
     let mut cache_flag = false;
     let mut no_cache_flag = false;
@@ -137,12 +124,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Cli {
             }
             Token::Opt { flag, inline } => (flag, inline),
         };
-        if let Some(result) = cli.telemetry.take_opt(&flag, inline.clone(), &mut args) {
-            if let Err(e) = result {
-                usage_error(&e);
-            }
-            continue;
-        }
         let result = match flag.as_str() {
             "--threads" => take_count(&flag, inline, &mut args).map(|n| cli.threads = n),
             "--cache" => take_value(&flag, inline, &mut args).map(|v| {
@@ -218,12 +199,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Cli {
 
 fn main() {
     let cli = parse_args(std::env::args().skip(1));
-    // A heartbeat needs the recorder installed: progress accounting
-    // (like every instrumentation site) is inert until then.
-    let need_metrics = cli.metrics.is_some()
-        || cli.trace_summary
-        || cli.flame.is_some()
-        || cli.telemetry.heartbeat.is_some();
+    let need_metrics = cli.metrics.is_some() || cli.trace_summary || cli.flame.is_some();
     let metrics_rec = need_metrics.then(|| Arc::new(MetricsRecorder::default()));
     let trace_rec = cli
         .trace
@@ -243,9 +219,6 @@ fn main() {
             _ => Some(gwc_obs::install(Arc::new(TeeRecorder::new(sinks)))),
         }
     };
-    // The sampler observes the freshly installed recorder's counters;
-    // it must start after the install (and stop before the snapshot).
-    let sampler = telemetry::maybe_start_sampler("regen", &cli.telemetry, metrics_rec.as_ref());
     gwc_simt::backend::set_default(cli.backend);
     eprintln!(
         "running the characterization study (Small scale, seed 7, {} thread{}, cache {}, {} \
@@ -272,12 +245,9 @@ fn main() {
     let artifacts = StudyArtifacts::collect(&config);
     let ids: Vec<&str> = cli.ids.iter().map(String::as_str).collect();
     print!("{}", render_experiments(&ids, &artifacts));
-    // Final sampler tick (and the stall counter it may bump) must land
-    // before the recorder uninstalls and the snapshot is taken.
-    let timeseries = sampler.map(Sampler::stop);
     drop(guard);
     if let (Some(path), Some(trace_rec)) = (&cli.trace, &trace_rec) {
-        telemetry::finish_trace("regen", path, trace_rec, metrics_rec.as_ref());
+        finish_trace(path, trace_rec, metrics_rec.as_deref());
     }
     let Some(rec) = metrics_rec else {
         return;
@@ -298,14 +268,69 @@ fn main() {
         );
     }
     if let Some(path) = &cli.metrics {
-        telemetry::write_metrics_report(
-            "regen",
-            path,
-            &snap,
-            cli.threads,
-            cli.ids.clone(),
-            telemetry::run_meta(cli.backend.name(), cli.cache.as_deref(), "regen"),
-            timeseries,
+        let ctx = ReportContext {
+            threads: cli.threads,
+            experiment_ids: cli.ids.clone(),
+            meta: run_meta(cli.backend.name(), cli.cache.as_deref()),
+        };
+        write_metrics_report(path, &snap, &ctx);
+    }
+}
+
+/// Run provenance for the `meta` header, stamped with the current
+/// wall clock.
+fn run_meta(backend: &str, cache: Option<&Path>) -> RunMeta {
+    let timestamp_ms = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_millis() as u64)
+        .unwrap_or(0);
+    RunMeta {
+        timestamp_ms,
+        backend: backend.to_string(),
+        cache: match cache {
+            Some(dir) => dir.display().to_string(),
+            None => "off".to_string(),
+        },
+        label: "regen".to_string(),
+    }
+}
+
+/// Writes the trace timeline to `path`, forwarding the ring's
+/// dropped-event count into the metrics recorder (so a truncated
+/// timeline is visible without opening the trace) and warning on
+/// overflow. Exits 1 if the file cannot be written.
+fn finish_trace(path: &str, trace_rec: &TraceRecorder, metrics_rec: Option<&MetricsRecorder>) {
+    let dropped = trace_rec.dropped();
+    if let Some(rec) = metrics_rec {
+        rec.add_counter("trace.dropped_events", dropped);
+    }
+    if dropped > 0 {
+        eprintln!(
+            "regen: warning: trace ring buffer overflowed, {dropped} event(s) dropped \
+             (earliest events kept)"
         );
     }
+    if let Err(e) = std::fs::write(path, trace_rec.export().render()) {
+        eprintln!("regen: cannot write trace to `{path}`: {e}");
+        std::process::exit(1);
+    }
+    eprintln!(
+        "trace timeline written to {path} ({} event(s), {dropped} dropped)",
+        trace_rec.events().len()
+    );
+}
+
+/// Builds, self-validates, and writes the metrics report. Exits 1 on
+/// a validation or I/O failure.
+fn write_metrics_report(path: &str, snap: &MetricsSnapshot, ctx: &ReportContext) {
+    let report = build_report(snap, ctx);
+    if let Err(e) = validate(&report) {
+        eprintln!("regen: internal error: metrics report failed validation: {e}");
+        std::process::exit(1);
+    }
+    if let Err(e) = std::fs::write(path, report.render()) {
+        eprintln!("regen: cannot write metrics to `{path}`: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("metrics report written to {path}");
 }

@@ -14,7 +14,6 @@
 
 pub mod cli;
 pub mod experiments;
-pub mod telemetry;
 
 pub use experiments::{
     all_experiments, render_experiments, run_experiment, ExperimentSpec, StudyArtifacts,

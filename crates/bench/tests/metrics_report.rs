@@ -9,6 +9,7 @@
 //! recorder-free determinism and golden-snapshot tests.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use gwc_bench::{render_experiments, StudyArtifacts};
 use gwc_obs::metrics::MetricsRecorder;
@@ -35,7 +36,6 @@ fn metrics_report_has_stages_pools_and_workloads() {
                 cache: "off".into(),
                 label: "test".into(),
             },
-            timeseries: None,
         },
     );
     let rendered = report.render();
@@ -43,8 +43,12 @@ fn metrics_report_has_stages_pools_and_workloads() {
     for key in REQUIRED_KEYS {
         assert!(doc.get(key).is_some(), "missing required key `{key}`");
     }
-    assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(5));
+    assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(6));
     assert!(doc.get("fallbacks").is_none(), "schema v5 has no fallbacks");
+    assert!(
+        doc.get("timeseries").is_none(),
+        "schema v6 has no timeseries"
+    );
     assert_eq!(doc.get("threads").unwrap().as_u64(), Some(threads as u64));
 
     // The run-metadata header (schema v4) round-trips.
@@ -86,6 +90,7 @@ fn metrics_report_has_stages_pools_and_workloads() {
     }
     for s in stages {
         assert!(s.get("wall_ns").unwrap().as_u64().unwrap() > 0);
+        assert!(s.get("rollup_ns").is_none(), "schema v6 has no rollup_ns");
     }
 
     // Per-experiment spans for exactly the ids we ran.
@@ -178,9 +183,10 @@ fn metrics_report_has_stages_pools_and_workloads() {
 /// Span paths do not depend on the thread count: pool tasks (study
 /// workloads, E14 scenarios) nest their spans where the serial loop's
 /// would, and a study launch nests under its workload's span. At one
-/// thread, the study's children also fit inside its wall time. Tiny
-/// scale keeps the two runs cheap; the nesting is the same at every
-/// scale.
+/// thread, every span's children also fit inside its own wall time,
+/// and the top-level spans fit inside the wall time of the whole run.
+/// Tiny scale keeps the two runs cheap; the nesting is the same at
+/// every scale.
 #[test]
 fn span_paths_are_independent_of_thread_count() {
     use std::collections::BTreeSet;
@@ -190,7 +196,8 @@ fn span_paths_are_independent_of_thread_count() {
     use gwc_obs::selftime::fold;
     use gwc_workloads::Scale;
 
-    let run = |threads: usize| -> MetricsSnapshot {
+    // The snapshot, and the wall time around the whole recorded run.
+    let run = |threads: usize| -> (MetricsSnapshot, u64) {
         let mut cfg = PipelineConfig {
             threads,
             ..PipelineConfig::default()
@@ -198,18 +205,20 @@ fn span_paths_are_independent_of_thread_count() {
         cfg.study.scale = Scale::Tiny;
         let rec = Arc::new(MetricsRecorder::default());
         let guard = gwc_obs::install(rec.clone());
+        let wall = Instant::now();
         let artifacts = StudyArtifacts::collect(&cfg);
         let text = render_experiments(&["e14"], &artifacts);
+        let wall_ns = wall.elapsed().as_nanos() as u64;
         drop(guard);
         assert!(text.contains("E14:"));
-        rec.snapshot()
+        (rec.snapshot(), wall_ns)
     };
     let paths = |snap: &MetricsSnapshot| -> BTreeSet<String> {
         snap.spans.iter().map(|s| s.path.clone()).collect()
     };
-    let serial_snap = run(1);
+    let (serial_snap, serial_wall_ns) = run(1);
     let serial = paths(&serial_snap);
-    assert_eq!(serial, paths(&run(2)), "span paths at 1 vs 2 threads");
+    assert_eq!(serial, paths(&run(2).0), "span paths at 1 vs 2 threads");
     let workload_launch = serial
         .iter()
         .filter_map(|p| p.strip_prefix("study/workload/"))
@@ -241,16 +250,32 @@ fn span_paths_are_independent_of_thread_count() {
         "scenario spans carry no doubled prefix"
     );
 
-    // Serially, the workload spans run one after another inside the
-    // study span, so the fold's inclusive time is the study's own total.
+    // Serially, every span's children run one after another inside it,
+    // so their inclusive times sum to at most its own total. (A node
+    // with no span of its own, like `study/workload`, has no total; its
+    // children count toward its parent's bound instead.)
     let tree = fold(&serial_snap.spans);
-    let study = tree
-        .nodes
-        .iter()
-        .find(|n| n.path == "study")
-        .expect("study span recorded");
     assert!(
-        study.inclusive_ns <= study.total_ns,
-        "study children sum past its wall time: {study:?}"
+        tree.nodes.iter().any(|n| n.path == "study" && n.count > 0),
+        "study span recorded"
+    );
+    for (i, node) in tree.nodes.iter().enumerate() {
+        let children: u64 = tree.nodes[i + 1..]
+            .iter()
+            .take_while(|n| n.depth > node.depth)
+            .filter(|n| n.depth == node.depth + 1)
+            .map(|n| n.inclusive_ns)
+            .sum();
+        assert!(
+            node.count == 0 || children <= node.total_ns,
+            "children of `{}` sum to {children} ns, past its {} ns",
+            node.path,
+            node.total_ns
+        );
+    }
+    assert!(
+        tree.total_ns() <= serial_wall_ns,
+        "top-level spans sum to {} ns, past the run's {serial_wall_ns} ns",
+        tree.total_ns()
     );
 }

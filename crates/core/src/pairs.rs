@@ -150,10 +150,6 @@ fn run_scenario(
     let mut dev = Device::new();
     let launches_a = a.setup(&mut dev, scale).expect("member a sets up");
     let launches_b = b.setup(&mut dev, scale).expect("member b sets up");
-    gwc_obs::progress::declare(
-        &gwc_obs::progress::LAUNCHES,
-        (launches_a.len() + launches_b.len()) as u64,
-    );
 
     let mut obs = PairObserver::new();
     let paired = launches_a.len().min(launches_b.len());

@@ -71,7 +71,6 @@ where
 {
     let rec = gwc_obs::recorder();
     let workers = threads.min(n);
-    gwc_obs::progress::declare(&gwc_obs::progress::TASKS, n as u64);
     if workers <= 1 {
         let Some(rec) = rec else {
             return (0..n).map(f).collect();
@@ -86,7 +85,6 @@ where
                 let task_ns = t0.elapsed().as_nanos() as u64;
                 busy_ns += task_ns;
                 rec.record_hist(&task_hist, task_ns);
-                gwc_obs::progress::tick(&gwc_obs::progress::TASKS, 1);
                 v
             })
             .collect();
@@ -127,7 +125,6 @@ where
                         }
                         let t0 = rec.map(|_| Instant::now());
                         produced.push((i, f(i)));
-                        gwc_obs::progress::tick(&gwc_obs::progress::TASKS, 1);
                         if let (Some(t0), Some(rec)) = (t0, rec) {
                             let task_ns = t0.elapsed().as_nanos() as u64;
                             busy_ns += task_ns;

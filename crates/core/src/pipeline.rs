@@ -71,8 +71,7 @@ impl StageId {
     ///
     /// `Matrix` records under `reduce/` so the set of *top-level* stages
     /// in a metrics report stays `{study, reduce, cluster}`, exactly as
-    /// before the matrix assembly became its own stage; `rollup_ns`
-    /// still attributes its time to `reduce`.
+    /// before the matrix assembly became its own stage.
     pub fn span_path(self) -> &'static str {
         match self {
             StageId::Study => "study",
@@ -416,32 +415,22 @@ impl Artifacts {
     ///
     /// Panics if any stage fails (see [`Stage::run`]).
     pub fn collect(cfg: &PipelineConfig) -> Self {
-        use gwc_obs::progress::{self, STAGES};
-        progress::declare(&STAGES, StageId::ALL.len() as u64);
         let study = {
             let _span = gwc_obs::span!("{}", StageId::Study.span_path());
-            progress::set_stage(StageId::Study.name());
             StudyStage::run(cfg, ())
         };
-        progress::tick(&STAGES, 1);
         let matrix = {
             let _span = gwc_obs::span!("{}", StageId::Matrix.span_path());
-            progress::set_stage(StageId::Matrix.name());
             MatrixStage::run(cfg, &study)
         };
-        progress::tick(&STAGES, 1);
         let reduced = {
             let _span = gwc_obs::span!("{}", StageId::Reduce.span_path());
-            progress::set_stage(StageId::Reduce.name());
             ReduceStage::run(cfg, &matrix)
         };
-        progress::tick(&STAGES, 1);
         let clustering = {
             let _span = gwc_obs::span!("{}", StageId::Cluster.span_path());
-            progress::set_stage(StageId::Cluster.name());
             ClusterStage::run(cfg, &reduced)
         };
-        progress::tick(&STAGES, 1);
         Self {
             study,
             matrix,

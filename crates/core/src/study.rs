@@ -123,12 +123,10 @@ impl Study {
         cache: Option<&ProfileCache>,
     ) -> Result<Study, WorkloadError> {
         let mut workloads = registry::study_workloads(config.seed, config.study_scale);
-        gwc_obs::progress::declare(&gwc_obs::progress::WORKLOADS, workloads.len() as u64);
         if threads <= 1 {
             let mut records = Vec::new();
             for w in workloads.iter_mut() {
                 records.extend(Self::run_one_cached(w.as_mut(), config, cache)?);
-                gwc_obs::progress::tick(&gwc_obs::progress::WORKLOADS, 1);
             }
             return Ok(Study { records });
         }
@@ -141,9 +139,7 @@ impl Study {
                 .expect("workload slot poisoned")
                 .take()
                 .expect("each slot taken once");
-            let r = Self::run_one_cached(w.as_mut(), config, cache);
-            gwc_obs::progress::tick(&gwc_obs::progress::WORKLOADS, 1);
-            r
+            Self::run_one_cached(w.as_mut(), config, cache)
         });
         let mut records = Vec::new();
         for r in results {
@@ -214,11 +210,6 @@ impl Study {
             if cache.is_some() {
                 gwc_obs::count("cache.misses", 1);
             }
-            // Launches are only declared on the miss path: a cache hit
-            // skips them entirely, so counting them would leave the
-            // launch total permanently short of done.
-            gwc_obs::progress::declare(&gwc_obs::progress::LAUNCHES, launches.len() as u64);
-            injected_test_stall();
             // Insertion-ordered grouping by label.
             let mut order: Vec<String> = Vec::new();
             let mut profilers: BTreeMap<String, Profiler> = BTreeMap::new();
@@ -326,34 +317,6 @@ impl Study {
                 .cloned()
                 .collect(),
         }
-    }
-}
-
-/// Test-only stall injection: with `GWC_TEST_STALL_MS=<millis>` set, the
-/// first workload to reach its launch loop in this process sleeps that
-/// long *before* any launch ticks, giving the stall watchdog's
-/// end-to-end test a deterministic window with declared-but-unmoving
-/// progress. Unset (the production case) this is one relaxed atomic
-/// load.
-fn injected_test_stall() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    static ARMED: AtomicBool = AtomicBool::new(false);
-    static INIT: std::sync::Once = std::sync::Once::new();
-    INIT.call_once(|| {
-        let ms = std::env::var("GWC_TEST_STALL_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0);
-        if ms > 0 {
-            ARMED.store(true, Ordering::Relaxed);
-        }
-    });
-    if ARMED.swap(false, Ordering::Relaxed) {
-        let ms = std::env::var("GWC_TEST_STALL_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0);
-        std::thread::sleep(std::time::Duration::from_millis(ms));
     }
 }
 

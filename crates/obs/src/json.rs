@@ -103,8 +103,8 @@ impl Json {
         out
     }
 
-    /// Renders on a single line with no trailing newline — one NDJSON
-    /// record (the heartbeat stream's line format).
+    /// Renders on a single line with no trailing newline, for
+    /// one-record-per-line output and compact artifact files.
     pub fn render_compact(&self) -> String {
         let mut out = String::new();
         self.write_compact(&mut out);

@@ -1,8 +1,8 @@
 //! Observability for the characterization pipeline: hierarchical spans,
 //! counters/gauges, log-bucketed latency histograms ([`hist`]), bounded
-//! span timelines ([`trace`]), live progress accounting ([`progress`])
-//! with a background sampler and stall watchdog ([`sampler`]), and a
-//! pluggable [`Recorder`].
+//! span timelines ([`trace`]), the schema-versioned metrics report
+//! ([`report`]), and a pluggable [`Recorder`]. Everything is read from
+//! a finished run; nothing samples it while it runs.
 //!
 //! The pipeline is instrumented at every layer — `gwc-simt` records
 //! per-kernel launch statistics and execution profiles, the `gwc-core`
@@ -53,10 +53,8 @@
 pub mod hist;
 pub mod json;
 pub mod metrics;
-pub mod progress;
 pub mod recorder;
 pub mod report;
-pub mod sampler;
 pub mod selftime;
 pub mod span;
 pub mod trace;
@@ -64,7 +62,6 @@ pub mod trace;
 pub use recorder::{
     install, recorder, ExecClass, ExecHotspot, NoopRecorder, Recorder, RecorderGuard, TeeRecorder,
 };
-pub use sampler::{Sampler, SamplerConfig};
 pub use span::SpanGuard;
 pub use trace::TraceRecorder;
 

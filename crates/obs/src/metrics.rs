@@ -148,19 +148,6 @@ impl MetricsSnapshot {
             .collect()
     }
 
-    /// Total recorded time under `path`: the span's own aggregate plus
-    /// every descendant (`path/...`). Nested spans thereby aggregate to
-    /// their parent even when children were recorded from worker
-    /// threads under explicit `parent/child` paths.
-    pub fn rollup_ns(&self, path: &str) -> u64 {
-        let prefix = format!("{path}/");
-        self.spans
-            .iter()
-            .filter(|s| s.path == path || s.path.starts_with(&prefix))
-            .map(|s| s.total_ns)
-            .sum()
-    }
-
     /// Spans sorted by total time, descending (ties broken by path so
     /// the order is deterministic), truncated to `n`.
     pub fn top_spans(&self, n: usize) -> Vec<&SpanStat> {
@@ -331,11 +318,6 @@ impl Recorder for MetricsRecorder {
         }
     }
 
-    fn record_stall(&self, open_spans: &[String], stalled_ms: u64) {
-        let _ = (open_spans, stalled_ms);
-        self.add_counter("telemetry.stalls", 1);
-    }
-
     fn record_pool_worker(&self, pool: &str, worker: usize, stats: &PoolWorker) {
         let mut pools = self.pools.lock().expect("pools poisoned");
         let workers = pools.entry(pool.to_string()).or_default();
@@ -374,16 +356,7 @@ mod tests {
         assert_eq!(snap.spans[0].path, "a");
         assert_eq!(snap.spans[0].count, 2);
         assert_eq!(snap.spans[0].total_ns, 15);
-        assert_eq!(snap.rollup_ns("a"), 18, "child folds into parent rollup");
         assert_eq!(snap.stages().len(), 1, "only `a` is top-level");
-    }
-
-    #[test]
-    fn rollup_does_not_match_sibling_prefixes() {
-        let rec = MetricsRecorder::default();
-        rec.record_span("eval", 10);
-        rec.record_span("evaluate", 100);
-        assert_eq!(rec.snapshot().rollup_ns("eval"), 10);
     }
 
     #[test]

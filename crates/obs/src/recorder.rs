@@ -75,14 +75,6 @@ pub trait Recorder: Send + Sync {
     fn record_exec_profile(&self, kernel: &str, classes: &[ExecClass], hotspots: &[ExecHotspot]) {
         let _ = (kernel, classes, hotspots);
     }
-
-    /// The stall watchdog fired: no progress domain ticked for
-    /// `stalled_ms`, and `open_spans` names the innermost open span path
-    /// per stuck thread (see [`crate::span::open_span_paths`]). The
-    /// aggregating recorder counts these under `telemetry.stalls`.
-    fn record_stall(&self, open_spans: &[String], stalled_ms: u64) {
-        let _ = (open_spans, stalled_ms);
-    }
 }
 
 /// Per-launch statistics reported by [`Recorder::record_kernel_launch`].
@@ -235,11 +227,6 @@ impl Recorder for TeeRecorder {
             s.record_exec_profile(kernel, classes, hotspots);
         }
     }
-    fn record_stall(&self, open_spans: &[String], stalled_ms: u64) {
-        for s in &self.sinks {
-            s.record_stall(open_spans, stalled_ms);
-        }
-    }
 }
 
 pub(crate) static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -258,10 +245,6 @@ pub fn install(rec: Arc<dyn Recorder>) -> RecorderGuard {
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
     *RECORDER.write().expect("recorder slot poisoned") = Some(rec);
-    // Each recorded run starts from a clean progress slate; the epoch
-    // bump lets heartbeat consumers spanning several installs tell a
-    // reset from a decrease.
-    crate::progress::reset();
     ENABLED.store(true, std::sync::atomic::Ordering::SeqCst);
     RecorderGuard { _gate: gate }
 }

@@ -18,17 +18,19 @@ use crate::metrics::MetricsSnapshot;
 /// [`crate::selftime`]) and `exec_profiles` (per-kernel µop-class
 /// counters and pc hotspots) — and a `wall_ns` column on `kernels`;
 /// schema v4 adds the run-metadata header `meta` (wall-clock timestamp,
-/// threads, backend, cache mode, label) and the live-telemetry
-/// `timeseries` section (the sampler's ring, see [`crate::sampler`] —
-/// an empty object when no sampler ran); schema v5 drops the
-/// `fallbacks` section (launches no longer shard, so none fall back).
-pub const SCHEMA_VERSION: u64 = 5;
+/// threads, backend, cache mode, label) and a live-telemetry section;
+/// schema v5 drops the `fallbacks` section (launches no longer shard,
+/// so none fall back); schema v6 drops the live-telemetry `timeseries`
+/// section and the `stages[].rollup_ns` column, which added every
+/// descendant span to its stage and so overcounted by nesting depth
+/// (`self_time` carries the corrected inclusive times).
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Schema versions [`validate`] accepts: only the one this crate writes.
 pub const SUPPORTED_VERSIONS: [u64; 1] = [SCHEMA_VERSION];
 
 /// Required top-level keys of the current schema, in emission order.
-pub const REQUIRED_KEYS: [&str; 16] = [
+pub const REQUIRED_KEYS: [&str; 15] = [
     "schema_version",
     "meta",
     "threads",
@@ -44,7 +46,6 @@ pub const REQUIRED_KEYS: [&str; 16] = [
     "spans",
     "self_time",
     "exec_profiles",
-    "timeseries",
 ];
 
 /// Run provenance stamped into the `meta` header: when and how the
@@ -71,8 +72,6 @@ pub struct ReportContext {
     pub experiment_ids: Vec<String>,
     /// Run provenance for the `meta` header.
     pub meta: RunMeta,
-    /// The live-telemetry ring, when a sampler ran.
-    pub timeseries: Option<crate::sampler::TimeSeries>,
 }
 
 /// Builds the metrics report document.
@@ -85,7 +84,6 @@ pub fn build_report(snap: &MetricsSnapshot, ctx: &ReportContext) -> Json {
                 ("name".into(), Json::Str(s.path.clone())),
                 ("count".into(), Json::UInt(s.count)),
                 ("wall_ns".into(), Json::UInt(s.total_ns)),
-                ("rollup_ns".into(), Json::UInt(snap.rollup_ns(&s.path))),
             ])
         })
         .collect();
@@ -257,10 +255,6 @@ pub fn build_report(snap: &MetricsSnapshot, ctx: &ReportContext) -> Json {
         ("cache".into(), Json::Str(ctx.meta.cache.clone())),
         ("label".into(), Json::Str(ctx.meta.label.clone())),
     ]);
-    let timeseries = match &ctx.timeseries {
-        Some(series) => series.to_json(),
-        None => Json::Obj(vec![]),
-    };
     Json::Obj(vec![
         ("schema_version".into(), Json::UInt(SCHEMA_VERSION)),
         ("meta".into(), meta),
@@ -285,7 +279,6 @@ pub fn build_report(snap: &MetricsSnapshot, ctx: &ReportContext) -> Json {
         ("spans".into(), Json::Arr(spans)),
         ("self_time".into(), Json::Arr(self_time)),
         ("exec_profiles".into(), Json::Arr(exec_profiles)),
-        ("timeseries".into(), timeseries),
     ])
 }
 
@@ -334,7 +327,7 @@ pub fn validate(doc: &Json) -> Result<(), String> {
     doc.get("experiment_ids")
         .and_then(Json::as_arr)
         .ok_or("`experiment_ids` is not an array")?;
-    require_records(doc, "stages", &["name", "count", "wall_ns", "rollup_ns"])?;
+    require_records(doc, "stages", &["name", "count", "wall_ns"])?;
     require_records(doc, "experiments", &["id", "wall_ns"])?;
     require_records(doc, "workloads", &["name", "kernels", "wall_ns"])?;
     require_records(
@@ -425,55 +418,6 @@ pub fn validate(doc: &Json) -> Result<(), String> {
     for field in ["timestamp_ms", "threads", "backend", "cache", "label"] {
         meta.get(field)
             .ok_or_else(|| format!("`meta` is missing `{field}`"))?;
-    }
-    let ts = doc.get("timeseries").ok_or("missing key `timeseries`")?;
-    let Json::Obj(ts_fields) = ts else {
-        return Err("`timeseries` is not an object".into());
-    };
-    // An empty object means no sampler ran; otherwise the full ring
-    // shape is required.
-    if !ts_fields.is_empty() {
-        for field in [
-            "interval_ms",
-            "capacity",
-            "dropped",
-            "stalls",
-            "samples",
-            "stall_events",
-        ] {
-            ts.get(field)
-                .ok_or_else(|| format!("`timeseries` is missing `{field}`"))?;
-        }
-        let samples = ts
-            .get("samples")
-            .and_then(Json::as_arr)
-            .ok_or("`timeseries.samples` is not an array")?;
-        for (i, s) in samples.iter().enumerate() {
-            for field in [
-                "seq",
-                "t_ms",
-                "epoch",
-                "stage",
-                "progress",
-                "blocks_per_s",
-                "eta_ms",
-                "stalls",
-            ] {
-                s.get(field)
-                    .ok_or_else(|| format!("`timeseries.samples[{i}]` is missing `{field}`"))?;
-            }
-        }
-        let events = ts
-            .get("stall_events")
-            .and_then(Json::as_arr)
-            .ok_or("`timeseries.stall_events` is not an array")?;
-        for (i, e) in events.iter().enumerate() {
-            for field in ["seq", "t_ms", "stalled_ms", "open_spans"] {
-                e.get(field).ok_or_else(|| {
-                    format!("`timeseries.stall_events[{i}]` is missing `{field}`")
-                })?;
-            }
-        }
     }
     Ok(())
 }
@@ -606,7 +550,6 @@ mod tests {
                 cache: "off".into(),
                 label: "test".into(),
             },
-            timeseries: None,
         }
     }
 
@@ -621,7 +564,7 @@ mod tests {
     #[test]
     fn report_contains_the_recorded_facts() {
         let doc = build_report(&sample_snapshot(), &sample_ctx());
-        assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(5));
+        assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(6));
         assert_eq!(doc.get("threads").unwrap().as_u64(), Some(4));
         let meta = doc.get("meta").unwrap();
         assert_eq!(
@@ -632,17 +575,19 @@ mod tests {
         assert_eq!(meta.get("backend").unwrap().as_str(), Some("simd"));
         assert_eq!(meta.get("cache").unwrap().as_str(), Some("off"));
         assert_eq!(meta.get("label").unwrap().as_str(), Some("test"));
-        assert_eq!(
-            doc.get("timeseries").unwrap(),
-            &Json::Obj(vec![]),
-            "no sampler ran: the timeseries section is an empty object"
+        assert!(
+            doc.get("timeseries").is_none(),
+            "v6 has no timeseries section"
         );
         let stages = doc.get("stages").unwrap().as_arr().unwrap();
         assert_eq!(stages.len(), 1, "only `study` is top-level: {stages:?}");
         let study = &stages[0];
         assert_eq!(study.get("name").unwrap().as_str(), Some("study"));
         assert_eq!(study.get("wall_ns").unwrap().as_u64(), Some(100));
-        assert_eq!(study.get("rollup_ns").unwrap().as_u64(), Some(160));
+        assert!(
+            study.get("rollup_ns").is_none(),
+            "v6 stages have no rollup_ns"
+        );
         let exps = doc.get("experiments").unwrap().as_arr().unwrap();
         assert_eq!(exps[0].get("id").unwrap().as_str(), Some("e1"));
         assert!(
@@ -679,58 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_section_validates_and_round_trips() {
-        use crate::progress::ProgressSnapshot;
-        use crate::sampler::{StallEvent, TimeSample, TimeSeries};
-        let mut ctx = sample_ctx();
-        ctx.timeseries = Some(TimeSeries {
-            interval_ms: 100,
-            capacity: 8,
-            samples: vec![TimeSample {
-                seq: 0,
-                t_ms: 0,
-                progress: ProgressSnapshot::default(),
-                blocks_per_s: 12.5,
-                eta_ms: None,
-                stalls: 1,
-                counters: vec![("cache.hits".into(), 3)],
-                hists: Vec::new(),
-            }],
-            dropped: 0,
-            stalls: 1,
-            stall_events: vec![StallEvent {
-                seq: 1,
-                t_ms: 400,
-                stalled_ms: 400,
-                open_spans: vec!["study/workload/bfs".into()],
-            }],
-        });
-        let doc = build_report(&sample_snapshot(), &ctx);
-        let back = validate_str(&doc.render()).expect("valid report with timeseries");
-        assert_eq!(back, doc);
-        let ts = doc.get("timeseries").unwrap();
-        assert_eq!(ts.get("stalls").unwrap().as_u64(), Some(1));
-        let sample = &ts.get("samples").unwrap().as_arr().unwrap()[0];
-        assert_eq!(sample.get("eta_ms").unwrap(), &Json::Null);
-        let ev = &ts.get("stall_events").unwrap().as_arr().unwrap()[0];
-        assert_eq!(
-            ev.get("open_spans").unwrap().as_arr().unwrap()[0].as_str(),
-            Some("study/workload/bfs")
-        );
-        // A malformed (non-empty but incomplete) section is rejected.
-        let Json::Obj(mut fields) = doc else {
-            unreachable!()
-        };
-        for f in &mut fields {
-            if f.0 == "timeseries" {
-                f.1 = Json::Obj(vec![("interval_ms".into(), Json::UInt(100))]);
-            }
-        }
-        let err = validate(&Json::Obj(fields)).unwrap_err();
-        assert!(err.contains("timeseries"), "{err}");
-    }
-
-    #[test]
     fn validate_rejects_missing_and_mistyped_keys() {
         let doc = build_report(&sample_snapshot(), &sample_ctx());
         let Json::Obj(mut fields) = doc.clone() else {
@@ -742,7 +635,7 @@ mod tests {
 
         // Only the written version validates: older and unknown stamps
         // are rejected even when every current key is present.
-        for version in [3, 4, 99] {
+        for version in [4, 5, 99] {
             let Json::Obj(mut fields) = doc.clone() else {
                 unreachable!()
             };

@@ -16,9 +16,7 @@
 //! there, so span paths do not depend on which thread ran the work.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 thread_local! {
@@ -27,36 +25,6 @@ thread_local! {
 }
 
 static NEXT_THREAD_ORD: AtomicU64 = AtomicU64::new(1);
-
-/// When set, span open/close also maintains [`OPEN`] — a cross-thread
-/// mirror of every thread's open-span paths, so the stall watchdog can
-/// name what a stuck run is doing. Off by default: the mirror costs a
-/// lock and a path join per span, which only the sampler should pay.
-static OPEN_TRACKING: AtomicBool = AtomicBool::new(false);
-
-/// Open span paths per thread ordinal, innermost last. Only maintained
-/// while [`OPEN_TRACKING`] is set.
-static OPEN: Mutex<BTreeMap<u64, Vec<String>>> = Mutex::new(BTreeMap::new());
-
-/// Turns the open-span mirror on or off (off also clears it). Called by
-/// the sampler around its lifetime.
-pub(crate) fn set_open_tracking(enabled: bool) {
-    OPEN_TRACKING.store(enabled, Ordering::SeqCst);
-    if !enabled {
-        OPEN.lock().unwrap_or_else(|p| p.into_inner()).clear();
-    }
-}
-
-/// The innermost currently-open span path of each thread that has one,
-/// ordered by thread ordinal. Empty unless a sampler is running (the
-/// mirror is only maintained then) — this is the stall watchdog's
-/// "what is the run doing right now" answer.
-pub fn open_span_paths() -> Vec<String> {
-    let open = OPEN.lock().unwrap_or_else(|p| p.into_inner());
-    open.values()
-        .filter_map(|stack| stack.last().cloned())
-        .collect()
-}
 
 /// A small stable ordinal for the calling thread, assigned on first use
 /// (the process's first instrumented thread — usually main — is 1).
@@ -79,14 +47,6 @@ impl SpanGuard {
     /// name construction) when no recorder is installed.
     pub fn begin(name: String) -> SpanGuard {
         STACK.with(|s| s.borrow_mut().push(name));
-        if OPEN_TRACKING.load(Ordering::Relaxed) {
-            let path = STACK.with(|s| s.borrow().join("/"));
-            OPEN.lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .entry(thread_ord())
-                .or_default()
-                .push(path);
-        }
         SpanGuard {
             start: Some(Instant::now()),
         }
@@ -109,17 +69,6 @@ impl Drop for SpanGuard {
             stack.pop();
             path
         });
-        if OPEN_TRACKING.load(Ordering::Relaxed) {
-            let mut open = OPEN.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(stack) = open.get_mut(&thread_ord()) {
-                // Spans opened before tracking started have no mirror
-                // entry; popping an empty stack is fine.
-                stack.pop();
-                if stack.is_empty() {
-                    open.remove(&thread_ord());
-                }
-            }
-        }
         // The recorder may have been uninstalled while the span was
         // open; the stack bookkeeping above must happen regardless.
         if let Some(r) = crate::recorder() {
@@ -191,23 +140,6 @@ mod tests {
         let snap = rec.snapshot();
         let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
         assert_eq!(paths, ["outer", "outer/inner-1"]);
-    }
-
-    #[test]
-    fn open_span_mirror_tracks_innermost_paths() {
-        let rec = Arc::new(MetricsRecorder::default());
-        let _guard = crate::install(rec);
-        super::set_open_tracking(true);
-        {
-            let _outer = crate::span!("outer");
-            let _inner = crate::span!("inner");
-            assert_eq!(super::open_span_paths(), ["outer/inner"]);
-        }
-        assert!(
-            super::open_span_paths().is_empty(),
-            "closed spans leave the mirror"
-        );
-        super::set_open_tracking(false);
     }
 
     #[test]

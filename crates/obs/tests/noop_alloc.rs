@@ -57,10 +57,6 @@ fn measure_window() -> usize {
         // Exec-profile reporting borrows stack slices either way.
         gwc_obs::exec_profile("kernel", &classes, &hotspots);
         gwc_obs::exec_profile("kernel", &[], &[]);
-        // Progress accounting: one relaxed load and out while disabled.
-        gwc_obs::progress::declare(&gwc_obs::progress::BLOCKS, i);
-        gwc_obs::progress::tick(&gwc_obs::progress::BLOCKS, 1);
-        gwc_obs::progress::set_stage("stage");
         // Folding an empty span stream must not allocate either: the
         // recorder-free pipeline calls this with nothing recorded.
         let tree = gwc_obs::selftime::fold(&[]);
@@ -79,9 +75,6 @@ fn disabled_hot_path_never_allocates() {
         gwc_obs::count_max("warmup", 1);
         gwc_obs::gauge("warmup", 0.0);
         gwc_obs::hist("warmup", 1);
-        gwc_obs::progress::declare(&gwc_obs::progress::TASKS, 1);
-        gwc_obs::progress::tick(&gwc_obs::progress::TASKS, 1);
-        gwc_obs::progress::set_stage("warmup");
     }
     // The counter is process-global, so the libtest harness thread can
     // contribute a stray allocation while a window runs. Take the best

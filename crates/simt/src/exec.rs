@@ -418,7 +418,6 @@ impl Device {
             gwc_obs::count(&format!("pair.policy.{}", policy.name()), 1);
             gwc_obs::count("pair.slices", plan.slices().len() as u64);
         }
-        gwc_obs::progress::declare(&gwc_obs::progress::BLOCKS, plan.total_blocks());
         let t0 = gwc_obs::enabled().then(std::time::Instant::now);
         let span = gwc_obs::span!("launch/{}", launches.map(|l| l.kernel.name()).join("+"));
         let profile_exec = self.exec_profiling_active();
@@ -451,7 +450,6 @@ impl Device {
                 crate::trace::record_exec_profile(member.kernel, profile);
             }
         }
-        gwc_obs::progress::tick(&gwc_obs::progress::LAUNCHES, N as u64);
         // The device holds one profile: a solo launch's. Overwrite even
         // with `None`, so no profile outlives the launch it measured.
         self.last_exec = if N == 1 { members[0].exec.take() } else { None };
@@ -492,7 +490,6 @@ impl Device {
             };
             for block in slice.blocks.clone() {
                 ctx.run_block::<B, O>(block, &mut m.scratch, observer)?;
-                gwc_obs::progress::tick(&gwc_obs::progress::BLOCKS, 1);
             }
         }
         Ok(())
