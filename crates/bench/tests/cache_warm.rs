@@ -19,10 +19,6 @@ use gwc_obs::json::{self, Json};
 /// misses once per workload and a warm run hits once per workload.
 const REGISTRY_SIZE: u64 = 26;
 
-/// Matrix column blocks are assembled after the `vector_add` exclusion,
-/// so the matrix cache holds one entry fewer than the profile cache.
-const MATRIX_BLOCKS: u64 = REGISTRY_SIZE - 1;
-
 fn regen(cache: &Path, metrics: &Path) -> Output {
     Command::new(env!("CARGO_BIN_EXE_regen"))
         .arg("--cache")
@@ -74,11 +70,13 @@ fn warm_reruns_are_byte_identical_and_simulation_free() {
     assert_eq!(counter_value(&cold_metrics, "cache.misses"), REGISTRY_SIZE);
     assert_eq!(counter_value(&cold_metrics, "cache.hits"), 0);
     assert!(counter_value(&cold_metrics, "cache.bytes_written") > 0);
-    assert_eq!(
-        counter_value(&cold_metrics, "matrix.cache.misses"),
-        MATRIX_BLOCKS
-    );
-    assert_eq!(counter_value(&cold_metrics, "matrix.cache.hits"), 0);
+    // The profile cache is the only store: one entry per workload.
+    let mut entries: Vec<PathBuf> = fs::read_dir(&cache)
+        .expect("cache dir exists")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    entries.sort();
+    assert_eq!(entries.len() as u64, REGISTRY_SIZE, "{entries:?}");
 
     // Warm: same bytes out, zero simulations, nothing rewritten.
     let warm_metrics = base.join("warm.json");
@@ -92,35 +90,9 @@ fn warm_reruns_are_byte_identical_and_simulation_free() {
     assert_eq!(counter_value(&warm_metrics, "cache.hits"), REGISTRY_SIZE);
     assert_eq!(counter_value(&warm_metrics, "cache.misses"), 0);
     assert_eq!(counter_value(&warm_metrics, "cache.bytes_written"), 0);
-    assert_eq!(
-        counter_value(&warm_metrics, "matrix.cache.hits"),
-        MATRIX_BLOCKS
-    );
-    assert_eq!(counter_value(&warm_metrics, "matrix.cache.misses"), 0);
 
     // Corrupt two profile entries: they recompute silently, output
-    // unchanged. Profile entries are bare-hex filenames; matrix column
-    // blocks share the directory under an `m` prefix.
-    let all_entries: Vec<PathBuf> = fs::read_dir(&cache)
-        .expect("cache dir exists")
-        .map(|e| e.expect("dir entry").path())
-        .collect();
-    let mut entries: Vec<PathBuf> = all_entries
-        .iter()
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| !n.starts_with('m'))
-        })
-        .cloned()
-        .collect();
-    entries.sort();
-    assert_eq!(entries.len() as u64, REGISTRY_SIZE);
-    assert_eq!(
-        (all_entries.len() - entries.len()) as u64,
-        MATRIX_BLOCKS,
-        "one matrix block per post-exclusion workload"
-    );
+    // unchanged.
     fs::write(&entries[0], "not json at all").expect("corrupt entry");
     fs::write(&entries[1], "{\"cache_version\": 9999}").expect("skew entry");
 
@@ -136,12 +108,6 @@ fn warm_reruns_are_byte_identical_and_simulation_free() {
     assert_eq!(
         counter_value(&repair_metrics, "cache.hits"),
         REGISTRY_SIZE - 2
-    );
-    // Recomputed profiles are bit-identical, so their fingerprints (and
-    // the matrix blocks keyed on them) are untouched.
-    assert_eq!(
-        counter_value(&repair_metrics, "matrix.cache.hits"),
-        MATRIX_BLOCKS
     );
     // The two recomputed entries were stored back in repaired form.
     assert!(counter_value(&repair_metrics, "cache.bytes_written") > 0);

@@ -85,7 +85,7 @@ fn metrics_report_has_stages_pools_and_workloads() {
         .iter()
         .map(|s| s.get("name").unwrap().as_str().unwrap())
         .collect();
-    for want in ["study", "reduce", "cluster"] {
+    for want in ["study", "matrix", "reduce", "cluster"] {
         assert!(stage_names.contains(&want), "missing stage `{want}`");
     }
     for s in stages {
@@ -236,7 +236,7 @@ fn span_paths_are_independent_of_thread_count() {
     );
     let scenario_launch = serial
         .iter()
-        .filter_map(|p| p.strip_prefix("experiment/e14/study/pairs/"))
+        .filter_map(|p| p.strip_prefix("experiment/e14/pairs/"))
         .find(|rest| {
             rest.split_once('/')
                 .is_some_and(|(_, l)| l.starts_with("launch/"))
@@ -246,7 +246,7 @@ fn span_paths_are_independent_of_thread_count() {
         "pair launches nest under their scenario span: {serial:?}"
     );
     assert!(
-        !serial.iter().any(|p| p.contains("study/pairs/study/pairs")),
+        !serial.iter().any(|p| p.contains("pairs/pairs")),
         "scenario spans carry no doubled prefix"
     );
 

@@ -71,6 +71,7 @@ fn trace_export_is_valid_chrome_trace_json() {
         .collect();
     for want in [
         "study",
+        "matrix",
         "reduce",
         "cluster",
         "experiment/e1",

@@ -148,11 +148,11 @@ pub struct MatrixBlock {
 }
 
 /// A content-addressed store of per-workload matrix column blocks,
-/// living alongside [`ProfileCache`] entries in the same directory
-/// (entries are prefixed `m`, so the two stores can never collide).
-/// Keys are the same workload fingerprints the profile cache uses;
-/// appending a workload to a cached study therefore reuses every
-/// existing block and recomputes only reduce/cluster.
+/// keyed on the profile cache's workload fingerprints and living
+/// alongside [`ProfileCache`] entries (prefixed `m`, so the two stores
+/// can never collide). No pipeline stage uses it — the matrix stage
+/// copies rows from the study's in-memory profiles; it stays only for
+/// the benchmark's layer ladder, which times a block store and load.
 #[derive(Debug, Clone)]
 pub struct MatrixCache {
     dir: PathBuf,

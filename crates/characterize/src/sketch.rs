@@ -73,7 +73,7 @@ impl ObserverTier {
 /// Profiles observed under the sketch tier are *different artifacts*
 /// from exact ones (estimated characteristics); this salt is XORed into
 /// the workload fingerprint so the two tiers can never alias in the
-/// profile or matrix caches.
+/// profile cache.
 pub const CACHE_SALT: u64 = 0x9d3c_5f21_7a86_44b1;
 
 /// Recency-window depth in distinct lines. One more than the largest

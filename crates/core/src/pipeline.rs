@@ -7,11 +7,11 @@
 //! clustering) and the chain's structure existed only by convention. Here
 //! each step is a [`Stage`] with a typed input and output artifact, the
 //! dependencies are data ([`StageId::deps`]), and [`Artifacts::collect`]
-//! is the single driver that walks the DAG in topological order under the
-//! canonical observability spans (`study`, `reduce/matrix`, `reduce`,
-//! `cluster` — the matrix stage deliberately records *under* `reduce` so
-//! the top-level stage set, and therefore every metrics report and perf
-//! baseline, is unchanged).
+//! is the single entry point that walks the DAG in topological order,
+//! running each stage inside one observability span named after it
+//! (`study`, `matrix`, `reduce`, `cluster`). The lazy pair stage opens
+//! its `pairs` span wherever it is run from (E14 records it under
+//! `experiment/e14`).
 //!
 //! The study stage is cache-aware: give [`PipelineConfig::cache_dir`] a
 //! directory and workloads whose fingerprints hit the persistent profile
@@ -19,9 +19,9 @@
 
 use std::path::PathBuf;
 
-use gwc_characterize::{MatrixBlock, MatrixCache, ProfileCache};
+use gwc_characterize::ProfileCache;
 use gwc_simt::sched::SchedPolicy;
-use gwc_stats::{Matrix, MatrixBuilder};
+use gwc_stats::Matrix;
 use gwc_workloads::Scale;
 
 use crate::analysis::ClusterAnalysis;
@@ -62,21 +62,6 @@ impl StageId {
             StageId::Study => "study",
             StageId::Pairs => "pairs",
             StageId::Matrix => "matrix",
-            StageId::Reduce => "reduce",
-            StageId::Cluster => "cluster",
-        }
-    }
-
-    /// The observability span path the driver opens around the stage.
-    ///
-    /// `Matrix` records under `reduce/` so the set of *top-level* stages
-    /// in a metrics report stays `{study, reduce, cluster}`, exactly as
-    /// before the matrix assembly became its own stage.
-    pub fn span_path(self) -> &'static str {
-        match self {
-            StageId::Study => "study",
-            StageId::Pairs => "study/pairs",
-            StageId::Matrix => "reduce/matrix",
             StageId::Reduce => "reduce",
             StageId::Cluster => "cluster",
         }
@@ -277,24 +262,15 @@ impl Stage for PairsStage {
     type Output = PairArtifact;
 
     fn run(cfg: &PipelineConfig, input: &StudyArtifact) -> PairArtifact {
-        let _span = gwc_obs::span!("{}", StageId::Pairs.span_path());
+        let _span = gwc_obs::span!("{}", StageId::Pairs.name());
         PairArtifact {
             pairs: crate::pairs::run_from_artifact(cfg, input),
         }
     }
 }
 
-/// The matrix-assembly stage (incremental and cache-aware).
-///
-/// Rows are assembled one per-workload column block at a time through
-/// [`MatrixBuilder`], so peak memory is one matrix. With a cache
-/// directory configured, each block is keyed on its workload's content
-/// fingerprint in a [`MatrixCache`] living alongside the profile cache:
-/// appending a workload to a cached study re-reads every existing block
-/// (values stored as raw `f64` bits, so reuse is bit-exact) and computes
-/// only the new one. Hit/miss totals land on `matrix.cache.hits` /
-/// `matrix.cache.misses`. A cached block whose labels disagree with the
-/// study (stale or corrupt entry) is recomputed and re-stored.
+/// The matrix-assembly stage: one row per kernel, copied from the
+/// study's in-memory profiles in study order ([`Study::matrix`]).
 pub struct MatrixStage;
 
 impl Stage for MatrixStage {
@@ -302,59 +278,10 @@ impl Stage for MatrixStage {
     type Input<'a> = &'a StudyArtifact;
     type Output = MatrixArtifact;
 
-    fn run(cfg: &PipelineConfig, input: &StudyArtifact) -> MatrixArtifact {
-        let study = &input.study;
-        let records = study.records();
-        let cache = cfg.cache_dir.as_ref().map(MatrixCache::new);
-        let cols = records
-            .first()
-            .map(|r| r.profile.values().len())
-            .unwrap_or(0);
-        let mut labels: Vec<String> = Vec::with_capacity(records.len());
-        let mut builder = MatrixBuilder::new(cols);
-        for name in study.workload_names() {
-            let rows_idx = study.rows_of_workload(name);
-            let fingerprint = records[rows_idx[0]].fingerprint;
-            let block_labels: Vec<String> = rows_idx.iter().map(|&i| records[i].label()).collect();
-            let cached = cache
-                .as_ref()
-                .and_then(|c| c.load(fingerprint))
-                .filter(|b| b.labels == block_labels);
-            if let Some(block) = cached {
-                gwc_obs::count("matrix.cache.hits", 1);
-                for row in &block.rows {
-                    builder
-                        .push_row(row)
-                        .expect("block width validated on load");
-                }
-            } else {
-                if cache.is_some() {
-                    gwc_obs::count("matrix.cache.misses", 1);
-                }
-                let rows: Vec<Vec<f64>> = rows_idx
-                    .iter()
-                    .map(|&i| records[i].profile.values().to_vec())
-                    .collect();
-                for row in &rows {
-                    builder
-                        .push_row(row)
-                        .expect("profiles share the schema width");
-                }
-                if let Some(c) = &cache {
-                    c.store(
-                        fingerprint,
-                        &MatrixBlock {
-                            labels: block_labels.clone(),
-                            rows,
-                        },
-                    );
-                }
-            }
-            labels.extend(block_labels);
-        }
+    fn run(_cfg: &PipelineConfig, input: &StudyArtifact) -> MatrixArtifact {
         MatrixArtifact {
-            labels,
-            matrix: builder.finish().expect("study is never empty"),
+            labels: input.study.labels(),
+            matrix: input.study.matrix(),
         }
     }
 }
@@ -390,6 +317,12 @@ impl Stage for ClusterStage {
     }
 }
 
+/// Runs stage `S` inside a span named [`StageId::name`].
+fn run_in_span<S: Stage>(cfg: &PipelineConfig, input: S::Input<'_>) -> S::Output {
+    let _span = gwc_obs::span!("{}", S::ID.name());
+    S::run(cfg, input)
+}
+
 /// Every artifact of one full pipeline run.
 #[derive(Debug)]
 pub struct Artifacts {
@@ -408,29 +341,17 @@ pub struct Artifacts {
 }
 
 impl Artifacts {
-    /// Runs every stage in DAG order under the canonical spans and
-    /// returns the full artifact set.
+    /// Runs every stage in DAG order, each inside a span named after it,
+    /// and returns the full artifact set.
     ///
     /// # Panics
     ///
     /// Panics if any stage fails (see [`Stage::run`]).
     pub fn collect(cfg: &PipelineConfig) -> Self {
-        let study = {
-            let _span = gwc_obs::span!("{}", StageId::Study.span_path());
-            StudyStage::run(cfg, ())
-        };
-        let matrix = {
-            let _span = gwc_obs::span!("{}", StageId::Matrix.span_path());
-            MatrixStage::run(cfg, &study)
-        };
-        let reduced = {
-            let _span = gwc_obs::span!("{}", StageId::Reduce.span_path());
-            ReduceStage::run(cfg, &matrix)
-        };
-        let clustering = {
-            let _span = gwc_obs::span!("{}", StageId::Cluster.span_path());
-            ClusterStage::run(cfg, &reduced)
-        };
+        let study = run_in_span::<StudyStage>(cfg, ());
+        let matrix = run_in_span::<MatrixStage>(cfg, &study);
+        let reduced = run_in_span::<ReduceStage>(cfg, &matrix);
+        let clustering = run_in_span::<ClusterStage>(cfg, &reduced);
         Self {
             study,
             matrix,
@@ -493,26 +414,38 @@ mod tests {
     }
 
     /// The lazy pair stage must stay out of the eager driver: its cost
-    /// belongs to E14 alone, and `collect` timing baselines depend on
-    /// the stage set staying fixed.
+    /// belongs to E14 alone.
     #[test]
     fn pairs_stage_is_lazy_with_valid_deps() {
         assert!(!StageId::ALL.contains(&StageId::Pairs));
         assert_eq!(StageId::Pairs.deps(), &[StageId::Study]);
         assert_eq!(StageId::Pairs.output(), ArtifactKind::Pairs);
         assert_eq!(StageId::Pairs.name(), "pairs");
-        assert_eq!(StageId::Pairs.span_path(), "study/pairs");
         assert_eq!(ArtifactKind::Pairs.name(), "pairs");
     }
 
+    /// Each eager stage records a top-level span under its own name: no
+    /// stage nests under a stage it does not run inside. (Other tests
+    /// may record spans while the recorder is installed, so only
+    /// stage-named spans are compared.)
     #[test]
     fn span_paths_keep_top_level_stage_set() {
+        use std::sync::Arc;
+
+        let mut cfg = PipelineConfig::default();
+        cfg.study.scale = Scale::Tiny;
+        cfg.study.verify = false;
+        let rec = Arc::new(gwc_obs::metrics::MetricsRecorder::default());
+        let guard = gwc_obs::install(rec.clone());
+        Artifacts::collect(&cfg);
+        drop(guard);
+        let snap = rec.snapshot();
         let top: Vec<&str> = StageId::ALL
             .iter()
-            .map(|s| s.span_path())
-            .filter(|p| !p.contains('/'))
+            .map(|s| s.name())
+            .filter(|name| snap.stages().iter().any(|s| s.path == *name))
             .collect();
-        assert_eq!(top, ["study", "reduce", "cluster"]);
+        assert_eq!(top, ["study", "matrix", "reduce", "cluster"]);
     }
 
     #[test]

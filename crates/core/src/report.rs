@@ -71,31 +71,6 @@ pub fn render_scatter(
     out
 }
 
-/// Renders a labeled matrix as CSV (header row of `headers`, one data row
-/// per label) for downstream plotting tools.
-///
-/// # Panics
-///
-/// Panics if `labels` or `headers` disagree with the matrix shape.
-pub fn render_csv(labels: &[String], headers: &[&str], m: &Matrix) -> String {
-    assert_eq!(labels.len(), m.rows(), "one label per row");
-    assert_eq!(headers.len(), m.cols(), "one header per column");
-    let mut out = String::from("kernel");
-    for h in headers {
-        out.push(',');
-        out.push_str(h);
-    }
-    out.push('\n');
-    for (r, label) in labels.iter().enumerate() {
-        out.push_str(label);
-        for c in 0..m.cols() {
-            out.push_str(&format!(",{}", m.get(r, c)));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 fn bounds(vals: &[f64]) -> (f64, f64) {
     let lo = vals.iter().cloned().fold(f64::INFINITY, f64::min);
     let hi = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -139,20 +114,6 @@ mod tests {
         let labels = vec!["only".to_string()];
         let s = render_scatter(&labels, &[1.0], &[1.0], 10, 5);
         assert!(s.contains('a'));
-    }
-
-    #[test]
-    fn csv_round_trips_values() {
-        let m = Matrix::from_rows(&[vec![1.5, -2.0]]).unwrap();
-        let csv = render_csv(&["k0".into()], &["a", "b"], &m);
-        assert_eq!(csv, "kernel,a,b\nk0,1.5,-2\n");
-    }
-
-    #[test]
-    #[should_panic(expected = "one header per column")]
-    fn csv_header_mismatch_panics() {
-        let m = Matrix::from_rows(&[vec![1.0]]).unwrap();
-        render_csv(&["k".into()], &[], &m);
     }
 
     #[test]

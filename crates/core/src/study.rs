@@ -5,7 +5,7 @@ use std::sync::Mutex;
 
 use gwc_characterize::{sketch, KernelProfile, ObserverTier, ProfileCache, Profiler};
 use gwc_simt::exec::Device;
-use gwc_stats::Matrix;
+use gwc_stats::{Matrix, MatrixBuilder};
 use gwc_workloads::fingerprint::workload_fingerprint;
 use gwc_workloads::{registry, Scale, StudyScale, Suite, Workload, WorkloadError};
 
@@ -54,8 +54,7 @@ pub struct KernelRecord {
     /// The measured profile.
     pub profile: KernelProfile,
     /// Content fingerprint of the workload instance this record came
-    /// from (salted by observer tier) — the key downstream incremental
-    /// caches (e.g. the matrix column cache) reuse rows under. Every
+    /// from (salted by observer tier) — the profile cache's key. Every
     /// record of one workload shares its fingerprint.
     pub fingerprint: u64,
 }
@@ -265,14 +264,17 @@ impl Study {
         self.records.iter().map(KernelRecord::label).collect()
     }
 
-    /// The kernel × characteristic matrix (raw, unnormalized).
+    /// The kernel × characteristic matrix (raw, unnormalized), one row
+    /// per record.
     pub fn matrix(&self) -> Matrix {
-        let rows: Vec<Vec<f64>> = self
-            .records
-            .iter()
-            .map(|r| r.profile.values().to_vec())
-            .collect();
-        Matrix::from_rows(&rows).expect("study is never empty")
+        let cols = self.records.first().map_or(0, |r| r.profile.values().len());
+        let mut builder = MatrixBuilder::new(cols);
+        for r in &self.records {
+            builder
+                .push_row(r.profile.values())
+                .expect("profiles share the schema width");
+        }
+        builder.finish().expect("study is never empty")
     }
 
     /// Row indices belonging to `workload`.

@@ -39,25 +39,6 @@ impl Subspace {
             columns: schema::coalescing_subspace(),
         }
     }
-
-    /// A custom subspace from one characteristic group.
-    pub fn of_group(group: schema::Group) -> Self {
-        Self {
-            name: group.name_static(),
-            columns: schema::indices_of(group),
-        }
-    }
-}
-
-/// Helper: `Group::name` returning `&'static str` (the schema names are
-/// already static).
-trait GroupNameStatic {
-    fn name_static(&self) -> &'static str;
-}
-impl GroupNameStatic for schema::Group {
-    fn name_static(&self) -> &'static str {
-        self.name()
-    }
 }
 
 /// A fitted subspace analysis: the reduced space over the selected
@@ -159,12 +140,5 @@ mod tests {
         let tight = Matrix::from_rows(&[vec![0.0, 0.0], vec![0.1, 0.0]]).unwrap();
         let wide = Matrix::from_rows(&[vec![0.0, 0.0], vec![10.0, 0.0]]).unwrap();
         assert!(workload_spread(&wide, &[0, 1]) > workload_spread(&tight, &[0, 1]) * 10.0);
-    }
-
-    #[test]
-    fn group_subspace_selects_group_columns() {
-        let s = Subspace::of_group(schema::Group::Locality);
-        assert_eq!(s.columns, schema::indices_of(schema::Group::Locality));
-        assert_eq!(s.name, "locality");
     }
 }

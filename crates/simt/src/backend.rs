@@ -9,8 +9,7 @@
 //! * **simd** — the production engine: the 32 warp lanes are processed as
 //!   four 8-wide lane groups over `[u32; 8]` value vectors the
 //!   autovectorizer can lower to real SIMD, with the active mask applied
-//!   as a blend mask, plus superinstruction fusion of hot adjacent µop
-//!   pairs ([`crate::decode::Fusion`]).
+//!   as a blend mask.
 //!
 //! Selection is per-[`Device`](crate::exec::Device): [`BackendKind::from_env`]
 //! resolves the default at device creation (process override set by
@@ -19,9 +18,8 @@
 //! per device. [`Device::fork`](crate::exec::Device::fork)ed devices
 //! inherit their parent's backend.
 //!
-//! The scalar engine ignores the fusion table: it is the semantic
-//! baseline the differential harness (`tests/backend_diff.rs`) measures
-//! the SIMD engine against.
+//! The scalar engine is the semantic baseline the differential harness
+//! (`tests/backend_diff.rs`) measures the SIMD engine against.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -35,7 +33,7 @@ use crate::SimtError;
 pub enum BackendKind {
     /// The one-lane-at-a-time reference interpreter.
     Scalar,
-    /// The 8-wide lane-group engine with µop fusion (the default).
+    /// The 8-wide lane-group engine (the default).
     #[default]
     Simd,
 }
@@ -121,24 +119,6 @@ pub fn set_default(kind: BackendKind) {
     );
 }
 
-/// Whether newly created devices run the decode-time µop fusion table
-/// (SIMD backend only). On unless `GWC_FUSION` is `0`/`off`/`false`.
-///
-/// # Panics
-///
-/// Panics on an unrecognized `GWC_FUSION` value.
-pub fn fusion_from_env() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("GWC_FUSION") {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "1" | "on" | "true" => true,
-            "0" | "off" | "false" => false,
-            _ => panic!("GWC_FUSION={v:?} is not a switch (expected 0/1/on/off/true/false)"),
-        },
-        Err(_) => true,
-    })
-}
-
 /// A warp execution engine.
 ///
 /// The contract is total behavioral equivalence with the scalar
@@ -193,7 +173,7 @@ impl ExecBackend for ScalarBackend {
     }
 }
 
-/// The 8-wide lane-group engine with superinstruction fusion.
+/// The 8-wide lane-group engine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimdBackend;
 

@@ -516,7 +516,7 @@ impl KernelBuilder {
         Type::F32
     );
 
-    /// `u32` fused multiply-add: `a * b + c`.
+    /// `u32` multiply-add (wrapping): `a * b + c`.
     pub fn mad_u32(
         &mut self,
         a: impl Into<Operand>,
@@ -533,7 +533,7 @@ impl KernelBuilder {
         dst
     }
 
-    /// `f32` fused multiply-add: `a * b + c`.
+    /// `f32` multiply-add, rounded once: `a * b + c`.
     pub fn mad_f32(
         &mut self,
         a: impl Into<Operand>,

@@ -338,7 +338,7 @@ pub fn convert(bits: u32, from: Type, to: Type) -> u32 {
     }
 }
 
-/// Fused multiply-add on raw bits (`a * b + c`, wrapping for integers,
+/// Multiply-add on raw bits (`a * b + c`, wrapping for integers,
 /// `mul_add` for floats).
 #[inline]
 pub fn eval_mad(ty: Type, a: u32, b: u32, c: u32) -> u32 {
@@ -492,31 +492,6 @@ pub enum Uop {
     Ret,
 }
 
-/// A fusable adjacent µop pair, detected once at decode time.
-///
-/// Fusion is a pure execution hint: the µop stream is unchanged (both
-/// slots keep their original µops, so branches into the second slot
-/// still work and trace events still fire once per source pc), but a
-/// backend that honors the table may execute the pair as one
-/// superinstruction, keeping the intermediate value in registers-of-the
-/// -interpreter instead of round-tripping it through the warp register
-/// bank between two dispatch steps. The scalar reference ignores it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fusion {
-    /// A `Cmp` whose predicate feeds the immediately following `Branch`
-    /// (and nothing in between): the branch's taken mask is derived
-    /// directly from the compare vector.
-    CmpBranch,
-    /// An integer/float `Mul` whose destination feeds the following
-    /// same-typed `Add`: the product vector is reused as the add
-    /// operand. (Float fusion here is *not* an FMA — the add still
-    /// rounds separately, exactly like the unfused pair.)
-    MulAdd,
-    /// A `Ld` whose destination feeds the following `Cvt`: the loaded
-    /// bits are converted straight out of the load buffer.
-    LdCvt,
-}
-
 /// A kernel lowered to the flat µop form, plus the per-pc side tables
 /// (class / destination / source registers) the trace observers need.
 #[derive(Debug)]
@@ -527,10 +502,6 @@ pub struct DecodedKernel {
     /// Flattened source-register lists; `src_ranges[pc]` indexes into it.
     src_pool: Vec<Reg>,
     src_ranges: Vec<(u32, u32)>,
-    /// `fused[pc]` marks a superinstruction headed at `pc` (consuming
-    /// `pc` and `pc + 1`). Pairs never overlap (greedy left-to-right).
-    /// Derived from `uops`, so it is *not* part of the content hash.
-    fused: Vec<Option<Fusion>>,
 }
 
 impl DecodedKernel {
@@ -658,14 +629,12 @@ impl DecodedKernel {
             });
         }
 
-        let fused = detect_fusion(&uops);
         DecodedKernel {
             uops,
             classes,
             dsts,
             src_pool,
             src_ranges,
-            fused,
         }
     }
 
@@ -699,67 +668,6 @@ impl DecodedKernel {
         let (start, len) = self.src_ranges[pc];
         &self.src_pool[start as usize..(start + len) as usize]
     }
-
-    /// The superinstruction headed at `pc`, if the fusion pass marked
-    /// one (consuming `pc` and `pc + 1`).
-    pub fn fused(&self, pc: usize) -> Option<Fusion> {
-        self.fused[pc]
-    }
-
-    /// Number of fused pairs detected in this kernel.
-    pub fn fusion_count(&self) -> usize {
-        self.fused.iter().flatten().count()
-    }
-}
-
-/// Marks non-overlapping fusable adjacent pairs, greedy left-to-right.
-///
-/// A pair is only fusable when the first µop's destination feeds the
-/// second and execution falls through between them; whether control flow
-/// can *enter* at `pc + 1` (branch target or reconvergence there) is a
-/// dynamic property the executing backend guards — slot `pc + 1` keeps
-/// its original µop precisely so that entry mid-pair stays legal.
-fn detect_fusion(uops: &[Uop]) -> Vec<Option<Fusion>> {
-    let mut fused = vec![None; uops.len()];
-    let mut pc = 0;
-    while pc + 1 < uops.len() {
-        let f = match (&uops[pc], &uops[pc + 1]) {
-            (Uop::Cmp { dst, .. }, Uop::Branch { reg, .. }) if dst == reg => {
-                Some(Fusion::CmpBranch)
-            }
-            (Uop::Bin { kind: k1, dst, .. }, Uop::Bin { kind: k2, a, b, .. })
-                if mul_feeds_add(*k1, *k2, *dst, a, b) =>
-            {
-                Some(Fusion::MulAdd)
-            }
-            (
-                Uop::Ld { dst, .. },
-                Uop::Cvt {
-                    src: Src::Reg(r), ..
-                },
-            ) if dst == r => Some(Fusion::LdCvt),
-            _ => None,
-        };
-        if f.is_some() {
-            fused[pc] = f;
-            pc += 2;
-        } else {
-            pc += 1;
-        }
-    }
-    fused
-}
-
-/// Is `(k1, k2)` a same-typed mul→add pair whose add reads the mul's
-/// destination `t`?
-fn mul_feeds_add(k1: BinKind, k2: BinKind, t: u16, a: &Src, b: &Src) -> bool {
-    let pair = matches!(
-        (k1, k2),
-        (BinKind::MulU32, BinKind::AddU32)
-            | (BinKind::MulI32, BinKind::AddI32)
-            | (BinKind::MulF32, BinKind::AddF32)
-    );
-    pair && (*a == Src::Reg(t) || *b == Src::Reg(t))
 }
 
 #[cfg(test)]
@@ -869,78 +777,6 @@ mod tests {
         assert_eq!(AtomKind::Exch.apply(7, 9, None), Some(9));
         assert_eq!(AtomKind::Cas.apply(7, 9, Some(7)), Some(9));
         assert_eq!(AtomKind::Cas.apply(7, 9, Some(8)), None);
-    }
-
-    #[test]
-    fn fusion_marks_the_three_hot_pairs() {
-        use crate::builder::KernelBuilder;
-
-        // cmp feeding the structured-if branch → CmpBranch at the cmp pc.
-        let mut b = KernelBuilder::new("f_cmp_bra");
-        let n = b.param_u32("n");
-        let i = b.global_tid_x();
-        let p = b.lt_u32(i, n);
-        b.if_(p, |b| b.ret());
-        let k = b.build().unwrap();
-        let d = k.decoded();
-        let cmp_pc = k
-            .instrs()
-            .iter()
-            .position(|ins| matches!(ins, crate::instr::Instr::Cmp { .. }))
-            .unwrap();
-        assert_eq!(d.fused(cmp_pc), Some(Fusion::CmpBranch));
-        assert_eq!(d.fusion_count(), 1);
-
-        // mul whose product feeds the adjacent same-typed add → MulAdd.
-        let mut b = KernelBuilder::new("f_mul_add");
-        let x = b.param_u32("x");
-        let t = b.mul_u32(x, Value::U32(3));
-        let _ = b.add_u32(t, Value::U32(5));
-        let k = b.build().unwrap();
-        assert_eq!(k.decoded().fused(0), Some(Fusion::MulAdd));
-
-        // load feeding the adjacent convert → LdCvt.
-        let mut b = KernelBuilder::new("f_ld_cvt");
-        let ptr = b.param_u32("ptr");
-        let v = b.ld_global_u32(b.offset(ptr, 0));
-        let _ = b.to_f32(v);
-        let k = b.build().unwrap();
-        assert_eq!(k.decoded().fused(0), Some(Fusion::LdCvt));
-    }
-
-    #[test]
-    fn fusion_pairs_never_overlap_and_require_dataflow() {
-        use crate::builder::KernelBuilder;
-
-        // mul → add → add: the first pair fuses, the second add is on
-        // its own (greedy, non-overlapping).
-        let mut b = KernelBuilder::new("f_chain");
-        let x = b.param_u32("x");
-        let t = b.mul_u32(x, Value::U32(3));
-        let s = b.add_u32(t, Value::U32(5));
-        let _ = b.add_u32(s, Value::U32(7));
-        let k = b.build().unwrap();
-        let d = k.decoded();
-        assert_eq!(d.fused(0), Some(Fusion::MulAdd));
-        assert_eq!(d.fused(1), None);
-        assert_eq!(d.fused(2), None);
-        assert_eq!(d.fusion_count(), 1);
-
-        // Adjacent mul/add without the dataflow edge: no fusion.
-        let mut b = KernelBuilder::new("f_no_flow");
-        let x = b.param_u32("x");
-        let _ = b.mul_u32(x, Value::U32(3));
-        let _ = b.add_u32(x, Value::U32(5));
-        let k = b.build().unwrap();
-        assert_eq!(k.decoded().fusion_count(), 0);
-
-        // The float pair fuses too (still two roundings, not an FMA).
-        let mut b = KernelBuilder::new("f_f32_pair");
-        let x = b.param_f32("x");
-        let t = b.mul_f32(x, Value::F32(2.0));
-        let _ = b.add_f32(t, Value::F32(1.0));
-        let k = b.build().unwrap();
-        assert_eq!(k.decoded().fused(0), Some(Fusion::MulAdd));
     }
 
     #[test]

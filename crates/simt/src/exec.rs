@@ -99,7 +99,6 @@ pub struct Device {
     const_mem: Vec<u8>,
     limits: DeviceLimits,
     backend: BackendKind,
-    fusion: bool,
     /// `Some(_)` forces execution-cost profiling on/off; `None` profiles
     /// exactly when a recorder is installed.
     exec_profiling: Option<bool>,
@@ -126,15 +125,13 @@ impl Device {
     }
 
     /// Creates a device pinned to a specific execution backend
-    /// (ignoring the process default). Fusion still follows
-    /// `GWC_FUSION`.
+    /// (ignoring the process default).
     pub fn with_backend(backend: BackendKind) -> Self {
         Self {
             global: Vec::new(),
             const_mem: Vec::new(),
             limits: DeviceLimits::default(),
             backend,
-            fusion: crate::backend::fusion_from_env(),
             exec_profiling: None,
             last_exec: None,
         }
@@ -153,17 +150,6 @@ impl Device {
     /// The warp execution backend this device launches with.
     pub fn backend(&self) -> BackendKind {
         self.backend
-    }
-
-    /// Enables/disables superinstruction fusion (SIMD backend only; the
-    /// scalar reference always executes the unfused stream).
-    pub fn set_fusion(&mut self, fusion: bool) {
-        self.fusion = fusion;
-    }
-
-    /// Whether the SIMD backend executes the decode-time fusion table.
-    pub fn fusion_enabled(&self) -> bool {
-        self.fusion
     }
 
     /// Overrides execution-cost profiling for subsequent launches:
@@ -484,7 +470,6 @@ impl Device {
                 global: &mut self.global,
                 const_mem: &self.const_mem,
                 budget: self.limits.instr_budget,
-                fusion: self.fusion,
                 stats: &mut m.stats,
                 exec: m.exec.as_mut(),
             };
@@ -496,7 +481,7 @@ impl Device {
     }
 
     /// Clones the device — global and constant memory plus limits,
-    /// backend, fusion and profiling settings — so the copy can run
+    /// backend and profiling settings — so the copy can run
     /// launches from the same memory image while this device stays
     /// untouched (e.g. to measure one set-up several ways).
     pub fn fork(&self) -> Device {
@@ -505,7 +490,6 @@ impl Device {
             const_mem: self.const_mem.clone(),
             limits: self.limits,
             backend: self.backend,
-            fusion: self.fusion,
             exec_profiling: self.exec_profiling,
             last_exec: None,
         }
@@ -627,8 +611,6 @@ pub struct LaunchCtx<'a> {
     pub(crate) global: &'a mut Vec<u8>,
     pub(crate) const_mem: &'a [u8],
     pub(crate) budget: u64,
-    /// Whether the SIMD backend executes the fusion table.
-    pub(crate) fusion: bool,
     pub(crate) stats: &'a mut LaunchStats,
     /// Execution-cost profile to bump per retired µop, when collecting.
     pub(crate) exec: Option<&'a mut ExecProfile>,
@@ -968,32 +950,7 @@ impl LaunchCtx<'_> {
                         active: mask,
                         taken,
                     });
-                    if taken == 0 {
-                        advance(warp);
-                    } else if taken == mask {
-                        warp.stack.last_mut().expect("non-empty").pc = target as usize;
-                    } else {
-                        let rpc = rpc as usize;
-                        let old = warp.stack.pop().expect("non-empty");
-                        // Continuation at the reconvergence point.
-                        warp.stack.push(StackEntry {
-                            pc: rpc,
-                            rpc: old.rpc,
-                            mask: old.mask,
-                        });
-                        // Not-taken path.
-                        warp.stack.push(StackEntry {
-                            pc: pc + 1,
-                            rpc,
-                            mask: mask & !taken,
-                        });
-                        // Taken path (runs first).
-                        warp.stack.push(StackEntry {
-                            pc: target as usize,
-                            rpc,
-                            mask: taken,
-                        });
-                    }
+                    branch(warp, pc, mask, taken, target, rpc);
                 }
                 Uop::Ret => {
                     let exiting = mask;
@@ -1063,6 +1020,38 @@ pub(crate) fn lanes(mask: u32) -> impl Iterator<Item = usize> {
 
 pub(crate) fn advance(warp: &mut Warp) {
     warp.stack.last_mut().expect("non-empty").pc += 1;
+}
+
+/// Applies a resolved conditional branch at `pc` (`taken` ⊆ `mask`) to
+/// the warp's reconvergence stack: both engines' `Branch` arm.
+#[inline]
+pub(crate) fn branch(warp: &mut Warp, pc: usize, mask: u32, taken: u32, target: u32, rpc: u32) {
+    if taken == 0 {
+        advance(warp);
+    } else if taken == mask {
+        warp.stack.last_mut().expect("non-empty").pc = target as usize;
+    } else {
+        let rpc = rpc as usize;
+        let old = warp.stack.pop().expect("non-empty");
+        // Continuation at the reconvergence point.
+        warp.stack.push(StackEntry {
+            pc: rpc,
+            rpc: old.rpc,
+            mask: old.mask,
+        });
+        // Not-taken path.
+        warp.stack.push(StackEntry {
+            pc: pc + 1,
+            rpc,
+            mask: mask & !taken,
+        });
+        // Taken path (runs first).
+        warp.stack.push(StackEntry {
+            pc: target as usize,
+            rpc,
+            mask: taken,
+        });
+    }
 }
 
 #[inline]

@@ -404,7 +404,7 @@ pub enum Instr {
         /// Operand.
         a: Operand,
     },
-    /// Fused multiply-add: `dst = a * b + c`.
+    /// Multiply-add, one rounding for `f32`: `dst = a * b + c`.
     Mad {
         /// Destination register.
         dst: Reg,

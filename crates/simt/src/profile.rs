@@ -65,11 +65,6 @@ impl ExecProfile {
         p.lane_uops += lanes;
     }
 
-    /// Counters for one µop class.
-    pub fn class_counts(&self, class: InstrClass) -> UopCounts {
-        self.classes[class as usize]
-    }
-
     /// All classes with their counters, in [`InstrClass::ALL`] order.
     pub fn classes(&self) -> impl Iterator<Item = (InstrClass, UopCounts)> + '_ {
         InstrClass::ALL
@@ -124,11 +119,14 @@ mod tests {
         p.bump(2, InstrClass::FpAlu, 0b1011);
         p.bump(2, InstrClass::FpAlu, 0b0001);
         assert_eq!(
-            p.class_counts(InstrClass::FpAlu),
-            UopCounts {
-                warp_uops: 2,
-                lane_uops: 4
-            }
+            p.classes().find(|(c, _)| *c == InstrClass::FpAlu),
+            Some((
+                InstrClass::FpAlu,
+                UopCounts {
+                    warp_uops: 2,
+                    lane_uops: 4
+                }
+            ))
         );
         assert_eq!(p.pcs()[2].warp_uops, 2);
         assert_eq!(p.pcs()[2].lane_uops, 4);

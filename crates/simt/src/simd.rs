@@ -31,21 +31,9 @@
 //! * `addr_buf` entries are written for active lanes only — inactive
 //!   lanes keep stale values, matching the scalar engine's documented
 //!   [`MemEvent`] contract.
-//!
-//! # Superinstruction fusion
-//!
-//! When [`LaunchCtx::fusion`] is set, µop pairs marked by the decoder
-//! ([`crate::decode::Fusion`]) execute as one step, keeping the
-//! intermediate vector hot instead of round-tripping it through the
-//! register bank. Fusion is observation-preserving: each half still
-//! performs its own budget accounting and emits its own `on_instr` (and
-//! `on_mem`/`on_branch`) event at its own pc. A pair only fuses
-//! dynamically when execution will actually fall through (`top.rpc !=
-//! pc + 1`); slot `pc + 1` keeps its original µop, so branching into the
-//! middle of a pair executes the plain second half.
 
-use crate::decode::{self, BinKind, DecodedKernel, Fusion, Src, UnKind, Uop};
-use crate::exec::{advance, lanes, read4, write4, write_reg, LaunchCtx, StackEntry, Warp};
+use crate::decode::{self, BinKind, Src, UnKind, Uop};
+use crate::exec::{advance, branch, lanes, read4, write4, write_reg, LaunchCtx, Warp};
 use crate::instr::{CmpOp, Space, Type};
 use crate::trace::{AccessKind, BranchEvent, InstrEvent, MemEvent, TraceObserver};
 use crate::{SimtError, WARP_SIZE};
@@ -246,76 +234,6 @@ fn gather_addrs8(
     }
 }
 
-/// Warp-instruction accounting: bump, enforce the budget, add active
-/// lanes, bump the exec profile — the exact order of the scalar loop's
-/// prologue. Fused pairs call this once per half at that half's pc, so
-/// the profile is fusion-invariant like the stats.
-#[inline]
-fn account(ctx: &mut LaunchCtx<'_>, pc: usize, mask: u32) -> Result<(), SimtError> {
-    ctx.stats.warp_instrs += 1;
-    if ctx.stats.warp_instrs > ctx.budget {
-        return Err(SimtError::InstructionBudgetExceeded { budget: ctx.budget });
-    }
-    ctx.stats.thread_instrs += mask.count_ones() as u64;
-    if let Some(exec) = ctx.exec.as_deref_mut() {
-        exec.bump(pc, ctx.dec.class(pc), mask);
-    }
-    Ok(())
-}
-
-/// Emits the per-pc instruction event (identical to the scalar loop's).
-#[inline]
-fn observe_instr<O: TraceObserver + ?Sized>(
-    dec: &DecodedKernel,
-    observer: &mut O,
-    block: u32,
-    warp: &Warp,
-    pc: usize,
-    mask: u32,
-) {
-    observer.on_instr(&InstrEvent {
-        block,
-        warp: warp.id,
-        pc,
-        class: dec.class(pc),
-        active: mask,
-        live: warp.live,
-        dst: dec.dst(pc),
-        srcs: dec.srcs(pc),
-    });
-}
-
-/// Applies a resolved branch at `pc` to the reconvergence stack —
-/// shared by the plain `Branch` arm and the fused compare-branch.
-fn branch_update(warp: &mut Warp, pc: usize, mask: u32, taken: u32, target: u32, rpc: u32) {
-    if taken == 0 {
-        advance(warp);
-    } else if taken == mask {
-        warp.stack.last_mut().expect("non-empty").pc = target as usize;
-    } else {
-        let rpc = rpc as usize;
-        let old = warp.stack.pop().expect("non-empty");
-        // Continuation at the reconvergence point.
-        warp.stack.push(StackEntry {
-            pc: rpc,
-            rpc: old.rpc,
-            mask: old.mask,
-        });
-        // Not-taken path.
-        warp.stack.push(StackEntry {
-            pc: pc + 1,
-            rpc,
-            mask: mask & !taken,
-        });
-        // Taken path (runs first).
-        warp.stack.push(StackEntry {
-            pc: target as usize,
-            rpc,
-            mask: taken,
-        });
-    }
-}
-
 /// Runs one warp until it exits or reaches a barrier — the SIMD engine's
 /// main loop. Structure mirrors [`LaunchCtx::run_warp_scalar`] step for
 /// step; only the per-µop execution bodies differ.
@@ -330,7 +248,6 @@ pub(crate) fn run_warp_simd<O: TraceObserver + ?Sized>(
     let dec = ctx.dec;
     let exit_pc = dec.len();
     let uops = dec.uops();
-    let fusion = ctx.fusion;
     let mut addr_buf = [0u32; WARP_SIZE];
 
     loop {
@@ -341,35 +258,27 @@ pub(crate) fn run_warp_simd<O: TraceObserver + ?Sized>(
             warp.stack.pop();
             continue;
         }
+        ctx.stats.warp_instrs += 1;
+        if ctx.stats.warp_instrs > ctx.budget {
+            return Err(SimtError::InstructionBudgetExceeded { budget: ctx.budget });
+        }
         let pc = top.pc;
         let mask = top.mask;
-
-        // Fused pairs execute only when control will actually fall
-        // through to pc + 1: a reconvergence point there would pop the
-        // stack between the halves, so the pair runs unfused instead.
-        if fusion && top.rpc != pc + 1 {
-            if let Some(f) = dec.fused(pc) {
-                match f {
-                    Fusion::CmpBranch => exec_cmp_branch(ctx, warp, block, pc, mask, observer)?,
-                    Fusion::MulAdd => exec_mul_add(ctx, warp, block, pc, mask, observer)?,
-                    Fusion::LdCvt => exec_ld_cvt(
-                        ctx,
-                        warp,
-                        block,
-                        pc,
-                        mask,
-                        shared,
-                        local,
-                        &mut addr_buf,
-                        observer,
-                    )?,
-                }
-                continue;
-            }
+        ctx.stats.thread_instrs += mask.count_ones() as u64;
+        if let Some(exec) = ctx.exec.as_deref_mut() {
+            exec.bump(pc, dec.class(pc), mask);
         }
 
-        account(ctx, pc, mask)?;
-        observe_instr(dec, observer, block, warp, pc, mask);
+        observer.on_instr(&InstrEvent {
+            block,
+            warp: warp.id,
+            pc,
+            class: dec.class(pc),
+            active: mask,
+            live: warp.live,
+            dst: dec.dst(pc),
+            srcs: dec.srcs(pc),
+        });
 
         match uops[pc] {
             Uop::Bin { kind, dst, a, b } => {
@@ -632,7 +541,7 @@ pub(crate) fn run_warp_simd<O: TraceObserver + ?Sized>(
                     active: mask,
                     taken,
                 });
-                branch_update(warp, pc, mask, taken, target, rpc);
+                branch(warp, pc, mask, taken, target, rpc);
             }
             Uop::Ret => {
                 let exiting = mask;
@@ -643,215 +552,4 @@ pub(crate) fn run_warp_simd<O: TraceObserver + ?Sized>(
             }
         }
     }
-}
-
-/// Fused compare + branch: one pass computes the predicate vector,
-/// blends it into the predicate register *and* derives the taken mask,
-/// so the branch never re-reads the bank. Two accounting steps, two
-/// `on_instr` events, one `on_branch` — the observable stream of the
-/// unfused pair.
-fn exec_cmp_branch<O: TraceObserver + ?Sized>(
-    ctx: &mut LaunchCtx<'_>,
-    warp: &mut Warp,
-    block: u32,
-    pc: usize,
-    mask: u32,
-    observer: &mut O,
-) -> Result<(), SimtError> {
-    let dec = ctx.dec;
-    let (
-        Uop::Cmp { op, ty, dst, a, b },
-        Uop::Branch {
-            target,
-            negate,
-            rpc,
-            ..
-        },
-    ) = (dec.uops()[pc], dec.uops()[pc + 1])
-    else {
-        unreachable!("fusion table says CmpBranch");
-    };
-
-    account(ctx, pc, mask)?;
-    observe_instr(dec, observer, block, warp, pc, mask);
-    let mut taken = 0u32;
-    for g in 0..GROUPS {
-        let gm = group_mask(mask, g);
-        if gm == 0 {
-            continue;
-        }
-        let va = eval8(ctx, warp, block, g, a);
-        let vb = eval8(ctx, warp, block, g, b);
-        let c = cmp8(op, ty, &va, &vb);
-        blend8(warp, dst, g, gm, &c);
-        for (i, &c) in c.iter().enumerate() {
-            if gm & (1 << i) != 0 && (c != 0) != negate {
-                taken |= 1 << (g * 8 + i);
-            }
-        }
-    }
-
-    // Branch half. A budget fault here leaves the compare committed and
-    // the branch unexecuted — exactly the scalar engine's state.
-    account(ctx, pc + 1, mask)?;
-    let bpc = pc + 1;
-    observe_instr(dec, observer, block, warp, bpc, mask);
-    observer.on_branch(&BranchEvent {
-        block,
-        warp: warp.id,
-        pc: bpc,
-        active: mask,
-        taken,
-    });
-    warp.stack.last_mut().expect("non-empty").pc = bpc;
-    branch_update(warp, bpc, mask, taken, target, rpc);
-    Ok(())
-}
-
-/// Fused multiply + add: the product vectors stay in interpreter
-/// registers and feed the add directly. Correct because blending only
-/// discards inactive lanes, and the add's results for those lanes are
-/// discarded by its own blend anyway.
-fn exec_mul_add<O: TraceObserver + ?Sized>(
-    ctx: &mut LaunchCtx<'_>,
-    warp: &mut Warp,
-    block: u32,
-    pc: usize,
-    mask: u32,
-    observer: &mut O,
-) -> Result<(), SimtError> {
-    let dec = ctx.dec;
-    let (
-        Uop::Bin {
-            kind: k1,
-            dst: t,
-            a: a1,
-            b: b1,
-        },
-        Uop::Bin {
-            kind: k2,
-            dst: d2,
-            a: a2,
-            b: b2,
-        },
-    ) = (dec.uops()[pc], dec.uops()[pc + 1])
-    else {
-        unreachable!("fusion table says MulAdd");
-    };
-
-    account(ctx, pc, mask)?;
-    observe_instr(dec, observer, block, warp, pc, mask);
-    let mut prod = [[0u32; 8]; GROUPS];
-    for (g, prod) in prod.iter_mut().enumerate() {
-        let gm = group_mask(mask, g);
-        if gm == 0 {
-            continue;
-        }
-        let va = eval8(ctx, warp, block, g, a1);
-        let vb = eval8(ctx, warp, block, g, b1);
-        *prod = bin8(k1, &va, &vb);
-        blend8(warp, t, g, gm, prod);
-    }
-
-    account(ctx, pc + 1, mask)?;
-    observe_instr(dec, observer, block, warp, pc + 1, mask);
-    for (g, prod) in prod.iter().enumerate() {
-        let gm = group_mask(mask, g);
-        if gm == 0 {
-            continue;
-        }
-        // For active lanes the product vector equals the register bank
-        // (just blended); inactive lanes differ but are discarded again.
-        let va = if a2 == Src::Reg(t) {
-            *prod
-        } else {
-            eval8(ctx, warp, block, g, a2)
-        };
-        let vb = if b2 == Src::Reg(t) {
-            *prod
-        } else {
-            eval8(ctx, warp, block, g, b2)
-        };
-        let r = bin8(k2, &va, &vb);
-        blend8(warp, d2, g, gm, &r);
-    }
-    warp.stack.last_mut().expect("non-empty").pc = pc + 2;
-    Ok(())
-}
-
-/// Fused load + convert: the loaded bits stay in a lane buffer and feed
-/// the conversion directly. The load half is identical to the plain
-/// `Ld` arm (event order, fault order, partial writes).
-#[allow(clippy::too_many_arguments)]
-fn exec_ld_cvt<O: TraceObserver + ?Sized>(
-    ctx: &mut LaunchCtx<'_>,
-    warp: &mut Warp,
-    block: u32,
-    pc: usize,
-    mask: u32,
-    shared: &mut [u8],
-    local: &mut [u8],
-    addr_buf: &mut [u32; WARP_SIZE],
-    observer: &mut O,
-) -> Result<(), SimtError> {
-    let dec = ctx.dec;
-    let (
-        Uop::Ld {
-            dst: t,
-            space,
-            base,
-            offset,
-        },
-        Uop::Cvt {
-            from, to, dst: d2, ..
-        },
-    ) = (dec.uops()[pc], dec.uops()[pc + 1])
-    else {
-        unreachable!("fusion table says LdCvt");
-    };
-
-    account(ctx, pc, mask)?;
-    observe_instr(dec, observer, block, warp, pc, mask);
-    gather_addrs8(ctx, warp, block, mask, base, offset, addr_buf);
-    observer.on_mem(&MemEvent {
-        block,
-        warp: warp.id,
-        pc,
-        space,
-        kind: AccessKind::Load,
-        bytes: 4,
-        active: mask,
-        addrs: &*addr_buf,
-    });
-    let lb = ctx.kernel.local_bytes() as usize;
-    let mut loaded = [0u32; WARP_SIZE];
-    for lane in lanes(mask) {
-        let a = addr_buf[lane];
-        let raw = match space {
-            Space::Global => read4(ctx.global, a, pc, "global")?,
-            Space::Shared => read4(shared, a, pc, "shared")?,
-            Space::Const => read4(ctx.const_mem, a, pc, "const")?,
-            Space::Local => {
-                let tl = (warp.base_thread as usize + lane) * lb;
-                read4(&local[tl..tl + lb], a, pc, "local")?
-            }
-        };
-        let bits = u32::from_le_bytes(raw);
-        loaded[lane] = bits;
-        write_reg(warp, t, lane, bits);
-    }
-
-    account(ctx, pc + 1, mask)?;
-    observe_instr(dec, observer, block, warp, pc + 1, mask);
-    for g in 0..GROUPS {
-        let gm = group_mask(mask, g);
-        if gm == 0 {
-            continue;
-        }
-        let v: [u32; 8] = loaded[g * 8..g * 8 + 8].try_into().expect("8 lanes");
-        let r = cvt8(from, to, &v);
-        blend8(warp, d2, g, gm, &r);
-    }
-    warp.stack.last_mut().expect("non-empty").pc = pc + 2;
-    Ok(())
 }

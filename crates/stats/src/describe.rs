@@ -8,32 +8,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Population standard deviation. Returns 0.0 for fewer than two values.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
-}
-
-/// Geometric mean of strictly positive values. Returns 0.0 for an empty
-/// slice.
-///
-/// # Panics
-///
-/// Panics if any value is not strictly positive.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    assert!(
-        xs.iter().all(|&x| x > 0.0),
-        "geometric mean requires positive values"
-    );
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
 /// Linear-interpolated percentile (`p` in `[0, 100]`). Returns 0.0 for an
 /// empty slice.
 ///
@@ -78,30 +52,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std() {
+    fn mean_of_known_values() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs), 5.0);
-        assert!((std_dev(&xs) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_slices() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(std_dev(&[]), 0.0);
-        assert_eq!(geomean(&[]), 0.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn geomean_known() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn geomean_rejects_nonpositive() {
-        geomean(&[1.0, 0.0]);
     }
 
     #[test]

@@ -19,35 +19,9 @@ pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
     sq_euclidean(a, b).sqrt()
 }
 
-/// Manhattan (L1) distance between two equal-length vectors.
-///
-/// # Panics
-///
-/// Panics if the vectors have different lengths.
-pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "vector length mismatch");
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
-/// Condensed pairwise Euclidean distance matrix over the rows of a matrix,
-/// returned as a full symmetric square matrix for simplicity.
-pub fn pairwise_euclidean(m: &crate::Matrix) -> crate::Matrix {
-    let n = m.rows();
-    let mut d = crate::Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let v = euclidean(m.row(i), m.row(j));
-            d.set(i, j, v);
-            d.set(j, i, v);
-        }
-    }
-    d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Matrix;
 
     #[test]
     fn euclidean_345() {
@@ -55,27 +29,9 @@ mod tests {
     }
 
     #[test]
-    fn manhattan_sum() {
-        assert_eq!(manhattan(&[1.0, -1.0], &[-1.0, 2.0]), 5.0);
-    }
-
-    #[test]
     fn distance_to_self_is_zero() {
         let v = [1.5, -2.0, 0.25];
         assert_eq!(euclidean(&v, &v), 0.0);
-        assert_eq!(manhattan(&v, &v), 0.0);
-    }
-
-    #[test]
-    fn pairwise_is_symmetric_with_zero_diagonal() {
-        let m = Matrix::from_rows(&[vec![0.0, 0.0], vec![3.0, 4.0], vec![6.0, 8.0]]).unwrap();
-        let d = pairwise_euclidean(&m);
-        assert_eq!(d.get(0, 1), 5.0);
-        assert_eq!(d.get(1, 0), 5.0);
-        assert_eq!(d.get(0, 2), 10.0);
-        for i in 0..3 {
-            assert_eq!(d.get(i, i), 0.0);
-        }
     }
 
     #[test]

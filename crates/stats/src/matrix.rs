@@ -238,21 +238,6 @@ impl Matrix {
         out
     }
 
-    /// Keeps only the listed rows, in the given order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn select_rows(&self, keep: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(keep.len(), self.cols);
-        for (i, &r) in keep.iter().enumerate() {
-            for c in 0..self.cols {
-                out.set(i, c, self.get(r, c));
-            }
-        }
-        out
-    }
-
     /// Sample covariance matrix of the columns (divides by `n - 1`).
     ///
     /// # Errors
@@ -441,13 +426,12 @@ mod tests {
     }
 
     #[test]
-    fn select_cols_and_rows() {
+    fn select_cols_keeps_listed_columns_in_order() {
         let m = sample();
         let s = m.select_cols(&[2, 0]);
+        assert_eq!(s.shape(), (2, 2));
         assert_eq!(s.row(0), &[3.0, 1.0]);
-        let r = m.select_rows(&[1]);
-        assert_eq!(r.shape(), (1, 3));
-        assert_eq!(r.row(0), &[4.0, 5.0, 6.0]);
+        assert_eq!(s.row(1), &[6.0, 4.0]);
     }
 
     #[test]

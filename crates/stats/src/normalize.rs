@@ -54,28 +54,6 @@ pub fn zscore(m: &Matrix) -> (Matrix, ColumnStats) {
     (out, ColumnStats { mean, std })
 }
 
-/// Min-max normalization of every column into `[0, 1]`.
-///
-/// Constant columns become all-zero.
-pub fn minmax(m: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(m.rows(), m.cols());
-    for c in 0..m.cols() {
-        let col = m.col(c);
-        let lo = col.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = col.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let span = hi - lo;
-        for r in 0..m.rows() {
-            let v = if span > 0.0 {
-                (m.get(r, c) - lo) / span
-            } else {
-                0.0
-            };
-            out.set(r, c, v);
-        }
-    }
-    out
-}
-
 /// Indices of columns whose population standard deviation exceeds `eps`.
 ///
 /// Used to drop characteristics that are constant across the whole study
@@ -144,16 +122,6 @@ mod tests {
         for (c, &p) in projected.iter().enumerate().take(3) {
             assert!((p - z.get(1, c)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn minmax_bounds() {
-        let mm = minmax(&sample());
-        assert_eq!(mm.get(0, 0), 0.0);
-        assert_eq!(mm.get(2, 0), 1.0);
-        assert_eq!(mm.get(1, 1), 0.5);
-        // Constant column maps to zero.
-        assert_eq!(mm.col(2), vec![0.0, 0.0, 0.0]);
     }
 
     #[test]

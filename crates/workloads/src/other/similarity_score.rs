@@ -95,7 +95,7 @@ impl Workload for SimilarityScore {
             docs.push((t, w));
         }
         // CPU reference: merge intersection dot product per query,
-        // mirroring the kernel's fused accumulate.
+        // mirroring the kernel's MAD accumulate.
         self.expected = queries
             .iter()
             .map(|(q_terms, q_weights)| {

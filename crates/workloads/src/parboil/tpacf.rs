@@ -83,7 +83,7 @@ impl Workload for Tpacf {
         let mut expected = vec![0u32; BINS as usize];
         for i in 0..n as usize {
             for j in 0..n as usize {
-                // Mirror the kernel's mul + two fused MADs bit-exactly so
+                // Mirror the kernel's mul + two one-rounding MADs bit-exactly so
                 // boundary cases bin identically.
                 let t1 = xs[i] * xs[j];
                 let t2 = ys[i].mul_add(ys[j], t1);

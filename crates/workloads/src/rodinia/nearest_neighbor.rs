@@ -59,7 +59,7 @@ impl Workload for NearestNeighbor {
             .map(|(&la, &lo)| {
                 let dla = la - qlat;
                 let dlo = lo - qlng;
-                // Mirror kernel rounding: mul then fused mad then sqrt.
+                // Mirror kernel rounding: mul then one-rounding mad then sqrt.
                 let t = dla * dla;
                 dlo.mul_add(dlo, t).sqrt()
             })

@@ -37,7 +37,7 @@ impl Srad {
 }
 
 /// CPU reference for one SRAD iteration, mirroring the kernel arithmetic
-/// (fused MAD use kept consistent where it affects tolerances).
+/// (one-rounding MAD use kept consistent where it affects tolerances).
 fn cpu_iter(img: &[f32], w: usize, h: usize) -> Vec<f32> {
     let idx = |x: i32, y: i32| -> usize {
         let xc = x.clamp(0, w as i32 - 1) as usize;

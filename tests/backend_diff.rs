@@ -146,8 +146,7 @@ fn registry_profiles_bit_identical_across_backends() {
 /// Retired-µop accounting must be backend-invariant: with execution
 /// profiling forced on (no recorder needed), both engines must report
 /// identical per-µop-class and per-pc warp/lane counts for every
-/// registry launch. This pins the fusion discipline — a fused SIMD pair
-/// accounts each half at its own pc, exactly like the scalar engine.
+/// registry launch.
 #[test]
 fn exec_profiles_identical_across_backends() {
     let mut scalar_wl = registry::all_workloads(SEED);
@@ -172,7 +171,7 @@ fn exec_profiles_identical_across_backends() {
             let ep = dp.take_exec_profile().expect("simd profile collected");
             assert_eq!(es, ep, "{name}/{}: exec profiles", ls.label);
             // The profile shadows the launch statistics exactly: both
-            // engines account one µop per retired (fused-half) µop.
+            // engines account one µop per retired µop.
             assert_eq!(ss, sp, "{name}/{}: launch stats", ls.label);
             let total = es.total();
             assert_eq!(
