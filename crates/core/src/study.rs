@@ -121,10 +121,12 @@ impl Study {
         threads: usize,
         cache: Option<&ProfileCache>,
     ) -> Result<Study, WorkloadError> {
-        let mut workloads = registry::study_workloads(config.seed, config.study_scale);
+        let workloads = registry::study_workloads(config.seed, config.study_scale);
         if threads <= 1 {
+            // Consuming the population drops each workload, with the
+            // inputs it keeps for `verify`, as soon as it has run.
             let mut records = Vec::new();
-            for w in workloads.iter_mut() {
+            for mut w in workloads {
                 records.extend(Self::run_one_cached(w.as_mut(), config, cache)?);
             }
             return Ok(Study { records });
@@ -162,11 +164,13 @@ impl Study {
     /// Runs a single workload like [`Study::run_one`], consulting a
     /// persistent profile cache when one is given.
     ///
-    /// Setup always runs — it is what produces the kernels the
-    /// fingerprint hashes, and it is cheap next to simulation. On a cache
-    /// hit every launch and the CPU verification are skipped (the device
-    /// buffers were never written, so there is nothing to verify; the
-    /// profiles were verified when they were first computed and stored).
+    /// Setup always runs: it generates the inputs and builds the kernels
+    /// and launch arguments the fingerprint hashes. It does no other CPU
+    /// work, since workloads compute their CPU references in `verify`.
+    /// On a cache hit every launch and the verification are skipped (the
+    /// device buffers were never written, so there is nothing to verify;
+    /// the profiles were verified when they were first computed and
+    /// stored).
     ///
     /// # Errors
     ///
@@ -325,7 +329,68 @@ impl Study {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    use gwc_simt::SimtError;
     use gwc_workloads::sdk::ParallelReduction;
+    use gwc_workloads::{LaunchSpec, VerifyError, WorkloadMeta};
+
+    /// A workload that counts its `verify` calls.
+    struct CountingVerify {
+        inner: ParallelReduction,
+        verifies: Cell<usize>,
+    }
+
+    impl Workload for CountingVerify {
+        fn meta(&self) -> WorkloadMeta {
+            self.inner.meta()
+        }
+
+        fn setup(
+            &mut self,
+            device: &mut Device,
+            scale: Scale,
+        ) -> Result<Vec<LaunchSpec>, SimtError> {
+            self.inner.setup(device, scale)
+        }
+
+        fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+            self.verifies.set(self.verifies.get() + 1);
+            self.inner.verify(device)
+        }
+    }
+
+    #[test]
+    fn a_cache_hit_skips_verify_and_returns_equal_records() {
+        let dir = std::env::temp_dir().join(format!("gwc-study-verify-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = ProfileCache::new(&dir);
+        let config = StudyConfig {
+            seed: 3,
+            scale: Scale::Tiny,
+            ..StudyConfig::default()
+        };
+        let mut w = CountingVerify {
+            inner: ParallelReduction::new(3),
+            verifies: Cell::new(0),
+        };
+        let miss = Study::run_one_cached(&mut w, &config, Some(&cache)).unwrap();
+        assert_eq!(w.verifies.get(), 1, "a miss verifies once");
+        let hit = Study::run_one_cached(&mut w, &config, Some(&cache)).unwrap();
+        assert_eq!(w.verifies.get(), 1, "a hit never verifies");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert_eq!(miss.len(), hit.len());
+        for (a, b) in miss.iter().zip(&hit) {
+            assert_eq!((a.workload, a.suite), (b.workload, b.suite));
+            assert_eq!((&a.kernel, a.fingerprint), (&b.kernel, b.fingerprint));
+            assert_eq!(a.profile.raw(), b.profile.raw(), "{}", a.label());
+            assert_eq!(a.profile.stats(), b.profile.stats(), "{}", a.label());
+            for (x, y) in a.profile.values().iter().zip(b.profile.values()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{}", a.label());
+            }
+        }
+    }
 
     #[test]
     fn run_one_groups_by_label() {

@@ -22,8 +22,18 @@ pub struct ParamDecl {
 /// Construct kernels with [`crate::builder::KernelBuilder`]; `Kernel`
 /// itself guarantees (via [`Kernel::finalize`]) that execution cannot hit
 /// malformed instructions.
+///
+/// Cloning is cheap: every clone shares one immutable body behind an
+/// `Arc`, so the lazily computed decode ([`Kernel::decoded`]) and content
+/// hash ([`Kernel::content_hash`]) are paid once per built kernel, however
+/// many launch specs hold a copy.
 #[derive(Debug, Clone)]
 pub struct Kernel {
+    body: Arc<Body>,
+}
+
+#[derive(Debug)]
+struct Body {
     name: String,
     instrs: Vec<Instr>,
     reg_types: Vec<Type>,
@@ -32,9 +42,10 @@ pub struct Kernel {
     local_bytes: u32,
     reconv: Vec<Option<usize>>,
     /// Lazily decoded µop stream ([`crate::decode`]), shared by every
-    /// launch of this kernel (and, via `Arc`, by clones and forked
-    /// devices). Cloning a kernel clones the `Arc`, not the decode.
+    /// launch of this kernel and every clone of it.
     decoded: OnceLock<Arc<DecodedKernel>>,
+    /// Memoized [`Kernel::content_hash`].
+    content_hash: OnceLock<u64>,
 }
 
 impl Kernel {
@@ -62,29 +73,33 @@ impl Kernel {
         let cfg = Cfg::build(&instrs);
         let reconv = cfg.reconvergence_table(&instrs)?;
         Ok(Self {
-            name: name.into(),
-            instrs,
-            reg_types,
-            params,
-            shared_bytes,
-            local_bytes,
-            reconv,
-            decoded: OnceLock::new(),
+            body: Arc::new(Body {
+                name: name.into(),
+                instrs,
+                reg_types,
+                params,
+                shared_bytes,
+                local_bytes,
+                reconv,
+                decoded: OnceLock::new(),
+                content_hash: OnceLock::new(),
+            }),
         })
     }
 
     /// The predecoded µop stream, decoding on first use and cached for
-    /// every later launch. Thread-safe: devices launching the kernel from
-    /// several threads share a single decode.
+    /// every later launch and every clone. Thread-safe: devices launching
+    /// the kernel from several threads share a single decode.
     pub fn decoded(&self) -> &Arc<DecodedKernel> {
-        self.decoded
+        self.body
+            .decoded
             .get_or_init(|| Arc::new(DecodedKernel::decode(self)))
     }
 
     /// Whether the decode cache is populated (for tests and diagnostics;
     /// execution uses [`Kernel::decoded`], which fills it).
     pub fn decode_cached(&self) -> bool {
-        self.decoded.get().is_some()
+        self.body.decoded.get().is_some()
     }
 
     /// A stable content hash of this kernel's validated IR, fed from its
@@ -93,23 +108,29 @@ impl Kernel {
     /// parameter declarations, and the static memory sizes. Two kernels
     /// hash equal iff they execute identically, and the hash is stable
     /// across runs and processes — the profile cache builds its
-    /// fingerprints on it.
+    /// fingerprints on it. Computed on first use and memoized for every
+    /// clone.
     pub fn content_hash(&self) -> u64 {
+        *self.body.content_hash.get_or_init(|| self.hash_content())
+    }
+
+    fn hash_content(&self) -> u64 {
         use crate::hash::{Fnv1a, HashWriter};
         use std::fmt::Write as _;
 
+        let b = &*self.body;
         let d = self.decoded();
         let mut h = Fnv1a::new();
-        h.write_str(&self.name);
-        h.write_u32(self.shared_bytes);
-        h.write_u32(self.local_bytes);
-        h.write_u64(self.reg_types.len() as u64);
+        h.write_str(&b.name);
+        h.write_u32(b.shared_bytes);
+        h.write_u32(b.local_bytes);
+        h.write_u64(b.reg_types.len() as u64);
         {
             let mut w = HashWriter(&mut h);
-            for t in &self.reg_types {
+            for t in &b.reg_types {
                 let _ = write!(w, "{t:?},");
             }
-            for p in &self.params {
+            for p in &b.params {
                 let _ = write!(w, "{}:{:?},", p.name, p.ty);
             }
             // The canonical form: every µop with its side-table entries.
@@ -131,17 +152,17 @@ impl Kernel {
 
     /// Kernel name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.body.name
     }
 
     /// The instruction list.
     pub fn instrs(&self) -> &[Instr] {
-        &self.instrs
+        &self.body.instrs
     }
 
     /// Number of virtual registers per thread.
     pub fn reg_count(&self) -> usize {
-        self.reg_types.len()
+        self.body.reg_types.len()
     }
 
     /// Declared type of register `r`.
@@ -150,29 +171,29 @@ impl Kernel {
     ///
     /// Panics if `r` is out of range.
     pub fn reg_type(&self, r: Reg) -> Type {
-        self.reg_types[r.0 as usize]
+        self.body.reg_types[r.0 as usize]
     }
 
     /// Declared parameters.
     pub fn params(&self) -> &[ParamDecl] {
-        &self.params
+        &self.body.params
     }
 
     /// Static shared memory per block, in bytes.
     pub fn shared_bytes(&self) -> u32 {
-        self.shared_bytes
+        self.body.shared_bytes
     }
 
     /// Local (per-thread private) memory, in bytes.
     pub fn local_bytes(&self) -> u32 {
-        self.local_bytes
+        self.body.local_bytes
     }
 
     /// Reconvergence pc for the conditional branch at `pc`
     /// (`instrs().len()` means the kernel exit). `None` for non-branches
     /// and unconditional branches.
     pub fn reconvergence_pc(&self, pc: usize) -> Option<usize> {
-        self.reconv.get(pc).copied().flatten()
+        self.body.reconv.get(pc).copied().flatten()
     }
 
     /// Checks launch arguments against the parameter declarations.
@@ -181,17 +202,17 @@ impl Kernel {
     ///
     /// Returns [`SimtError::BadLaunchArgs`] on count or type mismatch.
     pub fn check_args(&self, args: &[Value]) -> Result<(), SimtError> {
-        if args.len() != self.params.len() {
+        if args.len() != self.body.params.len() {
             return Err(SimtError::BadLaunchArgs {
                 detail: format!(
                     "kernel `{}` takes {} arguments, got {}",
-                    self.name,
-                    self.params.len(),
+                    self.body.name,
+                    self.body.params.len(),
                     args.len()
                 ),
             });
         }
-        for (i, (arg, decl)) in args.iter().zip(&self.params).enumerate() {
+        for (i, (arg, decl)) in args.iter().zip(&self.body.params).enumerate() {
             if arg.ty() != decl.ty {
                 return Err(SimtError::BadLaunchArgs {
                     detail: format!(

@@ -1,10 +1,12 @@
-//! The predecoded µop stream is computed once per kernel and shared.
+//! The predecoded µop stream is computed once per built kernel and shared.
 //!
 //! `Kernel::decoded` backs every launch; if the cache ever stopped
 //! hitting, each launch would re-lower the kernel and the predecode
 //! optimization would silently evaporate. These tests pin the caching
 //! contract: lazy on first use, stable across launches, and shared (same
-//! `Arc`) by clones made after the first decode.
+//! `Arc`) by every clone, whether taken before or after the first decode.
+//! Workloads hand each launch spec a clone made before any decode, so a
+//! clone that decoded on its own would re-lower the kernel per launch.
 
 use std::sync::Arc;
 
@@ -66,21 +68,33 @@ fn decode_is_lazy_and_hits_on_every_later_launch() {
 fn clones_share_the_decoded_stream() {
     let k = doubling_kernel();
     let before = k.clone();
-    assert!(
-        !before.decode_cached(),
-        "clone of an undecoded kernel starts cold"
-    );
+    assert!(!before.decode_cached(), "nothing decodes at clone time");
 
+    // Decoding through the original fills the cache of the earlier clone.
     let original = Arc::clone(k.decoded());
+    assert!(
+        before.decode_cached(),
+        "clone taken before decoding must see the shared decode"
+    );
+    assert!(
+        Arc::ptr_eq(&original, before.decoded()),
+        "clone taken before decoding must share the Arc, not re-decode"
+    );
     let after = k.clone();
     assert!(
         Arc::ptr_eq(&original, after.decoded()),
         "clone taken after decoding must share the Arc, not re-decode"
     );
 
-    // The cold clone decodes independently but identically.
+    // A launch through either clone reuses the one decode.
     let mut dev = Device::new();
     launch_once(&mut dev, &before);
-    assert!(before.decode_cached());
-    assert_eq!(before.decoded().len(), original.len());
+    assert!(Arc::ptr_eq(&original, before.decoded()));
+
+    // The memoized hash is the value a fresh build of the same kernel
+    // computes, whichever clone asks first.
+    let hash = before.content_hash();
+    assert_eq!(k.content_hash(), hash);
+    assert_eq!(after.content_hash(), hash);
+    assert_eq!(doubling_kernel().content_hash(), hash);
 }

@@ -15,8 +15,11 @@ use crate::workload::{LaunchSpec, Scale};
 
 /// Version of the workload input generators. Bump whenever any
 /// workload's setup changes in a way its launch specs do not capture —
-/// e.g. a change to CPU-side reference data that feeds verification but
-/// not the kernels. Bumping invalidates every cached profile.
+/// e.g. a change to the input data `setup` writes into device buffers:
+/// launch arguments hash buffer handles, not buffer contents. (CPU-side
+/// reference data never needs a bump: it feeds verification, not the
+/// kernels, so it cannot change a profile.) Bumping invalidates every
+/// cached profile.
 pub const GENERATOR_VERSION: u32 = 1;
 
 fn scale_tag(scale: Scale) -> u32 {
@@ -71,6 +74,7 @@ fn scale_tag_value(v: &gwc_simt::instr::Value) -> u32 {
 mod tests {
     use super::*;
     use crate::registry;
+    use crate::workload::StudyScale;
     use gwc_simt::exec::Device;
 
     fn fingerprint_of(name: &str, seed: u64, scale: Scale) -> u64 {
@@ -109,5 +113,31 @@ mod tests {
                 meta.name
             );
         }
+    }
+
+    /// Every cache key of the `--scale large` population at seed 7 (the
+    /// study's default `Scale::Small`, exact tier), folded in population
+    /// order. A cache written by an older build stays a full hit only
+    /// while this holds, so a change that re-keys the cache must change
+    /// this literal on purpose (with a `GENERATOR_VERSION` bump where
+    /// the inputs changed).
+    #[test]
+    fn large_population_keys_are_pinned() {
+        let mut h = Fnv1a::new();
+        for mut w in registry::study_workloads(7, StudyScale::Large) {
+            let mut dev = Device::new();
+            let launches = w.setup(&mut dev, Scale::Small).expect("setup succeeds");
+            h.write_u64(workload_fingerprint(
+                w.meta().name,
+                7,
+                Scale::Small,
+                &launches,
+            ));
+        }
+        assert_eq!(
+            h.finish(),
+            0x5ef1_841d_1a14_3a28,
+            "large-population cache keys moved"
+        );
     }
 }

@@ -29,7 +29,8 @@ use crate::workload::{check_f32, LaunchSpec, Scale, Suite, VerifyError, Workload
 pub struct SimilarityScore {
     seed: u64,
     scores: Vec<BufferHandle>,
-    expected: Vec<Vec<f32>>,
+    queries: Vec<(Vec<u32>, Vec<f32>)>,
+    docs: Vec<(Vec<u32>, Vec<f32>)>,
 }
 
 impl SimilarityScore {
@@ -38,7 +39,8 @@ impl SimilarityScore {
         Self {
             seed,
             scores: Vec::new(),
-            expected: Vec::new(),
+            queries: Vec::new(),
+            docs: Vec::new(),
         }
     }
 }
@@ -94,30 +96,6 @@ impl Workload for SimilarityScore {
             doc_ptr.push(terms.len() as u32);
             docs.push((t, w));
         }
-        // CPU reference: merge intersection dot product per query,
-        // mirroring the kernel's MAD accumulate.
-        self.expected = queries
-            .iter()
-            .map(|(q_terms, q_weights)| {
-                docs.iter()
-                    .map(|(t, w)| {
-                        let (mut i, mut j, mut score) = (0usize, 0usize, 0.0f32);
-                        while i < t.len() && j < q_terms.len() {
-                            match t[i].cmp(&q_terms[j]) {
-                                std::cmp::Ordering::Less => i += 1,
-                                std::cmp::Ordering::Greater => j += 1,
-                                std::cmp::Ordering::Equal => {
-                                    score = w[i].mul_add(q_weights[j], score);
-                                    i += 1;
-                                    j += 1;
-                                }
-                            }
-                        }
-                        score
-                    })
-                    .collect()
-            })
-            .collect();
 
         let hqueries: Vec<_> = queries
             .iter()
@@ -129,6 +107,8 @@ impl Workload for SimilarityScore {
         self.scores = (0..queries.len())
             .map(|_| device.alloc_zeroed_f32(n_docs))
             .collect();
+        self.queries = queries.into();
+        self.docs = docs;
 
         let mut b = KernelBuilder::new("similarity_score");
         let pqt = b.param_u32("q_terms");
@@ -220,9 +200,30 @@ impl Workload for SimilarityScore {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
-        for (i, (out, want)) in self.scores.iter().zip(&self.expected).enumerate() {
+        for (i, (out, (q_terms, q_weights))) in self.scores.iter().zip(&self.queries).enumerate() {
+            // CPU reference: merge intersection dot product per document,
+            // mirroring the kernel's MAD accumulate.
+            let want: Vec<f32> = self
+                .docs
+                .iter()
+                .map(|(t, w)| {
+                    let (mut i, mut j, mut score) = (0usize, 0usize, 0.0f32);
+                    while i < t.len() && j < q_terms.len() {
+                        match t[i].cmp(&q_terms[j]) {
+                            std::cmp::Ordering::Less => i += 1,
+                            std::cmp::Ordering::Greater => j += 1,
+                            std::cmp::Ordering::Equal => {
+                                score = w[i].mul_add(q_weights[j], score);
+                                i += 1;
+                                j += 1;
+                            }
+                        }
+                    }
+                    score
+                })
+                .collect();
             let got = device.read_f32(out);
-            check_f32(&format!("similarity query {i}"), &got, want, 1e-4)?;
+            check_f32(&format!("similarity query {i}"), &got, &want, 1e-4)?;
         }
         Ok(())
     }

@@ -20,7 +20,10 @@ const EPS: f32 = 0.01;
 pub struct CoulombicPotential {
     seed: u64,
     out: Option<BufferHandle>,
-    expected: Vec<f32>,
+    /// Lattice side length.
+    dim: u32,
+    /// Atom x, y and charge.
+    atoms: [Vec<f32>; 3],
 }
 
 impl CoulombicPotential {
@@ -29,7 +32,8 @@ impl CoulombicPotential {
         Self {
             seed,
             out: None,
-            expected: Vec::new(),
+            dim: 0,
+            atoms: Default::default(),
         }
     }
 }
@@ -51,25 +55,13 @@ impl Workload for CoulombicPotential {
         let ay: Vec<f32> = (0..atoms).map(|_| rng.gen_range(0.0..dim as f32)).collect();
         let aq: Vec<f32> = (0..atoms).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
 
-        let mut expected = vec![0.0f32; (dim * dim) as usize];
-        for y in 0..dim {
-            for x in 0..dim {
-                let mut acc = 0.0f32;
-                for a in 0..atoms as usize {
-                    let dx = x as f32 - ax[a];
-                    let dy = y as f32 - ay[a];
-                    acc += aq[a] / (dx * dx + dy * dy + EPS).sqrt();
-                }
-                expected[(y * dim + x) as usize] = acc;
-            }
-        }
-        self.expected = expected;
-
         let hax = device.alloc_const_f32(&ax);
         let hay = device.alloc_const_f32(&ay);
         let haq = device.alloc_const_f32(&aq);
         let hout = device.alloc_zeroed_f32((dim * dim) as usize);
         self.out = Some(hout);
+        self.dim = dim;
+        self.atoms = [ax, ay, aq];
 
         let mut b = KernelBuilder::new("cp_lattice");
         let pax = b.param_u32("ax");
@@ -120,8 +112,22 @@ impl Workload for CoulombicPotential {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let dim = self.dim;
+        let [ax, ay, aq] = &self.atoms;
+        let mut expected = vec![0.0f32; (dim * dim) as usize];
+        for y in 0..dim {
+            for x in 0..dim {
+                let mut acc = 0.0f32;
+                for a in 0..aq.len() {
+                    let dx = x as f32 - ax[a];
+                    let dy = y as f32 - ay[a];
+                    acc += aq[a] / (dx * dx + dy * dy + EPS).sqrt();
+                }
+                expected[(y * dim + x) as usize] = acc;
+            }
+        }
         let out = device.read_f32(self.out.as_ref().expect("setup"));
-        check_f32("cp", &out, &self.expected, 5e-3)
+        check_f32("cp", &out, &expected, 5e-3)
     }
 }
 

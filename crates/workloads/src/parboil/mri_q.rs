@@ -22,9 +22,10 @@ pub struct MriQ {
     qr: Option<BufferHandle>,
     qi: Option<BufferHandle>,
     phi_mag: Option<BufferHandle>,
-    expected_qr: Vec<f32>,
-    expected_qi: Vec<f32>,
-    expected_phi: Vec<f32>,
+    /// k-space samples: `kx`, `ky`, `kz`, `phi_r`, `phi_i`.
+    k: [Vec<f32>; 5],
+    /// Voxel coordinates: `x`, `y`, `z`.
+    pos: [Vec<f32>; 3],
 }
 
 impl MriQ {
@@ -35,9 +36,8 @@ impl MriQ {
             qr: None,
             qi: None,
             phi_mag: None,
-            expected_qr: Vec::new(),
-            expected_qi: Vec::new(),
-            expected_phi: Vec::new(),
+            k: Default::default(),
+            pos: Default::default(),
         }
     }
 }
@@ -65,23 +65,6 @@ impl Workload for MriQ {
         let y: Vec<f32> = (0..num_x).map(|_| r(&mut rng)).collect();
         let z: Vec<f32> = (0..num_x).map(|_| r(&mut rng)).collect();
 
-        self.expected_phi = phi_r
-            .iter()
-            .zip(&phi_i)
-            .map(|(a, b)| a * a + b * b)
-            .collect();
-        let mut eqr = vec![0.0f32; num_x as usize];
-        let mut eqi = vec![0.0f32; num_x as usize];
-        for i in 0..num_x as usize {
-            for k in 0..num_k as usize {
-                let arg = 2.0 * std::f32::consts::PI * (kx[k] * x[i] + ky[k] * y[i] + kz[k] * z[i]);
-                eqr[i] += self.expected_phi[k] * arg.cos();
-                eqi[i] += self.expected_phi[k] * arg.sin();
-            }
-        }
-        self.expected_qr = eqr;
-        self.expected_qi = eqi;
-
         let hkx = device.alloc_const_f32(&kx);
         let hky = device.alloc_const_f32(&ky);
         let hkz = device.alloc_const_f32(&kz);
@@ -96,6 +79,8 @@ impl Workload for MriQ {
         self.qr = Some(hqr);
         self.qi = Some(hqi);
         self.phi_mag = Some(hphimag);
+        self.k = [kx, ky, kz, phi_r, phi_i];
+        self.pos = [x, y, z];
 
         // --- compute_phi_mag --------------------------------------------------
         let mut b = KernelBuilder::new("compute_phi_mag");
@@ -192,12 +177,28 @@ impl Workload for MriQ {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let [kx, ky, kz, phi_r, phi_i] = &self.k;
+        let [x, y, z] = &self.pos;
+        let expected_phi: Vec<f32> = phi_r
+            .iter()
+            .zip(phi_i)
+            .map(|(a, b)| a * a + b * b)
+            .collect();
+        let mut expected_qr = vec![0.0f32; x.len()];
+        let mut expected_qi = vec![0.0f32; x.len()];
+        for i in 0..x.len() {
+            for k in 0..kx.len() {
+                let arg = 2.0 * std::f32::consts::PI * (kx[k] * x[i] + ky[k] * y[i] + kz[k] * z[i]);
+                expected_qr[i] += expected_phi[k] * arg.cos();
+                expected_qi[i] += expected_phi[k] * arg.sin();
+            }
+        }
         let phi = device.read_f32(self.phi_mag.as_ref().expect("setup"));
-        check_f32("phi_mag", &phi, &self.expected_phi, 1e-4)?;
+        check_f32("phi_mag", &phi, &expected_phi, 1e-4)?;
         let qr = device.read_f32(self.qr.as_ref().expect("setup"));
-        check_f32("qr", &qr, &self.expected_qr, 5e-2)?;
+        check_f32("qr", &qr, &expected_qr, 5e-2)?;
         let qi = device.read_f32(self.qi.as_ref().expect("setup"));
-        check_f32("qi", &qi, &self.expected_qi, 5e-2)
+        check_f32("qi", &qi, &expected_qi, 5e-2)
     }
 }
 

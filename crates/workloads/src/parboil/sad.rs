@@ -32,7 +32,10 @@ const SEARCH: [(i32, i32); 9] = [
 pub struct Sad {
     seed: u64,
     best: Option<BufferHandle>,
-    expected: Vec<u32>,
+    /// Frame width and height in pixels (frames are square).
+    w: i32,
+    cur: Vec<u32>,
+    rf: Vec<u32>,
 }
 
 impl Sad {
@@ -41,7 +44,9 @@ impl Sad {
         Self {
             seed,
             best: None,
-            expected: Vec::new(),
+            w: 0,
+            cur: Vec::new(),
+            rf: Vec::new(),
         }
     }
 }
@@ -81,23 +86,13 @@ impl Workload for Sad {
         let cur: Vec<u32> = (0..w * h).map(|_| rng.gen_range(0..256)).collect();
         let rf: Vec<u32> = (0..w * h).map(|_| rng.gen_range(0..256)).collect();
 
-        let mut expected = vec![0u32; (bw * bh) as usize];
-        for by in 0..bh {
-            for bx in 0..bw {
-                let best = SEARCH
-                    .iter()
-                    .map(|&(dx, dy)| cpu_sad(&cur, &rf, w, h, bx, by, dx, dy))
-                    .min()
-                    .expect("nonempty search");
-                expected[(by * bw + bx) as usize] = best;
-            }
-        }
-        self.expected = expected;
-
         let hcur = device.alloc_u32(&cur);
         let href = device.alloc_u32(&rf);
         let hbest = device.alloc_zeroed_u32((bw * bh) as usize);
         self.best = Some(hbest);
+        self.w = w;
+        self.cur = cur;
+        self.rf = rf;
 
         let mut b = KernelBuilder::new("sad_search");
         let pcur = b.param_u32("cur");
@@ -169,8 +164,21 @@ impl Workload for Sad {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let (w, h) = (self.w, self.w);
+        let (bw, bh) = (w / BLOCK_PIX, h / BLOCK_PIX);
+        let mut expected = vec![0u32; (bw * bh) as usize];
+        for by in 0..bh {
+            for bx in 0..bw {
+                let best = SEARCH
+                    .iter()
+                    .map(|&(dx, dy)| cpu_sad(&self.cur, &self.rf, w, h, bx, by, dx, dy))
+                    .min()
+                    .expect("nonempty search");
+                expected[(by * bw + bx) as usize] = best;
+            }
+        }
         let got = device.read_u32(self.best.as_ref().expect("setup"));
-        check_u32("sad", &got, &self.expected)
+        check_u32("sad", &got, &expected)
     }
 }
 

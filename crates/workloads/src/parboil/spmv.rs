@@ -18,7 +18,10 @@ use crate::workload::{check_f32, LaunchSpec, Scale, Suite, VerifyError, Workload
 pub struct Spmv {
     seed: u64,
     y: Option<BufferHandle>,
-    expected: Vec<f32>,
+    row_ptr: Vec<u32>,
+    cols: Vec<u32>,
+    vals: Vec<f32>,
+    x: Vec<f32>,
 }
 
 impl Spmv {
@@ -27,7 +30,10 @@ impl Spmv {
         Self {
             seed,
             y: None,
-            expected: Vec::new(),
+            row_ptr: Vec::new(),
+            cols: Vec::new(),
+            vals: Vec::new(),
+            x: Vec::new(),
         }
     }
 }
@@ -62,19 +68,16 @@ impl Workload for Spmv {
         }
         let x: Vec<f32> = (0..rows).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
 
-        let mut expected = vec![0.0f32; rows as usize];
-        for r in 0..rows as usize {
-            let (s, e) = (row_ptr[r] as usize, row_ptr[r + 1] as usize);
-            expected[r] = (s..e).map(|i| vals[i] * x[cols[i] as usize]).sum();
-        }
-        self.expected = expected;
-
         let hrp = device.alloc_u32(&row_ptr);
         let hcols = device.alloc_u32(&cols);
         let hvals = device.alloc_f32(&vals);
         let hx = device.alloc_f32(&x);
         let hy = device.alloc_zeroed_f32(rows as usize);
         self.y = Some(hy);
+        self.row_ptr = row_ptr;
+        self.cols = cols;
+        self.vals = vals;
+        self.x = x;
 
         let mut b = KernelBuilder::new("spmv_csr");
         let prp = b.param_u32("row_ptr");
@@ -129,8 +132,17 @@ impl Workload for Spmv {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let (row_ptr, cols, vals, x) = (&self.row_ptr, &self.cols, &self.vals, &self.x);
+        let expected: Vec<f32> = row_ptr
+            .windows(2)
+            .map(|r| {
+                (r[0] as usize..r[1] as usize)
+                    .map(|i| vals[i] * x[cols[i] as usize])
+                    .sum()
+            })
+            .collect();
         let y = device.read_f32(self.y.as_ref().expect("setup"));
-        check_f32("spmv", &y, &self.expected, 1e-3)
+        check_f32("spmv", &y, &expected, 1e-3)
     }
 }
 

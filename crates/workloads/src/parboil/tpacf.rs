@@ -23,7 +23,9 @@ const BLOCK: u32 = 128;
 pub struct Tpacf {
     seed: u64,
     hist: Option<BufferHandle>,
-    expected: Vec<u32>,
+    xs: Vec<f32>,
+    ys: Vec<f32>,
+    zs: Vec<f32>,
 }
 
 impl Tpacf {
@@ -32,7 +34,9 @@ impl Tpacf {
         Self {
             seed,
             hist: None,
-            expected: Vec::new(),
+            xs: Vec::new(),
+            ys: Vec::new(),
+            zs: Vec::new(),
         }
     }
 }
@@ -80,18 +84,6 @@ impl Workload for Tpacf {
             zs.push(z);
         }
         let bounds = boundaries();
-        let mut expected = vec![0u32; BINS as usize];
-        for i in 0..n as usize {
-            for j in 0..n as usize {
-                // Mirror the kernel's mul + two one-rounding MADs bit-exactly so
-                // boundary cases bin identically.
-                let t1 = xs[i] * xs[j];
-                let t2 = ys[i].mul_add(ys[j], t1);
-                let dot = zs[i].mul_add(zs[j], t2);
-                expected[cpu_bin(dot, &bounds)] += 1;
-            }
-        }
-        self.expected = expected;
 
         let hx = device.alloc_f32(&xs);
         let hy = device.alloc_f32(&ys);
@@ -99,6 +91,9 @@ impl Workload for Tpacf {
         let hbounds = device.alloc_const_f32(&bounds);
         let hhist = device.alloc_zeroed_u32(BINS as usize);
         self.hist = Some(hhist);
+        self.xs = xs;
+        self.ys = ys;
+        self.zs = zs;
 
         let mut b = KernelBuilder::new("tpacf_hist");
         let px = b.param_u32("x");
@@ -183,8 +178,21 @@ impl Workload for Tpacf {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let (xs, ys, zs) = (&self.xs, &self.ys, &self.zs);
+        let bounds = boundaries();
+        let mut expected = vec![0u32; BINS as usize];
+        for i in 0..xs.len() {
+            for j in 0..xs.len() {
+                // Mirror the kernel's mul + two one-rounding MADs bit-exactly so
+                // boundary cases bin identically.
+                let t1 = xs[i] * xs[j];
+                let t2 = ys[i].mul_add(ys[j], t1);
+                let dot = zs[i].mul_add(zs[j], t2);
+                expected[cpu_bin(dot, &bounds)] += 1;
+            }
+        }
         let got = device.read_u32(self.hist.as_ref().expect("setup"));
-        check_u32("tpacf", &got, &self.expected)
+        check_u32("tpacf", &got, &expected)
     }
 }
 

@@ -236,6 +236,26 @@ mod tests {
         run_workload(w.as_mut(), Scale::Tiny).expect("replica verifies");
     }
 
+    /// `verify` computes its reference from the inputs `setup` kept, so
+    /// it must still reject a device whose outputs were never written:
+    /// a `verify` that stopped checking would pass here.
+    #[test]
+    fn verify_rejects_a_device_nothing_launched_on() {
+        for scale in [Scale::Tiny, Scale::Small] {
+            for seed in [7, 11] {
+                for mut w in all_workloads(seed) {
+                    let mut dev = Device::new();
+                    w.setup(&mut dev, scale).expect("setup succeeds");
+                    assert!(
+                        w.verify(&dev).is_err(),
+                        "{} verified at {scale:?}, seed {seed}, with nothing launched",
+                        w.meta().name
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn paper_highlighted_workloads_present() {
         let metas = all_metas(1);

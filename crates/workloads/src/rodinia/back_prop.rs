@@ -23,8 +23,11 @@ pub struct BackProp {
     seed: u64,
     hidden: Option<BufferHandle>,
     weights: Option<BufferHandle>,
-    expected_hidden: Vec<f32>,
-    expected_weights: Vec<f32>,
+    input: Vec<f32>,
+    /// Initial weights, input-major (`w[i * hidden + j]`); the adjust
+    /// kernel overwrites the device copy.
+    w: Vec<f32>,
+    deltas: Vec<f32>,
 }
 
 impl BackProp {
@@ -34,8 +37,9 @@ impl BackProp {
             seed,
             hidden: None,
             weights: None,
-            expected_hidden: Vec::new(),
-            expected_weights: Vec::new(),
+            input: Vec::new(),
+            w: Vec::new(),
+            deltas: Vec::new(),
         }
     }
 }
@@ -62,31 +66,15 @@ impl Workload for BackProp {
             .map(|_| rng.gen_range(-0.5..0.5))
             .collect();
 
-        // CPU reference. The GPU reduces block-partials in thread order, so
-        // use a per-chunk tree-compatible sum with tolerance in verify.
-        let mut expected_hidden = vec![0.0f32; hidden_units as usize];
-        for j in 0..hidden_units as usize {
-            let mut acc = 0.0f32;
-            for i in 0..inputs as usize {
-                acc += weights[i * hidden_units as usize + j] * input[i];
-            }
-            expected_hidden[j] = acc;
-        }
-        let mut expected_weights = weights.clone();
-        for i in 0..inputs as usize {
-            for j in 0..hidden_units as usize {
-                expected_weights[i * hidden_units as usize + j] += ETA * deltas[j] * input[i];
-            }
-        }
-        self.expected_hidden = expected_hidden;
-        self.expected_weights = expected_weights;
-
         let hin = device.alloc_f32(&input);
         let hw = device.alloc_f32(&weights);
         let hdelta = device.alloc_f32(&deltas);
         let hhidden = device.alloc_zeroed_f32(hidden_units as usize);
         self.hidden = Some(hhidden);
         self.weights = Some(hw);
+        self.input = input;
+        self.w = weights;
+        self.deltas = deltas;
 
         // --- layerforward: one block per hidden unit ---------------------------
         let mut b = KernelBuilder::new("bp_layerforward");
@@ -200,10 +188,28 @@ impl Workload for BackProp {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let (input, weights, deltas) = (&self.input, &self.w, &self.deltas);
+        let hidden_units = deltas.len();
+        // CPU reference. The GPU reduces block-partials in thread order, so
+        // use a per-chunk tree-compatible sum with tolerance below.
+        let mut expected_hidden = vec![0.0f32; hidden_units];
+        for j in 0..hidden_units {
+            let mut acc = 0.0f32;
+            for i in 0..input.len() {
+                acc += weights[i * hidden_units + j] * input[i];
+            }
+            expected_hidden[j] = acc;
+        }
+        let mut expected_weights = weights.clone();
+        for i in 0..input.len() {
+            for j in 0..hidden_units {
+                expected_weights[i * hidden_units + j] += ETA * deltas[j] * input[i];
+            }
+        }
         let hidden = device.read_f32(self.hidden.as_ref().expect("setup"));
-        check_f32("hidden", &hidden, &self.expected_hidden, 1e-3)?;
+        check_f32("hidden", &hidden, &expected_hidden, 1e-3)?;
         let w = device.read_f32(self.weights.as_ref().expect("setup"));
-        check_f32("weights", &w, &self.expected_weights, 1e-3)
+        check_f32("weights", &w, &expected_weights, 1e-3)
     }
 }
 

@@ -84,6 +84,8 @@ impl Workload for Bfs {
             edges.extend_from_slice(v);
             row_ptr.push(edges.len() as u32);
         }
+        // The BFS depth sets the launch count, so the CPU search runs here
+        // rather than in `verify`; its costs are kept as the reference.
         self.expected = cpu_bfs(&row_ptr, &edges, n, 0);
         let depth = *self
             .expected

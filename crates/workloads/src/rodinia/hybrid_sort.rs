@@ -28,8 +28,7 @@ const BUCKET_CAP: u32 = 256; // power of two for the bitonic phase
 pub struct HybridSort {
     seed: u64,
     buckets: Option<BufferHandle>,
-    n: usize,
-    expected_sorted: Vec<u32>,
+    keys: Vec<u32>,
 }
 
 impl HybridSort {
@@ -38,8 +37,7 @@ impl HybridSort {
         Self {
             seed,
             buckets: None,
-            n: 0,
-            expected_sorted: Vec::new(),
+            keys: Vec::new(),
         }
     }
 }
@@ -55,14 +53,10 @@ impl Workload for HybridSort {
 
     fn setup(&mut self, device: &mut Device, scale: Scale) -> Result<Vec<LaunchSpec>, SimtError> {
         let n = scale.pick(512, 1024, 2048);
-        self.n = n;
         let mut rng = SeededRng::seed_from_u64(self.seed);
         // Keys in [0, BUCKETS * 2^16); bucket = key >> 16. Uniform keys keep
         // every bucket under BUCKET_CAP at these sizes.
         let keys: Vec<u32> = (0..n).map(|_| rng.gen_range(0..BUCKETS << 16)).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        self.expected_sorted = sorted;
 
         let hkeys = device.alloc_u32(&keys);
         let hcounts = device.alloc_zeroed_u32(BUCKETS as usize);
@@ -71,6 +65,7 @@ impl Workload for HybridSort {
         // full power-of-two tiles.
         let hbuckets = device.alloc_u32(&vec![u32::MAX; (BUCKETS * BUCKET_CAP) as usize]);
         self.buckets = Some(hbuckets);
+        self.keys = keys;
 
         // --- kernel 1: count ----------------------------------------------------
         let mut b = KernelBuilder::new("bucket_count");
@@ -193,21 +188,27 @@ impl Workload for HybridSort {
         let raw = device.read_u32(self.buckets.as_ref().expect("setup"));
         // Concatenate buckets, dropping the MAX padding.
         let gathered: Vec<u32> = raw.into_iter().filter(|&k| k != u32::MAX).collect();
-        if gathered.len() != self.n {
+        if gathered.len() != self.keys.len() {
             return Err(VerifyError {
-                detail: format!("expected {} keys, found {}", self.n, gathered.len()),
+                detail: format!(
+                    "expected {} keys, found {}",
+                    self.keys.len(),
+                    gathered.len()
+                ),
             });
         }
-        if gathered != self.expected_sorted {
+        let mut expected_sorted = self.keys.clone();
+        expected_sorted.sort_unstable();
+        if gathered != expected_sorted {
             let idx = gathered
                 .iter()
-                .zip(&self.expected_sorted)
+                .zip(&expected_sorted)
                 .position(|(g, w)| g != w)
                 .unwrap_or(0);
             return Err(VerifyError {
                 detail: format!(
                     "sorted[{idx}]: got {}, want {}",
-                    gathered[idx], self.expected_sorted[idx]
+                    gathered[idx], expected_sorted[idx]
                 ),
             });
         }

@@ -25,8 +25,10 @@ pub struct KMeansWorkload {
     seed: u64,
     assign: Option<BufferHandle>,
     counts: Option<BufferHandle>,
-    expected_assign: Vec<u32>,
-    expected_counts: Vec<u32>,
+    /// Point-major coordinates, `DIMS` per point.
+    points: Vec<f32>,
+    /// Feature-major initial centroids (`centroids[d * K + c]`).
+    centroids: Vec<f32>,
 }
 
 impl KMeansWorkload {
@@ -36,8 +38,8 @@ impl KMeansWorkload {
             seed,
             assign: None,
             counts: None,
-            expected_assign: Vec::new(),
-            expected_counts: Vec::new(),
+            points: Vec::new(),
+            centroids: Vec::new(),
         }
     }
 }
@@ -73,27 +75,6 @@ impl Workload for KMeansWorkload {
             }
         }
 
-        let mut expected_assign = vec![0u32; n as usize];
-        let mut expected_counts = vec![0u32; K as usize];
-        for p in 0..n as usize {
-            let (mut best_c, mut best_d) = (0usize, f32::INFINITY);
-            for c in 0..K as usize {
-                let mut dist = 0.0f32;
-                for d in 0..DIMS as usize {
-                    let diff = points[p * DIMS as usize + d] - centroids[d * K as usize + c];
-                    dist = diff.mul_add(diff, dist);
-                }
-                if dist < best_d {
-                    best_d = dist;
-                    best_c = c;
-                }
-            }
-            expected_assign[p] = best_c as u32;
-            expected_counts[best_c] += 1;
-        }
-        self.expected_assign = expected_assign;
-        self.expected_counts = expected_counts;
-
         let hpoints = device.alloc_f32(&points);
         let hcentroids = device.alloc_f32(&centroids);
         let hassign = device.alloc_zeroed_u32(n as usize);
@@ -101,6 +82,8 @@ impl Workload for KMeansWorkload {
         let hcounts = device.alloc_zeroed_u32(K as usize);
         self.assign = Some(hassign);
         self.counts = Some(hcounts);
+        self.points = points;
+        self.centroids = centroids;
 
         // --- assignment kernel -------------------------------------------------
         let mut b = KernelBuilder::new("kmeans_assign");
@@ -190,11 +173,32 @@ impl Workload for KMeansWorkload {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let mut expected_counts = vec![0u32; K as usize];
+        let expected_assign: Vec<u32> = self
+            .points
+            .chunks(DIMS as usize)
+            .map(|point| {
+                let (mut best_c, mut best_d) = (0usize, f32::INFINITY);
+                for c in 0..K as usize {
+                    let mut dist = 0.0f32;
+                    for (d, pv) in point.iter().enumerate() {
+                        let diff = pv - self.centroids[d * K as usize + c];
+                        dist = diff.mul_add(diff, dist);
+                    }
+                    if dist < best_d {
+                        best_d = dist;
+                        best_c = c;
+                    }
+                }
+                expected_counts[best_c] += 1;
+                best_c as u32
+            })
+            .collect();
         let assign = device.read_u32(self.assign.as_ref().expect("setup"));
-        check_u32("assign", &assign, &self.expected_assign)?;
+        check_u32("assign", &assign, &expected_assign)?;
         let counts = device.read_u32(self.counts.as_ref().expect("setup"));
         let got: Vec<f32> = counts.iter().map(|&c| c as f32).collect();
-        let want: Vec<f32> = self.expected_counts.iter().map(|&c| c as f32).collect();
+        let want: Vec<f32> = expected_counts.iter().map(|&c| c as f32).collect();
         check_f32("counts", &got, &want, 0.0)
     }
 }

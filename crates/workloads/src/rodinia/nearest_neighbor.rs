@@ -15,14 +15,17 @@ use gwc_simt::SimtError;
 
 use crate::workload::{check_f32, LaunchSpec, Scale, Suite, VerifyError, Workload, WorkloadMeta};
 
+/// The query point (latitude, longitude).
+const QUERY: (f32, f32) = (30.0, 90.0);
+
 /// See the [module docs](self).
 #[derive(Debug)]
 pub struct NearestNeighbor {
     seed: u64,
     distances: Option<BufferHandle>,
     min_bits: Option<BufferHandle>,
-    expected_distances: Vec<f32>,
-    expected_min: f32,
+    lat: Vec<f32>,
+    lng: Vec<f32>,
 }
 
 impl NearestNeighbor {
@@ -32,8 +35,8 @@ impl NearestNeighbor {
             seed,
             distances: None,
             min_bits: None,
-            expected_distances: Vec::new(),
-            expected_min: 0.0,
+            lat: Vec::new(),
+            lng: Vec::new(),
         }
     }
 }
@@ -52,23 +55,7 @@ impl Workload for NearestNeighbor {
         let mut rng = SeededRng::seed_from_u64(self.seed);
         let lat: Vec<f32> = (0..n).map(|_| rng.gen_range(0.0..90.0)).collect();
         let lng: Vec<f32> = (0..n).map(|_| rng.gen_range(0.0..180.0)).collect();
-        let (qlat, qlng) = (30.0f32, 90.0f32);
-        self.expected_distances = lat
-            .iter()
-            .zip(&lng)
-            .map(|(&la, &lo)| {
-                let dla = la - qlat;
-                let dlo = lo - qlng;
-                // Mirror kernel rounding: mul then one-rounding mad then sqrt.
-                let t = dla * dla;
-                dlo.mul_add(dlo, t).sqrt()
-            })
-            .collect();
-        self.expected_min = self
-            .expected_distances
-            .iter()
-            .cloned()
-            .fold(f32::INFINITY, f32::min);
+        let (qlat, qlng) = QUERY;
 
         let hlat = device.alloc_f32(&lat);
         let hlng = device.alloc_f32(&lng);
@@ -76,6 +63,8 @@ impl Workload for NearestNeighbor {
         let hmin = device.alloc_u32(&[f32::INFINITY.to_bits()]);
         self.distances = Some(hdist);
         self.min_bits = Some(hmin);
+        self.lat = lat;
+        self.lng = lng;
 
         // --- distance kernel --------------------------------------------------
         let mut b = KernelBuilder::new("nn_distance");
@@ -143,11 +132,28 @@ impl Workload for NearestNeighbor {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let (qlat, qlng) = QUERY;
+        let expected_distances: Vec<f32> = self
+            .lat
+            .iter()
+            .zip(&self.lng)
+            .map(|(&la, &lo)| {
+                let dla = la - qlat;
+                let dlo = lo - qlng;
+                // Mirror kernel rounding: mul then one-rounding mad then sqrt.
+                let t = dla * dla;
+                dlo.mul_add(dlo, t).sqrt()
+            })
+            .collect();
+        let expected_min = expected_distances
+            .iter()
+            .cloned()
+            .fold(f32::INFINITY, f32::min);
         let dist = device.read_f32(self.distances.as_ref().expect("setup"));
-        check_f32("distances", &dist, &self.expected_distances, 1e-4)?;
+        check_f32("distances", &dist, &expected_distances, 1e-4)?;
         let bits = device.read_u32(self.min_bits.as_ref().expect("setup"))[0];
         let min = f32::from_bits(bits);
-        check_f32("min", &[min], &[self.expected_min], 1e-5)
+        check_f32("min", &[min], &[expected_min], 1e-5)
     }
 }
 

@@ -21,8 +21,8 @@ const GAP: i32 = -1;
 pub struct NeedlemanWunsch {
     seed: u64,
     score: Option<BufferHandle>,
-    n: usize,
-    expected: Vec<i32>,
+    a: Vec<i32>,
+    bseq: Vec<i32>,
 }
 
 impl NeedlemanWunsch {
@@ -31,8 +31,8 @@ impl NeedlemanWunsch {
         Self {
             seed,
             score: None,
-            n: 0,
-            expected: Vec::new(),
+            a: Vec::new(),
+            bseq: Vec::new(),
         }
     }
 }
@@ -66,12 +66,10 @@ impl Workload for NeedlemanWunsch {
 
     fn setup(&mut self, device: &mut Device, scale: Scale) -> Result<Vec<LaunchSpec>, SimtError> {
         let n = scale.pick(24, 48, 96);
-        self.n = n;
         let dim = n + 1;
         let mut rng = SeededRng::seed_from_u64(self.seed);
         let a: Vec<i32> = (0..n).map(|_| rng.gen_range(0..4)).collect();
         let bseq: Vec<i32> = (0..n).map(|_| rng.gen_range(0..4)).collect();
-        self.expected = cpu_nw(&a, &bseq, n);
 
         // Initialize the score matrix borders on the host, as Rodinia does.
         let mut init = vec![0i32; dim * dim];
@@ -83,6 +81,8 @@ impl Workload for NeedlemanWunsch {
         let ha = device.alloc_i32(&a);
         let hb = device.alloc_i32(&bseq);
         self.score = Some(hscore);
+        self.a = a;
+        self.bseq = bseq;
 
         // Kernel: fill cells of one anti-diagonal `d` (cells (i, d - i) for
         // i in [lo, hi]).
@@ -160,18 +160,16 @@ impl Workload for NeedlemanWunsch {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let expected = cpu_nw(&self.a, &self.bseq, self.a.len());
         let got = device.read_i32(self.score.as_ref().expect("setup"));
-        if got != self.expected {
+        if got != expected {
             let idx = got
                 .iter()
-                .zip(&self.expected)
+                .zip(&expected)
                 .position(|(g, w)| g != w)
                 .unwrap_or(0);
             return Err(VerifyError {
-                detail: format!(
-                    "score[{idx}]: got {}, want {}",
-                    got[idx], self.expected[idx]
-                ),
+                detail: format!("score[{idx}]: got {}, want {}", got[idx], expected[idx]),
             });
         }
         Ok(())

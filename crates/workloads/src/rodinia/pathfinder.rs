@@ -19,7 +19,9 @@ use crate::workload::{check_u32, LaunchSpec, Scale, Suite, VerifyError, Workload
 pub struct PathFinder {
     seed: u64,
     result: Option<BufferHandle>,
-    expected: Vec<u32>,
+    cols: usize,
+    /// Row-major cost grid, `cols` per row.
+    data: Vec<u32>,
 }
 
 impl PathFinder {
@@ -28,7 +30,8 @@ impl PathFinder {
         Self {
             seed,
             result: None,
-            expected: Vec::new(),
+            cols: 0,
+            data: Vec::new(),
         }
     }
 }
@@ -48,25 +51,14 @@ impl Workload for PathFinder {
         let mut rng = SeededRng::seed_from_u64(self.seed);
         let data: Vec<u32> = (0..rows * cols).map(|_| rng.gen_range(0..10)).collect();
 
-        // CPU reference.
-        let mut cur: Vec<u32> = data[..cols].to_vec();
-        for r in 1..rows {
-            let mut next = vec![0u32; cols];
-            for x in 0..cols {
-                let lo = if x > 0 { cur[x - 1] } else { u32::MAX };
-                let hi = if x + 1 < cols { cur[x + 1] } else { u32::MAX };
-                next[x] = data[r * cols + x] + cur[x].min(lo).min(hi);
-            }
-            cur = next;
-        }
-        self.expected = cur;
-
         let hdata = device.alloc_u32(&data);
         let ha = device.alloc_u32(&data[..cols]);
         let hb = device.alloc_zeroed_u32(cols);
         // Rows - 1 DP steps: result lands in ha when steps is even.
         let steps = rows - 1;
         self.result = Some(if steps.is_multiple_of(2) { ha } else { hb });
+        self.cols = cols;
+        self.data = data;
 
         let mut b = KernelBuilder::new("pathfinder_row");
         let pdata = b.param_u32("data");
@@ -126,8 +118,19 @@ impl Workload for PathFinder {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let (cols, data) = (self.cols, &self.data);
+        let mut cur: Vec<u32> = data[..cols].to_vec();
+        for r in 1..data.len() / cols {
+            let mut next = vec![0u32; cols];
+            for x in 0..cols {
+                let lo = if x > 0 { cur[x - 1] } else { u32::MAX };
+                let hi = if x + 1 < cols { cur[x + 1] } else { u32::MAX };
+                next[x] = data[r * cols + x] + cur[x].min(lo).min(hi);
+            }
+            cur = next;
+        }
         let got = device.read_u32(self.result.as_ref().expect("setup"));
-        check_u32("pathfinder", &got, &self.expected)
+        check_u32("pathfinder", &got, &cur)
     }
 }
 

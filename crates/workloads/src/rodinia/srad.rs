@@ -22,7 +22,9 @@ const Q0_SQR: f32 = 0.05;
 pub struct Srad {
     seed: u64,
     image: Option<BufferHandle>,
-    expected: Vec<f32>,
+    /// Image width and height (the image is square).
+    w: usize,
+    img: Vec<f32>,
 }
 
 impl Srad {
@@ -31,7 +33,8 @@ impl Srad {
         Self {
             seed,
             image: None,
-            expected: Vec::new(),
+            w: 0,
+            img: Vec::new(),
         }
     }
 }
@@ -99,7 +102,6 @@ impl Workload for Srad {
         let h = w;
         let mut rng = SeededRng::seed_from_u64(self.seed);
         let img: Vec<f32> = (0..w * h).map(|_| rng.gen_range(0.5..2.0)).collect();
-        self.expected = cpu_iter(&img, w as usize, h as usize);
 
         let himg = device.alloc_f32(&img);
         let hc = device.alloc_zeroed_f32((w * h) as usize);
@@ -108,6 +110,8 @@ impl Workload for Srad {
         let hde = device.alloc_zeroed_f32((w * h) as usize);
         let hdw = device.alloc_zeroed_f32((w * h) as usize);
         self.image = Some(himg);
+        self.w = w as usize;
+        self.img = img;
 
         // --- srad1: gradients + coefficient -----------------------------------
         let mut b = KernelBuilder::new("srad1");
@@ -263,8 +267,9 @@ impl Workload for Srad {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let expected = cpu_iter(&self.img, self.w, self.w);
         let got = device.read_f32(self.image.as_ref().expect("setup"));
-        check_f32("srad", &got, &self.expected, 1e-3)
+        check_f32("srad", &got, &expected, 1e-3)
     }
 }
 

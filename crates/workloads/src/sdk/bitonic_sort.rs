@@ -22,7 +22,8 @@ const TILE: u32 = 256;
 pub struct BitonicSort {
     seed: u64,
     data: Option<BufferHandle>,
-    expected: Vec<u32>,
+    /// The unsorted keys; the kernel sorts the device copy in place.
+    keys: Vec<u32>,
 }
 
 impl BitonicSort {
@@ -31,7 +32,7 @@ impl BitonicSort {
         Self {
             seed,
             data: None,
-            expected: Vec::new(),
+            keys: Vec::new(),
         }
     }
 }
@@ -50,15 +51,10 @@ impl Workload for BitonicSort {
         let n = blocks * TILE;
         let mut rng = SeededRng::seed_from_u64(self.seed);
         let data: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1 << 24)).collect();
-        // Expected: each tile independently sorted ascending.
-        let mut expected = data.clone();
-        for chunk in expected.chunks_mut(TILE as usize) {
-            chunk.sort_unstable();
-        }
-        self.expected = expected;
 
         let hdata = device.alloc_u32(&data);
         self.data = Some(hdata);
+        self.keys = data;
 
         let mut b = KernelBuilder::new("bitonic_sort");
         let pdata = b.param_u32("data");
@@ -125,8 +121,13 @@ impl Workload for BitonicSort {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        // Expected: each tile independently sorted ascending.
+        let mut expected = self.keys.clone();
+        for chunk in expected.chunks_mut(TILE as usize) {
+            chunk.sort_unstable();
+        }
         let got = device.read_u32(self.data.as_ref().expect("setup"));
-        check_u32("bitonic_sort", &got, &self.expected)
+        check_u32("bitonic_sort", &got, &expected)
     }
 }
 

@@ -24,8 +24,9 @@ pub struct BlackScholes {
     seed: u64,
     call: Option<BufferHandle>,
     put: Option<BufferHandle>,
-    expected_call: Vec<f32>,
-    expected_put: Vec<f32>,
+    price: Vec<f32>,
+    strike: Vec<f32>,
+    time: Vec<f32>,
 }
 
 impl BlackScholes {
@@ -35,8 +36,9 @@ impl BlackScholes {
             seed,
             call: None,
             put: None,
-            expected_call: Vec::new(),
-            expected_put: Vec::new(),
+            price: Vec::new(),
+            strike: Vec::new(),
+            time: Vec::new(),
         }
     }
 }
@@ -84,14 +86,6 @@ impl Workload for BlackScholes {
         let price: Vec<f32> = (0..n).map(|_| rng.gen_range(5.0..30.0)).collect();
         let strike: Vec<f32> = (0..n).map(|_| rng.gen_range(1.0..100.0)).collect();
         let time: Vec<f32> = (0..n).map(|_| rng.gen_range(0.25..10.0)).collect();
-        let (mut ec, mut ep) = (Vec::new(), Vec::new());
-        for i in 0..n as usize {
-            let (c, p) = reference(price[i], strike[i], time[i]);
-            ec.push(c);
-            ep.push(p);
-        }
-        self.expected_call = ec;
-        self.expected_put = ep;
 
         let hs = device.alloc_f32(&price);
         let hx = device.alloc_f32(&strike);
@@ -100,6 +94,9 @@ impl Workload for BlackScholes {
         let hp = device.alloc_zeroed_f32(n as usize);
         self.call = Some(hc);
         self.put = Some(hp);
+        self.price = price;
+        self.strike = strike;
+        self.time = time;
 
         let mut b = KernelBuilder::new("black_scholes");
         let ps = b.param_u32("s");
@@ -178,10 +175,16 @@ impl Workload for BlackScholes {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let (mut expected_call, mut expected_put) = (Vec::new(), Vec::new());
+        for i in 0..self.price.len() {
+            let (c, p) = reference(self.price[i], self.strike[i], self.time[i]);
+            expected_call.push(c);
+            expected_put.push(p);
+        }
         let call = device.read_f32(self.call.as_ref().expect("setup"));
-        check_f32("call", &call, &self.expected_call, 2e-3)?;
+        check_f32("call", &call, &expected_call, 2e-3)?;
         let put = device.read_f32(self.put.as_ref().expect("setup"));
-        check_f32("put", &put, &self.expected_put, 2e-3)
+        check_f32("put", &put, &expected_put, 2e-3)
     }
 }
 

@@ -22,7 +22,10 @@ const RADIUS: i32 = 4;
 pub struct ConvolutionSeparable {
     seed: u64,
     out: Option<BufferHandle>,
-    expected: Vec<f32>,
+    /// Image width and height (the image is square).
+    w: usize,
+    input: Vec<f32>,
+    filter: Vec<f32>,
 }
 
 impl ConvolutionSeparable {
@@ -31,7 +34,9 @@ impl ConvolutionSeparable {
         Self {
             seed,
             out: None,
-            expected: Vec::new(),
+            w: 0,
+            input: Vec::new(),
+            filter: Vec::new(),
         }
     }
 }
@@ -125,14 +130,15 @@ impl Workload for ConvolutionSeparable {
         let filter: Vec<f32> = (0..2 * RADIUS + 1)
             .map(|i| 1.0 / (1.0 + (i - RADIUS).abs() as f32))
             .collect();
-        let tmp = cpu_pass(&input, w as usize, h as usize, &filter, true);
-        self.expected = cpu_pass(&tmp, w as usize, h as usize, &filter, false);
 
         let hin = device.alloc_f32(&input);
         let htmp = device.alloc_zeroed_f32((w * h) as usize);
         let hout = device.alloc_zeroed_f32((w * h) as usize);
         let hfilter = device.alloc_const_f32(&filter);
         self.out = Some(hout);
+        self.w = w as usize;
+        self.input = input;
+        self.filter = filter;
 
         let rows = pass_kernel("convolution_rows", true)?;
         let cols = pass_kernel("convolution_cols", false)?;
@@ -166,8 +172,11 @@ impl Workload for ConvolutionSeparable {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let (w, filter) = (self.w, &self.filter);
+        let tmp = cpu_pass(&self.input, w, w, filter, true);
+        let expected = cpu_pass(&tmp, w, w, filter, false);
         let out = device.read_f32(self.out.as_ref().expect("setup"));
-        check_f32("convolution", &out, &self.expected, 1e-3)
+        check_f32("convolution", &out, &expected, 1e-3)
     }
 }
 

@@ -26,7 +26,7 @@ pub struct Histogram {
     seed: u64,
     bins_global: Option<BufferHandle>,
     bins_smem: Option<BufferHandle>,
-    expected: Vec<u32>,
+    data: Vec<u32>,
 }
 
 impl Histogram {
@@ -36,7 +36,7 @@ impl Histogram {
             seed,
             bins_global: None,
             bins_smem: None,
-            expected: Vec::new(),
+            data: Vec::new(),
         }
     }
 }
@@ -55,17 +55,13 @@ impl Workload for Histogram {
         let n = scale.pick(1 << 10, 1 << 14, 1 << 17) as u32;
         let mut rng = SeededRng::seed_from_u64(self.seed);
         let data: Vec<u32> = (0..n).map(|_| rng.gen_range(0..1 << 20)).collect();
-        let mut expected = vec![0u32; BINS as usize];
-        for &v in &data {
-            expected[(v % BINS) as usize] += 1;
-        }
-        self.expected = expected;
 
         let hdata = device.alloc_u32(&data);
         let hg = device.alloc_zeroed_u32(BINS as usize);
         let hs = device.alloc_zeroed_u32(BINS as usize);
         self.bins_global = Some(hg);
         self.bins_smem = Some(hs);
+        self.data = data;
 
         // --- direct global atomics ------------------------------------------
         let mut b = KernelBuilder::new("histogram_global");
@@ -136,10 +132,14 @@ impl Workload for Histogram {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let mut expected = vec![0u32; BINS as usize];
+        for &v in &self.data {
+            expected[(v % BINS) as usize] += 1;
+        }
         let g = device.read_u32(self.bins_global.as_ref().expect("setup"));
-        check_u32("histogram_global", &g, &self.expected)?;
+        check_u32("histogram_global", &g, &expected)?;
         let s = device.read_u32(self.bins_smem.as_ref().expect("setup"));
-        check_u32("histogram_smem", &s, &self.expected)
+        check_u32("histogram_smem", &s, &expected)
     }
 }
 

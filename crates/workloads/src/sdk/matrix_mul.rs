@@ -20,7 +20,10 @@ const TILE: u32 = 16;
 pub struct MatrixMul {
     seed: u64,
     out: Option<BufferHandle>,
-    expected: Vec<f32>,
+    /// Side length of the square matrices.
+    n: usize,
+    a: Vec<f32>,
+    bm: Vec<f32>,
 }
 
 impl MatrixMul {
@@ -29,7 +32,9 @@ impl MatrixMul {
         Self {
             seed,
             out: None,
-            expected: Vec::new(),
+            n: 0,
+            a: Vec::new(),
+            bm: Vec::new(),
         }
     }
 }
@@ -48,21 +53,14 @@ impl Workload for MatrixMul {
         let mut rng = SeededRng::seed_from_u64(self.seed);
         let a: Vec<f32> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let bm: Vec<f32> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut c = vec![0.0f32; (n * n) as usize];
-        for i in 0..n as usize {
-            for k in 0..n as usize {
-                let av = a[i * n as usize + k];
-                for j in 0..n as usize {
-                    c[i * n as usize + j] += av * bm[k * n as usize + j];
-                }
-            }
-        }
-        self.expected = c;
 
         let ha = device.alloc_f32(&a);
         let hb = device.alloc_f32(&bm);
         let hc = device.alloc_zeroed_f32((n * n) as usize);
         self.out = Some(hc);
+        self.n = n as usize;
+        self.a = a;
+        self.bm = bm;
 
         let mut b = KernelBuilder::new("matrix_mul");
         let pa = b.param_u32("a");
@@ -123,8 +121,18 @@ impl Workload for MatrixMul {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let n = self.n;
+        let mut c = vec![0.0f32; n * n];
+        for i in 0..n {
+            for k in 0..n {
+                let av = self.a[i * n + k];
+                for j in 0..n {
+                    c[i * n + j] += av * self.bm[k * n + j];
+                }
+            }
+        }
         let out = device.read_f32(self.out.as_ref().expect("setup"));
-        check_f32("matrix_mul", &out, &self.expected, 1e-3)
+        check_f32("matrix_mul", &out, &c, 1e-3)
     }
 }
 

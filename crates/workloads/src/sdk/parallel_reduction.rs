@@ -41,10 +41,7 @@ pub struct ParallelReduction {
     partial_first_add: Option<BufferHandle>,
     partial_stride: Option<BufferHandle>,
     total: Option<BufferHandle>,
-    expected_partials: Vec<f32>,
-    expected_first_add: Vec<f32>,
-    expected_stride: Vec<f32>,
-    expected_total: f32,
+    data: Vec<f32>,
 }
 
 impl ParallelReduction {
@@ -57,10 +54,7 @@ impl ParallelReduction {
             partial_first_add: None,
             partial_stride: None,
             total: None,
-            expected_partials: Vec::new(),
-            expected_first_add: Vec::new(),
-            expected_stride: Vec::new(),
-            expected_total: 0.0,
+            data: Vec::new(),
         }
     }
 }
@@ -251,34 +245,6 @@ impl Workload for ParallelReduction {
         let mut rng = SeededRng::seed_from_u64(self.seed);
         // Small integers keep float sums exact.
         let data: Vec<f32> = (0..n).map(|_| rng.gen_range(0..8) as f32).collect();
-        self.expected_partials = data
-            .chunks(BLOCK as usize)
-            .map(|c| c.iter().sum())
-            .collect();
-        self.expected_total = data.iter().sum();
-        // First-add variant: half the blocks, each thread adds in[g] and
-        // in[g + n/2].
-        let half = (n / 2) as usize;
-        self.expected_first_add = data[..half]
-            .chunks(BLOCK as usize)
-            .zip(data[half..].chunks(BLOCK as usize))
-            .map(|(a, bb)| a.iter().sum::<f32>() + bb.iter().sum::<f32>())
-            .collect();
-        // Grid-stride variant: STRIDE_BLOCKS block sums over strided lanes.
-        let stride_threads = (STRIDE_BLOCKS * BLOCK) as usize;
-        self.expected_stride = (0..STRIDE_BLOCKS as usize)
-            .map(|blk| {
-                let mut sum = 0.0f32;
-                for t in 0..BLOCK as usize {
-                    let mut i = blk * BLOCK as usize + t;
-                    while i < n as usize {
-                        sum += data[i];
-                        i += stride_threads;
-                    }
-                }
-                sum
-            })
-            .collect();
 
         let hin = device.alloc_f32(&data);
         let hpi = device.alloc_zeroed_f32(blocks as usize);
@@ -291,6 +257,7 @@ impl Workload for ParallelReduction {
         self.partial_first_add = Some(hpf);
         self.partial_stride = Some(hpg);
         self.total = Some(htotal);
+        self.data = data;
 
         let inter = reduction_kernel("reduce_interleaved", true)?;
         let seq = reduction_kernel("reduce_sequential", false)?;
@@ -335,16 +302,46 @@ impl Workload for ParallelReduction {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let data = &self.data;
+        let n = data.len();
+        let expected_partials: Vec<f32> = data
+            .chunks(BLOCK as usize)
+            .map(|c| c.iter().sum())
+            .collect();
+        let expected_total: f32 = data.iter().sum();
+        // First-add variant: half the blocks, each thread adds in[g] and
+        // in[g + n/2].
+        let half = n / 2;
+        let expected_first_add: Vec<f32> = data[..half]
+            .chunks(BLOCK as usize)
+            .zip(data[half..].chunks(BLOCK as usize))
+            .map(|(a, bb)| a.iter().sum::<f32>() + bb.iter().sum::<f32>())
+            .collect();
+        // Grid-stride variant: STRIDE_BLOCKS block sums over strided lanes.
+        let stride_threads = (STRIDE_BLOCKS * BLOCK) as usize;
+        let expected_stride: Vec<f32> = (0..STRIDE_BLOCKS as usize)
+            .map(|blk| {
+                let mut sum = 0.0f32;
+                for t in 0..BLOCK as usize {
+                    let mut i = blk * BLOCK as usize + t;
+                    while i < n {
+                        sum += data[i];
+                        i += stride_threads;
+                    }
+                }
+                sum
+            })
+            .collect();
         let pi = device.read_f32(self.partial_inter.as_ref().expect("setup"));
-        check_f32("interleaved partials", &pi, &self.expected_partials, 1e-5)?;
+        check_f32("interleaved partials", &pi, &expected_partials, 1e-5)?;
         let ps = device.read_f32(self.partial_seq.as_ref().expect("setup"));
-        check_f32("sequential partials", &ps, &self.expected_partials, 1e-5)?;
+        check_f32("sequential partials", &ps, &expected_partials, 1e-5)?;
         let pf = device.read_f32(self.partial_first_add.as_ref().expect("setup"));
-        check_f32("first-add partials", &pf, &self.expected_first_add, 1e-4)?;
+        check_f32("first-add partials", &pf, &expected_first_add, 1e-4)?;
         let pg = device.read_f32(self.partial_stride.as_ref().expect("setup"));
-        check_f32("grid-stride partials", &pg, &self.expected_stride, 1e-4)?;
+        check_f32("grid-stride partials", &pg, &expected_stride, 1e-4)?;
         let total = device.read_f32(self.total.as_ref().expect("setup"));
-        check_f32("total", &total, &[self.expected_total], 1e-4)
+        check_f32("total", &total, &[expected_total], 1e-4)
     }
 }
 

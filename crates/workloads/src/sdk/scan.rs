@@ -28,7 +28,7 @@ const BLOCK: u32 = 256;
 pub struct ScanLargeArrays {
     seed: u64,
     out: Option<BufferHandle>,
-    expected: Vec<f32>,
+    data: Vec<f32>,
 }
 
 impl ScanLargeArrays {
@@ -37,7 +37,7 @@ impl ScanLargeArrays {
         Self {
             seed,
             out: None,
-            expected: Vec::new(),
+            data: Vec::new(),
         }
     }
 }
@@ -139,15 +139,6 @@ impl Workload for ScanLargeArrays {
         let n = blocks * BLOCK;
         let mut rng = SeededRng::seed_from_u64(self.seed);
         let data: Vec<f32> = (0..n).map(|_| rng.gen_range(0..4) as f32).collect();
-        let mut acc = 0.0;
-        self.expected = data
-            .iter()
-            .map(|&v| {
-                let e = acc;
-                acc += v;
-                e
-            })
-            .collect();
 
         let hin = device.alloc_f32(&data);
         let hout = device.alloc_zeroed_f32(n as usize);
@@ -155,6 +146,7 @@ impl Workload for ScanLargeArrays {
         let hsums_scanned = device.alloc_zeroed_f32(BLOCK as usize);
         let htop = device.alloc_zeroed_f32(1);
         self.out = Some(hout);
+        self.data = data;
 
         let scan = scan_block_kernel()?;
         let add = uniform_add_kernel()?;
@@ -183,8 +175,18 @@ impl Workload for ScanLargeArrays {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let mut acc = 0.0;
+        let expected: Vec<f32> = self
+            .data
+            .iter()
+            .map(|&v| {
+                let e = acc;
+                acc += v;
+                e
+            })
+            .collect();
         let out = device.read_f32(self.out.as_ref().expect("setup"));
-        check_f32("scan", &out, &self.expected, 1e-4)
+        check_f32("scan", &out, &expected, 1e-4)
     }
 }
 

@@ -22,7 +22,9 @@ pub struct Transpose {
     seed: u64,
     out_naive: Option<BufferHandle>,
     out_tiled: Option<BufferHandle>,
-    expected: Vec<f32>,
+    /// Side length of the square matrix.
+    n: usize,
+    input: Vec<f32>,
 }
 
 impl Transpose {
@@ -32,7 +34,8 @@ impl Transpose {
             seed,
             out_naive: None,
             out_tiled: None,
-            expected: Vec::new(),
+            n: 0,
+            input: Vec::new(),
         }
     }
 }
@@ -50,19 +53,14 @@ impl Workload for Transpose {
         let n = scale.pick(32, 64, 128) as u32;
         let mut rng = SeededRng::seed_from_u64(self.seed);
         let input: Vec<f32> = (0..n * n).map(|_| rng.gen_range(-9.0..9.0)).collect();
-        let mut t = vec![0.0f32; (n * n) as usize];
-        for y in 0..n as usize {
-            for x in 0..n as usize {
-                t[x * n as usize + y] = input[y * n as usize + x];
-            }
-        }
-        self.expected = t;
 
         let hin = device.alloc_f32(&input);
         let hnaive = device.alloc_zeroed_f32((n * n) as usize);
         let htiled = device.alloc_zeroed_f32((n * n) as usize);
         self.out_naive = Some(hnaive);
         self.out_tiled = Some(htiled);
+        self.n = n as usize;
+        self.input = input;
 
         // --- naive: out[x * n + y] = in[y * n + x] ---------------------------
         let mut b = KernelBuilder::new("transpose_naive");
@@ -128,10 +126,17 @@ impl Workload for Transpose {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let n = self.n;
+        let mut expected = vec![0.0f32; n * n];
+        for y in 0..n {
+            for x in 0..n {
+                expected[x * n + y] = self.input[y * n + x];
+            }
+        }
         let naive = device.read_f32(self.out_naive.as_ref().expect("setup"));
-        check_f32("transpose_naive", &naive, &self.expected, 1e-6)?;
+        check_f32("transpose_naive", &naive, &expected, 1e-6)?;
         let tiled = device.read_f32(self.out_tiled.as_ref().expect("setup"));
-        check_f32("transpose_tiled", &tiled, &self.expected, 1e-6)
+        check_f32("transpose_tiled", &tiled, &expected, 1e-6)
     }
 }
 

@@ -19,7 +19,8 @@ use crate::workload::{check_f32, LaunchSpec, Scale, Suite, VerifyError, Workload
 pub struct VectorAdd {
     seed: u64,
     out: Option<BufferHandle>,
-    expected: Vec<f32>,
+    a: Vec<f32>,
+    b: Vec<f32>,
 }
 
 impl VectorAdd {
@@ -28,7 +29,8 @@ impl VectorAdd {
         Self {
             seed,
             out: None,
-            expected: Vec::new(),
+            a: Vec::new(),
+            b: Vec::new(),
         }
     }
 }
@@ -47,12 +49,13 @@ impl Workload for VectorAdd {
         let mut rng = SeededRng::seed_from_u64(self.seed);
         let a: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let b: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        self.expected = a.iter().zip(&b).map(|(x, y)| x + y).collect();
 
         let ha = device.alloc_f32(&a);
         let hb = device.alloc_f32(&b);
         let hout = device.alloc_zeroed_f32(n);
         self.out = Some(hout);
+        self.a = a;
+        self.b = b;
 
         let mut kb = KernelBuilder::new("vec_add");
         let pa = kb.param_u32("a");
@@ -81,8 +84,9 @@ impl Workload for VectorAdd {
     }
 
     fn verify(&self, device: &Device) -> Result<(), VerifyError> {
+        let expected: Vec<f32> = self.a.iter().zip(&self.b).map(|(x, y)| x + y).collect();
         let out = device.read_f32(self.out.as_ref().expect("setup ran"));
-        check_f32("vec_add", &out, &self.expected, 1e-6)
+        check_f32("vec_add", &out, &expected, 1e-6)
     }
 }
 
@@ -102,6 +106,6 @@ mod tests {
         let mut b = VectorAdd::new(9);
         run_workload(&mut a, Scale::Tiny).unwrap();
         run_workload(&mut b, Scale::Tiny).unwrap();
-        assert_eq!(a.expected, b.expected);
+        assert_eq!((a.a, a.b), (b.a, b.b));
     }
 }

@@ -191,8 +191,12 @@ impl From<VerifyError> for WorkloadError {
 /// verifies device results against a CPU reference.
 ///
 /// The flow is `setup → (execute the returned launches in order) →
-/// verify`. Implementations stash buffer handles and expected outputs in
-/// `&mut self` during `setup`.
+/// verify`. `setup` keeps its generated inputs and the output buffer
+/// handles in `&mut self` (kernels may overwrite their inputs on the
+/// device, so `verify` must not re-read them from there). `verify`
+/// computes the CPU reference from those inputs. A study that serves a
+/// workload from its profile cache runs `setup` but never `verify`, so
+/// `setup` does only the CPU work its launch plan needs.
 ///
 /// `Send` is a supertrait so a study can fan whole workloads out across
 /// worker threads (each workload still runs on exactly one thread).
@@ -200,16 +204,16 @@ pub trait Workload: Send {
     /// Static metadata.
     fn meta(&self) -> WorkloadMeta;
 
-    /// Allocates device buffers, builds kernels and returns the launch
-    /// sequence for one run at the given scale.
+    /// Generates inputs, allocates device buffers, builds kernels and
+    /// returns the launch sequence for one run at the given scale.
     ///
     /// # Errors
     ///
     /// Returns a [`SimtError`] if kernel construction fails.
     fn setup(&mut self, device: &mut Device, scale: Scale) -> Result<Vec<LaunchSpec>, SimtError>;
 
-    /// Checks device results against the CPU reference computed during
-    /// [`Workload::setup`].
+    /// Computes the CPU reference from the inputs [`Workload::setup`]
+    /// kept and checks the device results against it.
     ///
     /// # Errors
     ///
