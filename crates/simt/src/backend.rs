@@ -6,10 +6,9 @@
 //!
 //! * **scalar** — the reference interpreter: one lane at a time through a
 //!   `match` over the µop stream. Simple, obviously correct, slow.
-//! * **simd** — the production engine: the 32 warp lanes are processed as
-//!   four 8-wide lane groups over `[u32; 8]` value vectors the
-//!   autovectorizer can lower to real SIMD, with the active mask applied
-//!   as a blend mask.
+//! * **simd** — the production engine: each µop executes once for all
+//!   32 warp lanes, over `[u32; 32]` value vectors the autovectorizer can
+//!   lower to real SIMD, and commits its result under the active mask.
 //!
 //! Selection is per-[`Device`](crate::exec::Device): [`BackendKind::from_env`]
 //! resolves the default at device creation (process override set by
@@ -33,7 +32,8 @@ use crate::SimtError;
 pub enum BackendKind {
     /// The one-lane-at-a-time reference interpreter.
     Scalar,
-    /// The 8-wide lane-group engine (the default).
+    /// The 32-lane engine: one pass per µop for the whole warp (the
+    /// default).
     #[default]
     Simd,
 }
@@ -173,7 +173,8 @@ impl ExecBackend for ScalarBackend {
     }
 }
 
-/// The 8-wide lane-group engine.
+/// The 32-lane engine: one pass per µop for the whole warp, results
+/// committed under the active mask.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimdBackend;
 

@@ -18,7 +18,7 @@
 //!
 //! Warp stepping itself is pluggable ([`crate::backend`]): the scalar
 //! reference loop lives here ([`LaunchCtx::run_warp_scalar`]), the
-//! 8-wide SIMD engine in [`crate::simd`].
+//! 32-lane SIMD engine in [`crate::simd`].
 //!
 //! Block dispatch is plan-driven ([`crate::sched`]): every launch —
 //! solo or co-scheduled — passes one launch boundary that executes a

@@ -24,8 +24,9 @@
 //! * [`exec`] — the [`exec::Device`]: global/const memory, kernel launch,
 //!   warp scheduling, the SIMT reconvergence stack, barriers and atomics.
 //! * [`backend`] — runtime-selectable warp engines: the scalar reference
-//!   and the 8-wide SIMD lane-group engine ([`simd`]), required to be
-//!   bit-identical and differentially tested against each other.
+//!   and the 32-lane SIMD engine ([`simd`]), which executes each µop once
+//!   for the whole warp; the two are required to be bit-identical and
+//!   are differentially tested against each other.
 //! * [`sched`] — policy-driven block dispatch: [`sched::SchedPolicy`]
 //!   turns grid geometry into a deterministic [`sched::DispatchPlan`],
 //!   which the device's one launch path consumes for solo launches

@@ -1,13 +1,13 @@
-//! The 8-wide lane-group warp engine ([`crate::backend::SimdBackend`]).
+//! The 32-lane warp engine ([`crate::backend::SimdBackend`]).
 //!
 //! The scalar reference steps one lane at a time through a tag-free but
-//! still lane-serial `match`. This engine processes the 32 warp lanes as
-//! **four 8-wide lane groups**: operands are materialized into `[u32; 8]`
-//! value vectors, the opcode `match` happens once per group (not per
-//! lane), and the tight 8-element loops are plain indexed array code the
-//! autovectorizer lowers to real SIMD. Results are committed with the
-//! group's slice of the active mask as a **blend mask** — every lane is
-//! computed, only active lanes are written:
+//! still lane-serial `match`. This engine executes each µop **once for
+//! the whole warp**: operands are materialized into `[u32; 32]` value
+//! vectors, the opcode `match` happens once per µop (not per lane), and
+//! the 32-element loops are plain indexed array code the autovectorizer
+//! lowers to real SIMD. Results are committed under the active mask —
+//! every lane is computed, only active lanes are written, and a full
+//! mask is a plain copy:
 //!
 //! ```text
 //! dst[i] = if mask & (1 << i) != 0 { result[i] } else { dst[i] }
@@ -21,88 +21,130 @@
 //! at the same pc. The rules that make that hold:
 //!
 //! * Computing an IEEE op on an inactive lane's garbage input is safe:
-//!   the result is deterministic bitwise and the blend discards it.
+//!   the result is deterministic bitwise and the commit discards it.
 //! * Integer div/rem keep the scalar per-lane checked path: the scalar
 //!   loop faults at the *first* active zero-divisor lane after writing
-//!   earlier lanes, and that partial-write order is observable.
-//! * Memory µops vectorize address generation only; the per-lane
-//!   load/store/atomic loop runs in ascending lane order exactly like
-//!   the scalar engine (atomics serialize, fault order is per-lane).
+//!   earlier lanes, and this engine does the same.
+//! * Loads, stores and atomics vectorize address generation and operand
+//!   reads only; every bounds check, read and write runs per lane in
+//!   ascending lane order exactly like the scalar engine (atomics
+//!   serialize, fault order is per-lane), with the memory space resolved
+//!   once per access. A load commits its gathered lanes once, after the
+//!   last read: a faulting load returns the first bad lane's error and
+//!   commits nothing, where the scalar engine has written the lanes
+//!   before it. That difference is unobservable — a failed launch's
+//!   registers live in its scratch and are dropped with it.
+//! * Special registers cost at most two divisions per warp: `TidX`/`TidY`
+//!   divide the warp's first thread once and step lane by lane, `CtaId*`
+//!   divide once and splat — the values of [`LaunchCtx::eval`]'s per-lane
+//!   formulas.
 //! * `addr_buf` entries are written for active lanes only — inactive
 //!   lanes keep stale values, matching the scalar engine's documented
 //!   [`MemEvent`] contract.
 
 use crate::decode::{self, BinKind, Src, UnKind, Uop};
 use crate::exec::{advance, branch, lanes, read4, write4, write_reg, LaunchCtx, Warp};
-use crate::instr::{CmpOp, Space, Type};
+use crate::instr::{CmpOp, Space, SpecialReg, Type};
 use crate::trace::{AccessKind, BranchEvent, InstrEvent, MemEvent, TraceObserver};
 use crate::{SimtError, WARP_SIZE};
 
-/// Lane groups per warp (32 lanes / 8-wide groups).
-const GROUPS: usize = WARP_SIZE / 8;
+/// One value per warp lane.
+type Vals = [u32; WARP_SIZE];
 
-/// The 8 mask bits covering lane group `g`.
+/// The 32 lanes of register `r`.
 #[inline]
-fn group_mask(mask: u32, g: usize) -> u32 {
-    (mask >> (g * 8)) & 0xff
+fn reg(warp: &Warp, r: u16) -> &Vals {
+    let o = r as usize * WARP_SIZE;
+    warp.regs[o..o + WARP_SIZE].try_into().expect("32 lanes")
 }
 
-/// Copies lane group `g` of register `r` out of the bank.
+/// Writes `v` into `dst` under `mask` in select form: active lanes take
+/// the new value, inactive keep the old. A full mask is a plain copy.
 #[inline]
-fn group8(warp: &Warp, r: u16, g: usize) -> [u32; 8] {
-    let o = r as usize * WARP_SIZE + g * 8;
-    warp.regs[o..o + 8].try_into().expect("8 lanes")
-}
-
-/// Commits a result vector to lane group `g` of register `r` in select
-/// form: active lanes take the new value, inactive keep the old.
-#[inline]
-fn blend8(warp: &mut Warp, r: u16, g: usize, gm: u32, v: &[u32; 8]) {
-    let o = r as usize * WARP_SIZE + g * 8;
-    let d = &mut warp.regs[o..o + 8];
-    for (i, d) in d.iter_mut().enumerate() {
-        *d = if gm & (1 << i) != 0 { v[i] } else { *d };
+fn blend(dst: &mut Vals, mask: u32, v: &Vals) {
+    if mask == u32::MAX {
+        *dst = *v;
+    } else {
+        for (i, d) in dst.iter_mut().enumerate() {
+            *d = if mask & (1 << i) != 0 { v[i] } else { *d };
+        }
     }
 }
 
-/// Materializes operand `s` for lane group `g` as a value vector.
-/// Registers copy their group, immediates/params splat, special
-/// registers fall back to the scalar evaluator per lane (same formulas,
-/// same bits).
+/// Commits a result vector to register `r` under the active mask.
 #[inline]
-fn eval8(ctx: &LaunchCtx<'_>, warp: &Warp, block: u32, g: usize, s: Src) -> [u32; 8] {
+fn commit(warp: &mut Warp, r: u16, mask: u32, v: &Vals) {
+    let o = r as usize * WARP_SIZE;
+    let dst = (&mut warp.regs[o..o + WARP_SIZE])
+        .try_into()
+        .expect("32 lanes");
+    blend(dst, mask, v);
+}
+
+/// Materializes operand `s` for the whole warp. Registers copy their
+/// lanes; immediates, params and launch dimensions splat; the block
+/// index costs one division and the thread index two ([`tid`]).
+#[inline]
+fn eval32(ctx: &LaunchCtx<'_>, warp: &Warp, block: u32, s: Src) -> Vals {
+    let c = ctx.config;
     match s {
-        Src::Reg(r) => group8(warp, r, g),
-        Src::Imm(bits) => [bits; 8],
-        Src::Param(i) => [ctx.params[i as usize]; 8],
-        Src::Sreg(_) => std::array::from_fn(|i| ctx.eval(warp, block, g * 8 + i, s)),
+        Src::Reg(r) => *reg(warp, r),
+        Src::Imm(bits) => [bits; WARP_SIZE],
+        Src::Param(i) => [ctx.params[i as usize]; WARP_SIZE],
+        Src::Sreg(SpecialReg::TidX) => tid(c.block_x, warp.base_thread).0,
+        Src::Sreg(SpecialReg::TidY) => tid(c.block_x, warp.base_thread).1,
+        Src::Sreg(SpecialReg::NTidX) => [c.block_x; WARP_SIZE],
+        Src::Sreg(SpecialReg::NTidY) => [c.block_y; WARP_SIZE],
+        Src::Sreg(SpecialReg::CtaIdX) => [block % c.grid_x; WARP_SIZE],
+        Src::Sreg(SpecialReg::CtaIdY) => [block / c.grid_x; WARP_SIZE],
+        Src::Sreg(SpecialReg::NCtaIdX) => [c.grid_x; WARP_SIZE],
+        Src::Sreg(SpecialReg::NCtaIdY) => [c.grid_y; WARP_SIZE],
+        Src::Sreg(SpecialReg::LaneId) => std::array::from_fn(|i| i as u32),
     }
 }
 
+/// The `(x, y)` thread coordinates of the warp's 32 lanes in a block
+/// `block_x` threads wide: one division pair for the first thread, then
+/// a step per lane — `thread % block_x` and `thread / block_x` for
+/// `thread = base_thread + lane`.
 #[inline]
-fn map2(a: &[u32; 8], b: &[u32; 8], f: impl Fn(u32, u32) -> u32) -> [u32; 8] {
+fn tid(block_x: u32, base_thread: u32) -> (Vals, Vals) {
+    let (mut x, mut y) = (base_thread % block_x, base_thread / block_x);
+    let (mut xs, mut ys) = ([0; WARP_SIZE], [0; WARP_SIZE]);
+    for (xs, ys) in xs.iter_mut().zip(&mut ys) {
+        (*xs, *ys) = (x, y);
+        x += 1;
+        if x == block_x {
+            (x, y) = (0, y + 1);
+        }
+    }
+    (xs, ys)
+}
+
+#[inline]
+fn map2(a: &Vals, b: &Vals, f: impl Fn(u32, u32) -> u32) -> Vals {
     std::array::from_fn(|i| f(a[i], b[i]))
 }
 
 #[inline]
-fn i2(a: &[u32; 8], b: &[u32; 8], f: impl Fn(i32, i32) -> i32) -> [u32; 8] {
+fn i2(a: &Vals, b: &Vals, f: impl Fn(i32, i32) -> i32) -> Vals {
     std::array::from_fn(|i| f(a[i] as i32, b[i] as i32) as u32)
 }
 
 #[inline]
-fn f2(a: &[u32; 8], b: &[u32; 8], f: impl Fn(f32, f32) -> f32) -> [u32; 8] {
+fn f2(a: &Vals, b: &Vals, f: impl Fn(f32, f32) -> f32) -> Vals {
     std::array::from_fn(|i| f(f32::from_bits(a[i]), f32::from_bits(b[i])).to_bits())
 }
 
 #[inline]
-fn f1(a: &[u32; 8], f: impl Fn(f32) -> f32) -> [u32; 8] {
+fn f1(a: &Vals, f: impl Fn(f32) -> f32) -> Vals {
     std::array::from_fn(|i| f(f32::from_bits(a[i])).to_bits())
 }
 
-/// 8-wide [`BinKind::eval`]; div/rem are excluded (they keep the scalar
+/// 32-lane [`BinKind::eval`]; div/rem are excluded (they keep the scalar
 /// checked path — see the module docs).
 #[inline]
-fn bin8(kind: BinKind, a: &[u32; 8], b: &[u32; 8]) -> [u32; 8] {
+fn bin(kind: BinKind, a: &Vals, b: &Vals) -> Vals {
     use BinKind::*;
     match kind {
         AddU32 => map2(a, b, u32::wrapping_add),
@@ -134,17 +176,17 @@ fn bin8(kind: BinKind, a: &[u32; 8], b: &[u32; 8]) -> [u32; 8] {
     }
 }
 
-/// 8-wide [`UnKind::eval`].
+/// 32-lane [`UnKind::eval`].
 #[inline]
-fn un8(kind: UnKind, a: &[u32; 8]) -> [u32; 8] {
+fn un(kind: UnKind, a: &Vals) -> Vals {
     use UnKind::*;
     match kind {
         NegI32 => std::array::from_fn(|i| (a[i] as i32).wrapping_neg() as u32),
         NegF32 => f1(a, |x| -x),
         AbsI32 => std::array::from_fn(|i| (a[i] as i32).wrapping_abs() as u32),
         AbsF32 => f1(a, f32::abs),
-        NotInt => std::array::from_fn(|i| !a[i]),
-        NotPred => std::array::from_fn(|i| a[i] ^ 1),
+        NotInt => a.map(|x| !x),
+        NotPred => a.map(|x| x ^ 1),
         SqrtF32 => f1(a, f32::sqrt),
         RsqrtF32 => f1(a, |x| 1.0 / x.sqrt()),
         Exp2F32 => f1(a, f32::exp2),
@@ -155,11 +197,11 @@ fn un8(kind: UnKind, a: &[u32; 8]) -> [u32; 8] {
     }
 }
 
-/// 8-wide [`decode::eval_cmp`]. Rust's comparison operators agree with
+/// 32-lane [`decode::eval_cmp`]. Rust's comparison operators agree with
 /// the ordering-based reference bit for bit, including every NaN case
 /// (`Ne` true, everything else false).
 #[inline]
-fn cmp8(op: CmpOp, ty: Type, a: &[u32; 8], b: &[u32; 8]) -> [u32; 8] {
+fn cmp(op: CmpOp, ty: Type, a: &Vals, b: &Vals) -> Vals {
     #[inline]
     fn c<T: PartialOrd>(op: CmpOp, x: T, y: T) -> u32 {
         (match op {
@@ -179,9 +221,9 @@ fn cmp8(op: CmpOp, ty: Type, a: &[u32; 8], b: &[u32; 8]) -> [u32; 8] {
     }
 }
 
-/// 8-wide [`decode::eval_mad`].
+/// 32-lane [`decode::eval_mad`].
 #[inline]
-fn mad8(ty: Type, a: &[u32; 8], b: &[u32; 8], c: &[u32; 8]) -> [u32; 8] {
+fn mad(ty: Type, a: &Vals, b: &Vals, c: &Vals) -> Vals {
     match ty {
         Type::U32 => std::array::from_fn(|i| a[i].wrapping_mul(b[i]).wrapping_add(c[i])),
         Type::I32 => std::array::from_fn(|i| {
@@ -198,40 +240,53 @@ fn mad8(ty: Type, a: &[u32; 8], b: &[u32; 8], c: &[u32; 8]) -> [u32; 8] {
     }
 }
 
-/// 8-wide [`decode::convert`].
+/// Address generation for the whole warp: active lanes of `out` get
+/// `base + offset`, inactive lanes keep their stale values (the scalar
+/// engine's exact policy — [`MemEvent::addrs`] entries are only valid
+/// under the active mask).
 #[inline]
-fn cvt8(from: Type, to: Type, v: &[u32; 8]) -> [u32; 8] {
-    std::array::from_fn(|i| decode::convert(v[i], from, to))
-}
-
-/// Grouped address generation: active lanes of `out` get `base +
-/// offset`, inactive lanes keep their stale values (the scalar engine's
-/// exact policy — [`MemEvent::addrs`] entries are only valid under the
-/// active mask).
-fn gather_addrs8(
+fn gather_addrs(
     ctx: &LaunchCtx<'_>,
     warp: &Warp,
     block: u32,
     mask: u32,
     base: Src,
     offset: i32,
-    out: &mut [u32; WARP_SIZE],
+    out: &mut Vals,
 ) {
-    for g in 0..GROUPS {
-        let gm = group_mask(mask, g);
-        if gm == 0 {
-            continue;
-        }
-        let b8 = eval8(ctx, warp, block, g, base);
-        let chunk = &mut out[g * 8..g * 8 + 8];
-        for (i, o) in chunk.iter_mut().enumerate() {
-            *o = if gm & (1 << i) != 0 {
-                b8[i].wrapping_add_signed(offset)
-            } else {
-                *o
-            };
-        }
+    let addrs = eval32(ctx, warp, block, base).map(|b| b.wrapping_add_signed(offset));
+    blend(out, mask, &addrs);
+}
+
+/// Reads each active lane's word through `read(lane, addr)` in ascending
+/// lane order; the first fault ends the access with its error.
+#[inline]
+fn load(
+    mask: u32,
+    addrs: &Vals,
+    read: impl Fn(usize, u32) -> Result<[u8; 4], SimtError>,
+) -> Result<Vals, SimtError> {
+    let mut v = [0; WARP_SIZE];
+    for lane in lanes(mask) {
+        v[lane] = u32::from_le_bytes(read(lane, addrs[lane])?);
     }
+    Ok(v)
+}
+
+/// Writes each active lane's value through `write(lane, addr, bytes)` in
+/// ascending lane order; the first fault ends the access with its error,
+/// after the earlier lanes' writes landed.
+#[inline]
+fn store(
+    mask: u32,
+    addrs: &Vals,
+    v: &Vals,
+    mut write: impl FnMut(usize, u32, [u8; 4]) -> Result<(), SimtError>,
+) -> Result<(), SimtError> {
+    for lane in lanes(mask) {
+        write(lane, addrs[lane], v[lane].to_le_bytes())?;
+    }
+    Ok(())
 }
 
 /// Runs one warp until it exits or reaches a barrier — the SIMD engine's
@@ -249,6 +304,9 @@ pub(crate) fn run_warp_simd<O: TraceObserver + ?Sized>(
     let exit_pc = dec.len();
     let uops = dec.uops();
     let mut addr_buf = [0u32; WARP_SIZE];
+    // A lane's slot of the block's per-thread local-memory array.
+    let (lb, t0) = (ctx.kernel.local_bytes() as usize, warp.base_thread as usize);
+    let slot = |lane: usize| (t0 + lane) * lb..(t0 + lane + 1) * lb;
 
     loop {
         let Some(top) = warp.stack.last().copied() else {
@@ -282,107 +340,58 @@ pub(crate) fn run_warp_simd<O: TraceObserver + ?Sized>(
 
         match uops[pc] {
             Uop::Bin { kind, dst, a, b } => {
+                let va = eval32(ctx, warp, block, a);
+                let vb = eval32(ctx, warp, block, b);
                 if matches!(
                     kind,
                     BinKind::DivU32 | BinKind::RemU32 | BinKind::DivI32 | BinKind::RemI32
                 ) {
-                    // Checked ops stay lane-serial: the fault pc and the
-                    // partial writes of earlier lanes are observable.
+                    // Checked ops stay lane-serial, as in the scalar loop.
                     for lane in lanes(mask) {
-                        let va = ctx.eval(warp, block, lane, a);
-                        let vb = ctx.eval(warp, block, lane, b);
-                        let r = kind.eval(va, vb).ok_or(SimtError::DivideByZero { pc })?;
+                        let r = kind
+                            .eval(va[lane], vb[lane])
+                            .ok_or(SimtError::DivideByZero { pc })?;
                         write_reg(warp, dst, lane, r);
                     }
                 } else {
-                    for g in 0..GROUPS {
-                        let gm = group_mask(mask, g);
-                        if gm == 0 {
-                            continue;
-                        }
-                        let va = eval8(ctx, warp, block, g, a);
-                        let vb = eval8(ctx, warp, block, g, b);
-                        let r = bin8(kind, &va, &vb);
-                        blend8(warp, dst, g, gm, &r);
-                    }
+                    commit(warp, dst, mask, &bin(kind, &va, &vb));
                 }
                 advance(warp);
             }
             Uop::Un { kind, dst, a } => {
-                for g in 0..GROUPS {
-                    let gm = group_mask(mask, g);
-                    if gm == 0 {
-                        continue;
-                    }
-                    let va = eval8(ctx, warp, block, g, a);
-                    let r = un8(kind, &va);
-                    blend8(warp, dst, g, gm, &r);
-                }
+                let va = eval32(ctx, warp, block, a);
+                commit(warp, dst, mask, &un(kind, &va));
                 advance(warp);
             }
             Uop::Mad { ty, dst, a, b, c } => {
-                for g in 0..GROUPS {
-                    let gm = group_mask(mask, g);
-                    if gm == 0 {
-                        continue;
-                    }
-                    let va = eval8(ctx, warp, block, g, a);
-                    let vb = eval8(ctx, warp, block, g, b);
-                    let vc = eval8(ctx, warp, block, g, c);
-                    let r = mad8(ty, &va, &vb, &vc);
-                    blend8(warp, dst, g, gm, &r);
-                }
+                let va = eval32(ctx, warp, block, a);
+                let vb = eval32(ctx, warp, block, b);
+                let vc = eval32(ctx, warp, block, c);
+                commit(warp, dst, mask, &mad(ty, &va, &vb, &vc));
                 advance(warp);
             }
             Uop::Cmp { op, ty, dst, a, b } => {
-                for g in 0..GROUPS {
-                    let gm = group_mask(mask, g);
-                    if gm == 0 {
-                        continue;
-                    }
-                    let va = eval8(ctx, warp, block, g, a);
-                    let vb = eval8(ctx, warp, block, g, b);
-                    let r = cmp8(op, ty, &va, &vb);
-                    blend8(warp, dst, g, gm, &r);
-                }
+                let va = eval32(ctx, warp, block, a);
+                let vb = eval32(ctx, warp, block, b);
+                commit(warp, dst, mask, &cmp(op, ty, &va, &vb));
                 advance(warp);
             }
             Uop::Sel { dst, pred, a, b } => {
-                for g in 0..GROUPS {
-                    let gm = group_mask(mask, g);
-                    if gm == 0 {
-                        continue;
-                    }
-                    let p = group8(warp, pred, g);
-                    let va = eval8(ctx, warp, block, g, a);
-                    let vb = eval8(ctx, warp, block, g, b);
-                    let r: [u32; 8] =
-                        std::array::from_fn(|i| if p[i] != 0 { va[i] } else { vb[i] });
-                    blend8(warp, dst, g, gm, &r);
-                }
+                let va = eval32(ctx, warp, block, a);
+                let vb = eval32(ctx, warp, block, b);
+                let p = reg(warp, pred);
+                let r: Vals = std::array::from_fn(|i| if p[i] != 0 { va[i] } else { vb[i] });
+                commit(warp, dst, mask, &r);
                 advance(warp);
             }
             Uop::Mov { dst, src } => {
-                for g in 0..GROUPS {
-                    let gm = group_mask(mask, g);
-                    if gm == 0 {
-                        continue;
-                    }
-                    let v = eval8(ctx, warp, block, g, src);
-                    blend8(warp, dst, g, gm, &v);
-                }
+                let v = eval32(ctx, warp, block, src);
+                commit(warp, dst, mask, &v);
                 advance(warp);
             }
             Uop::Cvt { from, to, dst, src } => {
-                for g in 0..GROUPS {
-                    let gm = group_mask(mask, g);
-                    if gm == 0 {
-                        continue;
-                    }
-                    let v = eval8(ctx, warp, block, g, src);
-                    let r = cvt8(from, to, &v);
-                    blend8(warp, dst, g, gm, &r);
-                }
+                let v = eval32(ctx, warp, block, src).map(|v| decode::convert(v, from, to));
+                commit(warp, dst, mask, &v);
                 advance(warp);
             }
             Uop::Ld {
@@ -391,7 +400,7 @@ pub(crate) fn run_warp_simd<O: TraceObserver + ?Sized>(
                 base,
                 offset,
             } => {
-                gather_addrs8(ctx, warp, block, mask, base, offset, &mut addr_buf);
+                gather_addrs(ctx, warp, block, mask, base, offset, &mut addr_buf);
                 observer.on_mem(&MemEvent {
                     block,
                     warp: warp.id,
@@ -402,20 +411,16 @@ pub(crate) fn run_warp_simd<O: TraceObserver + ?Sized>(
                     active: mask,
                     addrs: &addr_buf,
                 });
-                let lb = ctx.kernel.local_bytes() as usize;
-                for lane in lanes(mask) {
-                    let a = addr_buf[lane];
-                    let raw = match space {
-                        Space::Global => read4(ctx.global, a, pc, "global")?,
-                        Space::Shared => read4(shared, a, pc, "shared")?,
-                        Space::Const => read4(ctx.const_mem, a, pc, "const")?,
-                        Space::Local => {
-                            let t = (warp.base_thread as usize + lane) * lb;
-                            read4(&local[t..t + lb], a, pc, "local")?
-                        }
-                    };
-                    write_reg(warp, dst, lane, u32::from_le_bytes(raw));
-                }
+                let addrs = &addr_buf;
+                let v = match space {
+                    Space::Global => load(mask, addrs, |_, a| read4(ctx.global, a, pc, "global")),
+                    Space::Shared => load(mask, addrs, |_, a| read4(shared, a, pc, "shared")),
+                    Space::Const => load(mask, addrs, |_, a| read4(ctx.const_mem, a, pc, "const")),
+                    Space::Local => {
+                        load(mask, addrs, |l, a| read4(&local[slot(l)], a, pc, "local"))
+                    }
+                }?;
+                commit(warp, dst, mask, &v);
                 advance(warp);
             }
             Uop::St {
@@ -424,7 +429,7 @@ pub(crate) fn run_warp_simd<O: TraceObserver + ?Sized>(
                 offset,
                 src,
             } => {
-                gather_addrs8(ctx, warp, block, mask, base, offset, &mut addr_buf);
+                gather_addrs(ctx, warp, block, mask, base, offset, &mut addr_buf);
                 observer.on_mem(&MemEvent {
                     block,
                     warp: warp.id,
@@ -435,28 +440,24 @@ pub(crate) fn run_warp_simd<O: TraceObserver + ?Sized>(
                     active: mask,
                     addrs: &addr_buf,
                 });
-                let lb = ctx.kernel.local_bytes() as usize;
-                for lane in lanes(mask) {
-                    let v = ctx.eval(warp, block, lane, src);
-                    let a = addr_buf[lane];
-                    let data = v.to_le_bytes();
-                    match space {
-                        Space::Global => write4(ctx.global, a, data, pc, "global")?,
-                        Space::Shared => write4(shared, a, data, pc, "shared")?,
-                        Space::Local => {
-                            let t = (warp.base_thread as usize + lane) * lb;
-                            write4(&mut local[t..t + lb], a, data, pc, "local")?
-                        }
-                        Space::Const => {
-                            return Err(SimtError::OutOfBounds {
-                                pc,
-                                space: "const",
-                                addr: a as u64,
-                                size: 0,
-                            })
-                        }
-                    }
-                }
+                let (addrs, v) = (&addr_buf, eval32(ctx, warp, block, src));
+                match space {
+                    Space::Global => store(mask, addrs, &v, |_, a, d| {
+                        write4(ctx.global, a, d, pc, "global")
+                    }),
+                    Space::Shared => store(mask, addrs, &v, |_, a, d| {
+                        write4(shared, a, d, pc, "shared")
+                    }),
+                    Space::Local => store(mask, addrs, &v, |l, a, d| {
+                        write4(&mut local[slot(l)], a, d, pc, "local")
+                    }),
+                    Space::Const => Err(SimtError::OutOfBounds {
+                        pc,
+                        space: "const",
+                        addr: addrs[mask.trailing_zeros() as usize] as u64,
+                        size: 0,
+                    }),
+                }?;
                 advance(warp);
             }
             Uop::Atom {
@@ -468,7 +469,7 @@ pub(crate) fn run_warp_simd<O: TraceObserver + ?Sized>(
                 src,
                 compare,
             } => {
-                gather_addrs8(ctx, warp, block, mask, base, offset, &mut addr_buf);
+                gather_addrs(ctx, warp, block, mask, base, offset, &mut addr_buf);
                 observer.on_mem(&MemEvent {
                     block,
                     warp: warp.id,
@@ -479,18 +480,20 @@ pub(crate) fn run_warp_simd<O: TraceObserver + ?Sized>(
                     active: mask,
                     addrs: &addr_buf,
                 });
+                let operand = eval32(ctx, warp, block, src);
+                let cmp_v = compare.map(|c| eval32(ctx, warp, block, c));
                 // Atomics serialize per lane by definition; identical to
                 // the scalar loop.
                 for lane in lanes(mask) {
                     let a = addr_buf[lane];
-                    let operand = ctx.eval(warp, block, lane, src);
-                    let cmp_v = compare.map(|c| ctx.eval(warp, block, lane, c));
                     let old = match space {
                         Space::Global => u32::from_le_bytes(read4(ctx.global, a, pc, "global")?),
                         Space::Shared => u32::from_le_bytes(read4(shared, a, pc, "shared")?),
                         _ => unreachable!("atomics validated to global/shared"),
                     };
-                    if let Some(new) = kind.apply(old, operand, cmp_v) {
+                    if let Some(new) =
+                        kind.apply(old, operand[lane], cmp_v.as_ref().map(|c| c[lane]))
+                    {
                         let data = new.to_le_bytes();
                         match space {
                             Space::Global => write4(ctx.global, a, data, pc, "global")?,
@@ -517,23 +520,15 @@ pub(crate) fn run_warp_simd<O: TraceObserver + ?Sized>(
             }
             Uop::Branch {
                 target,
-                reg,
+                reg: r,
                 negate,
                 rpc,
             } => {
                 let mut taken = 0u32;
-                for g in 0..GROUPS {
-                    let gm = group_mask(mask, g);
-                    if gm == 0 {
-                        continue;
-                    }
-                    let p = group8(warp, reg, g);
-                    for (i, &p) in p.iter().enumerate() {
-                        if gm & (1 << i) != 0 && (p != 0) != negate {
-                            taken |= 1 << (g * 8 + i);
-                        }
-                    }
+                for (i, &p) in reg(warp, r).iter().enumerate() {
+                    taken |= (((p != 0) != negate) as u32) << i;
                 }
+                taken &= mask;
                 observer.on_branch(&BranchEvent {
                     block,
                     warp: warp.id,

@@ -3,6 +3,7 @@
 //! error paths, trace-event accuracy, and seeded random kernels checked
 //! against a CPU evaluation.
 
+use gwc_simt::backend::BackendKind;
 use gwc_simt::builder::KernelBuilder;
 use gwc_simt::exec::{Device, DeviceLimits};
 use gwc_simt::instr::{Reg, Value};
@@ -598,6 +599,75 @@ fn two_dimensional_launch_coordinates() {
     for y in 0..height {
         for x in 0..width {
             assert_eq!(out[(y * width + x) as usize], x * 100 + y, "({x},{y})");
+        }
+    }
+}
+
+/// Every special register, stored per thread, equals the coordinates
+/// computed on the host on both backends — over block widths that leave
+/// tail warps (1, 3, 31, 33, 48, 100) or fill warps exactly (32), and
+/// heights that make warps straddle block rows.
+#[test]
+fn special_registers_match_host_coordinates_on_both_backends() {
+    let mut b = KernelBuilder::new("sregs");
+    let out = b.param_u32("out");
+    let sregs = [
+        b.tid_x(),
+        b.tid_y(),
+        b.ntid_x(),
+        b.ntid_y(),
+        b.ctaid_x(),
+        b.ctaid_y(),
+        b.nctaid_x(),
+        b.nctaid_y(),
+        b.lane_id(),
+    ];
+    let [tx, ty, ntx, nty, cx, cy, ncx, _, _] = sregs;
+    // Linear slot: (block * threads_per_block + thread) * 9.
+    let block = b.mad_u32(cy, ncx, cx);
+    let threads = b.mul_u32(ntx, nty);
+    let thread = b.mad_u32(ty, ntx, tx);
+    let linear = b.mad_u32(block, threads, thread);
+    let slot = b.mul_u32(linear, Value::U32(9));
+    for (k, s) in sregs.into_iter().enumerate() {
+        let idx = b.add_u32(slot, Value::U32(k as u32));
+        let a = b.index(out, idx, 4);
+        b.st_global_u32(a, s);
+    }
+    let k = b.build().unwrap();
+
+    for block_x in [1u32, 3, 31, 32, 33, 48, 100] {
+        for block_y in [1u32, 2, 3] {
+            for (grid_x, grid_y) in [(3u32, 2u32), (2, 3)] {
+                let threads = block_x * block_y;
+                let mut want = Vec::new();
+                for block in 0..grid_x * grid_y {
+                    for t in 0..threads {
+                        want.extend([
+                            t % block_x,
+                            t / block_x,
+                            block_x,
+                            block_y,
+                            block % grid_x,
+                            block / grid_x,
+                            grid_x,
+                            grid_y,
+                            t % 32,
+                        ]);
+                    }
+                }
+                let config = LaunchConfig::new_2d(grid_x, grid_y, block_x, block_y);
+                for backend in BackendKind::ALL {
+                    let mut dev = Device::with_backend(backend);
+                    let hout = dev.alloc_zeroed_u32(want.len());
+                    dev.launch(&k, &config, &[hout.arg()]).unwrap();
+                    assert_eq!(
+                        dev.read_u32(&hout),
+                        want,
+                        "{backend:?}: grid {grid_x}x{grid_y}, block {block_x}x{block_y}"
+                    );
+                }
+            }
         }
     }
 }

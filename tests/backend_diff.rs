@@ -263,13 +263,16 @@ fn generated_kernel_profiles_match_across_backends() {
 /// Faulting kernels must fault identically: same error, same partial
 /// memory writes, same trace prefix — across backends, and as either
 /// member of a pair launch under every policy, where each must return
-/// its solo launch's error and trace prefix. Exercises the out-of-bounds
-/// and divide-by-zero paths the generator deliberately avoids.
+/// its solo launch's error and trace prefix. Exercises the fault paths
+/// the generator deliberately avoids: divide-by-zero, an out-of-bounds
+/// global store at a thread-dependent pc, and out-of-bounds loads from
+/// every memory space and stores to shared and local memory, each
+/// faulting at a middle active lane.
 #[test]
 fn faulting_kernels_fail_identically_across_backends() {
     use gwc::simt::builder::KernelBuilder;
     use gwc::simt::exec::PairLaunch;
-    use gwc::simt::instr::Value;
+    use gwc::simt::instr::{Space, Value};
     use gwc::simt::launch::LaunchConfig;
     use gwc::simt::sched::{PerKernel, SchedPolicy};
 
@@ -291,6 +294,65 @@ fn faulting_kernels_fail_identically_across_backends() {
     b.st_global_u32(addr, q);
     let div = b.build().expect("build div kernel");
 
+    // An out-of-bounds load from `space` (or, with `store`, a store to
+    // it). Every thread first stores its index to slot `i % 8` of
+    // `base`, so the fault leaves partial writes to compare. Then the
+    // even threads access an in-bounds address, or `FAR + 4 * i` from
+    // thread 13 on: lane 14, the first active lane past 13, faults, and
+    // the error's address names it.
+    const FAR: u32 = 1 << 20;
+    const FAULT_ADDR: u64 = FAR as u64 + 14 * 4;
+    let oob_access = |space: Space, store: bool| {
+        let kind = if store { "st" } else { "ld" };
+        let mut b = KernelBuilder::new(format!("oob_{kind}_{space:?}").to_lowercase());
+        let base = b.param_u32("base");
+        let i = b.global_tid_x();
+        let slot = b.and_u32(i, Value::U32(7));
+        let own = b.index(base, slot, 4);
+        b.st_global_u32(own, i);
+        let odd = b.and_u32(i, Value::U32(1));
+        let even = b.eq_u32(odd, Value::U32(0));
+        b.if_(even, |b| {
+            let ok = match space {
+                Space::Global => own.base,
+                Space::Shared => b.alloc_shared(64),
+                Space::Const => Value::U32(4).into(),
+                Space::Local => b.alloc_local(16),
+            };
+            let bad = b.ge_u32(i, Value::U32(13));
+            let far = b.mad_u32(i, Value::U32(4), Value::U32(FAR));
+            let at = b.sel_u32(bad, far, ok);
+            let a = b.offset(at, 0);
+            if store {
+                match space {
+                    Space::Shared => b.st_shared_u32(a, i),
+                    Space::Local => b.st_local_u32(a, i),
+                    _ => unreachable!("stores are exercised on shared and local"),
+                }
+            } else {
+                let v = match space {
+                    Space::Global => b.ld_global_u32(a),
+                    Space::Shared => b.ld_shared_u32(a),
+                    Space::Const => b.ld_const_u32(a),
+                    Space::Local => b.ld_local_u32(a),
+                };
+                b.st_global_u32(own, v);
+            }
+        });
+        b.build().expect("build oob access kernel")
+    };
+    let mut kernels = vec![(oob, None), (div, None)];
+    for (space, store) in [
+        (Space::Global, false),
+        (Space::Shared, false),
+        (Space::Const, false),
+        (Space::Local, false),
+        (Space::Shared, true),
+        (Space::Local, true),
+    ] {
+        kernels.push((oob_access(space, store), Some(FAULT_ADDR)));
+    }
+
     // The benign pair partner: every thread stores to its own slot.
     let mut b = KernelBuilder::new("fill");
     let out = b.param_u32("out");
@@ -299,6 +361,13 @@ fn faulting_kernels_fail_identically_across_backends() {
     b.st_global_u32(addr, i);
     let fill = b.build().expect("build fill kernel");
     let fill_cfg = LaunchConfig::linear(256, 32);
+    // Every device holds the same 16 bytes of constant memory, so the
+    // const load's in-bounds lanes read something.
+    let device = |backend: BackendKind| {
+        let mut dev = Device::with_backend(backend);
+        dev.alloc_const_f32(&[1.5; 4]);
+        dev
+    };
     // Allocates the faulting kernel's and the partner's buffers in member
     // order, so a pair device and its solo reference share one layout
     // (out-of-bounds errors name the global memory size).
@@ -312,9 +381,9 @@ fn faulting_kernels_fail_identically_across_backends() {
         }
     };
 
-    for kernel in [&oob, &div] {
-        let mut ds = Device::with_backend(BackendKind::Scalar);
-        let mut dp = Device::with_backend(BackendKind::Simd);
+    for (kernel, fault_addr) in &kernels {
+        let mut ds = device(BackendKind::Scalar);
+        let mut dp = device(BackendKind::Simd);
         let bs = ds.alloc_zeroed_u32(8);
         let bp = dp.alloc_zeroed_u32(8);
         let cfg = LaunchConfig::linear(64, 64);
@@ -324,10 +393,17 @@ fn faulting_kernels_fail_identically_across_backends() {
         let rp = dp.launch_observed(kernel, &cfg, &[bp.arg()], &mut hp);
         let es = rs.expect_err("scalar launch must fault");
         let ep = rp.expect_err("simd launch must fault");
-        assert!(matches!(
-            es,
-            SimtError::OutOfBounds { .. } | SimtError::DivideByZero { .. }
-        ));
+        match fault_addr {
+            Some(want) => assert!(
+                matches!(es, SimtError::OutOfBounds { addr, .. } if addr == *want),
+                "{}: must fault at lane 14, got {es:?}",
+                kernel.name()
+            ),
+            None => assert!(matches!(
+                es,
+                SimtError::OutOfBounds { .. } | SimtError::DivideByZero { .. }
+            )),
+        }
         assert_eq!(
             format!("{es:?}"),
             format!("{ep:?}"),
@@ -343,7 +419,7 @@ fn faulting_kernels_fail_identically_across_backends() {
         );
 
         for member in 0..2 {
-            let mut solo_dev = Device::with_backend(BackendKind::Simd);
+            let mut solo_dev = device(BackendKind::Simd);
             let (buf, _) = alloc(&mut solo_dev, member);
             let mut solo = TraceHasher::new();
             let solo_err = solo_dev
@@ -357,7 +433,7 @@ fn faulting_kernels_fail_identically_across_backends() {
                         kernel.name(),
                         policy.name()
                     );
-                    let mut dev = Device::with_backend(backend);
+                    let mut dev = device(backend);
                     let (buf, partner_buf) = alloc(&mut dev, member);
                     let (args, partner_args) = ([buf.arg()], [partner_buf.arg()]);
                     let faulting = PairLaunch {
