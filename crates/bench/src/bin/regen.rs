@@ -12,18 +12,17 @@
 //! threads (default: the machine's available parallelism; `--threads 1`
 //! forces the serial path). Output is bit-identical at any thread count.
 //!
-//! `--metrics PATH` installs the metrics recorder and writes a
-//! schema-versioned JSON report (per-stage wall times, per-worker pool
-//! utilization, latency histograms, per-workload kernel counts; see
-//! `gwc_obs::report`) to PATH after the run. `--trace PATH` captures a
-//! span timeline into a bounded ring buffer and writes it as Chrome
+//! `--metrics PATH` writes a schema-versioned JSON report (per-stage
+//! wall times, per-worker pool utilization, latency histograms,
+//! per-workload kernel counts; see `gwc_obs::report`) to PATH after the
+//! run. `--trace PATH` writes the run's span timeline as Chrome
 //! trace-event JSON — open it at `https://ui.perfetto.dev` or
 //! `chrome://tracing`. `--trace-summary` prints the top spans to
-//! stderr. `--flame PATH` folds the span aggregates into a self-time
-//! tree (see `gwc_obs::selftime`) and writes it in the collapsed-stack
-//! format `flamegraph.pl` and inferno consume. The flags combine
-//! freely (one tee'd recorder) and none of them perturbs the experiment
-//! output on stdout.
+//! stderr. `--flame PATH` folds the span events into a self-time tree
+//! (see `gwc_obs::selftime`) and writes it in the collapsed-stack
+//! format `flamegraph.pl` and inferno consume. Any of the four installs
+//! the one recorder, whose span events all four read; the flags combine
+//! freely and none of them perturbs the experiment output on stdout.
 //!
 //! Runs are incremental by default: kernel profiles persist in a
 //! content-addressed cache (`.gwc-cache/`, override with `--cache DIR`)
@@ -42,7 +41,6 @@ use gwc_characterize::ObserverTier;
 use gwc_core::pipeline::PipelineConfig;
 use gwc_obs::metrics::{MetricsRecorder, MetricsSnapshot};
 use gwc_obs::report::{build_report, render_summary, validate, ReportContext, RunMeta};
-use gwc_obs::{Recorder, TeeRecorder, TraceRecorder};
 use gwc_simt::backend::BackendKind;
 use gwc_simt::sched::SchedPolicy;
 use gwc_workloads::StudyScale;
@@ -199,26 +197,10 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Cli {
 
 fn main() {
     let cli = parse_args(std::env::args().skip(1));
-    let need_metrics = cli.metrics.is_some() || cli.trace_summary || cli.flame.is_some();
-    let metrics_rec = need_metrics.then(|| Arc::new(MetricsRecorder::default()));
-    let trace_rec = cli
-        .trace
-        .is_some()
-        .then(|| Arc::new(TraceRecorder::default()));
-    let guard = {
-        let mut sinks: Vec<Arc<dyn Recorder>> = Vec::new();
-        if let Some(rec) = &metrics_rec {
-            sinks.push(rec.clone());
-        }
-        if let Some(rec) = &trace_rec {
-            sinks.push(rec.clone());
-        }
-        match sinks.len() {
-            0 => None,
-            1 => Some(gwc_obs::install(sinks.pop().expect("one sink"))),
-            _ => Some(gwc_obs::install(Arc::new(TeeRecorder::new(sinks)))),
-        }
-    };
+    let recording =
+        cli.metrics.is_some() || cli.trace.is_some() || cli.trace_summary || cli.flame.is_some();
+    let rec = recording.then(|| Arc::new(MetricsRecorder::default()));
+    let guard = rec.clone().map(gwc_obs::install);
     gwc_simt::backend::set_default(cli.backend);
     eprintln!(
         "running the characterization study (Small scale, seed 7, {} thread{}, cache {}, {} \
@@ -246,18 +228,25 @@ fn main() {
     let ids: Vec<&str> = cli.ids.iter().map(String::as_str).collect();
     print!("{}", render_experiments(&ids, &artifacts));
     drop(guard);
-    if let (Some(path), Some(trace_rec)) = (&cli.trace, &trace_rec) {
-        finish_trace(path, trace_rec, metrics_rec.as_deref());
-    }
-    let Some(rec) = metrics_rec else {
+    let Some(rec) = rec else {
         return;
     };
     let snap = rec.snapshot();
+    if let Some(path) = &cli.trace {
+        if let Err(e) = std::fs::write(path, gwc_obs::trace::export(&snap.events).render()) {
+            eprintln!("regen: cannot write trace to `{path}`: {e}");
+            std::process::exit(1);
+        }
+        eprintln!(
+            "trace timeline written to {path} ({} event(s))",
+            snap.events.len()
+        );
+    }
     if cli.trace_summary {
         eprint!("{}", render_summary(&snap, 10));
     }
     if let Some(path) = &cli.flame {
-        let tree = gwc_obs::selftime::fold(&snap.spans);
+        let tree = gwc_obs::selftime::fold(&snap.events);
         if let Err(e) = std::fs::write(path, gwc_obs::selftime::collapsed_stacks(&tree)) {
             eprintln!("regen: cannot write flame stacks to `{path}`: {e}");
             std::process::exit(1);
@@ -293,31 +282,6 @@ fn run_meta(backend: &str, cache: Option<&Path>) -> RunMeta {
         },
         label: "regen".to_string(),
     }
-}
-
-/// Writes the trace timeline to `path`, forwarding the ring's
-/// dropped-event count into the metrics recorder (so a truncated
-/// timeline is visible without opening the trace) and warning on
-/// overflow. Exits 1 if the file cannot be written.
-fn finish_trace(path: &str, trace_rec: &TraceRecorder, metrics_rec: Option<&MetricsRecorder>) {
-    let dropped = trace_rec.dropped();
-    if let Some(rec) = metrics_rec {
-        rec.add_counter("trace.dropped_events", dropped);
-    }
-    if dropped > 0 {
-        eprintln!(
-            "regen: warning: trace ring buffer overflowed, {dropped} event(s) dropped \
-             (earliest events kept)"
-        );
-    }
-    if let Err(e) = std::fs::write(path, trace_rec.export().render()) {
-        eprintln!("regen: cannot write trace to `{path}`: {e}");
-        std::process::exit(1);
-    }
-    eprintln!(
-        "trace timeline written to {path} ({} event(s), {dropped} dropped)",
-        trace_rec.events().len()
-    );
 }
 
 /// Builds, self-validates, and writes the metrics report. Exits 1 on

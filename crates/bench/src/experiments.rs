@@ -1,8 +1,7 @@
 //! One function per experiment (E1–E14), all sharing one staged
-//! pipeline run ([`gwc_core::pipeline`]). Each experiment declares the
-//! pipeline artifacts it consumes in [`EXPERIMENTS`]. E14 additionally
-//! drives the lazy pair stage ([`gwc_core::pipeline::PairsStage`]) off
-//! the shared study artifact.
+//! pipeline run ([`gwc_core::pipeline`]); [`EXPERIMENTS`] lists them.
+//! E14 additionally drives the lazy pair stage
+//! ([`gwc_core::pipeline::PairsStage`]) off the shared study artifact.
 
 use std::fmt::Write as _;
 
@@ -10,7 +9,6 @@ use gwc_characterize::schema;
 use gwc_core::analysis::ClusterAnalysis;
 use gwc_core::diversity::suite_diversity;
 use gwc_core::eval::{design_sweep, evaluate_subset, random_subset_errors, stress_selection};
-use gwc_core::pipeline::ArtifactKind;
 use gwc_core::report;
 use gwc_core::study::StudyConfig;
 use gwc_core::subspace::{Subspace, SubspaceAnalysis};
@@ -23,7 +21,7 @@ use gwc_timing::GpuConfig;
 use gwc_workloads::registry;
 
 /// The full artifact set every experiment reads. The pipeline module
-/// owns the stage DAG and the driver; this alias keeps the historical
+/// owns the stages and the driver; this alias keeps the historical
 /// name the experiment signatures were written against.
 pub type StudyArtifacts = gwc_core::pipeline::Artifacts;
 
@@ -33,16 +31,14 @@ pub fn study_config() -> StudyConfig {
     gwc_core::pipeline::PipelineConfig::default().study
 }
 
-/// One experiment: id, one-line description, and the pipeline artifacts
-/// it consumes (`regen --list` prints this table).
+/// One experiment: id and one-line description (`regen --list` prints
+/// this table).
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentSpec {
     /// Stable id (`e1` .. `e14`).
     pub id: &'static str,
     /// One-line description.
     pub desc: &'static str,
-    /// Pipeline artifacts the experiment reads.
-    pub consumes: &'static [ArtifactKind],
 }
 
 /// Every experiment, in presentation order.
@@ -50,80 +46,58 @@ pub const EXPERIMENTS: &[ExperimentSpec] = &[
     ExperimentSpec {
         id: "e1",
         desc: "the microarchitecture-independent characteristic set",
-        consumes: &[],
     },
     ExperimentSpec {
         id: "e2",
         desc: "workload inventory with per-workload instruction totals",
-        consumes: &[ArtifactKind::Study],
     },
     ExperimentSpec {
         id: "e3",
         desc: "raw kernel x characteristic matrix",
-        consumes: &[ArtifactKind::Matrix],
     },
     ExperimentSpec {
         id: "e4",
         desc: "correlated groups and PCA variance profile",
-        consumes: &[ArtifactKind::Matrix, ArtifactKind::Reduced],
     },
     ExperimentSpec {
         id: "e5",
         desc: "kernel scatter in PC1-PC2",
-        consumes: &[ArtifactKind::Matrix, ArtifactKind::Reduced],
     },
     ExperimentSpec {
         id: "e6",
         desc: "kernel scatter in PC3-PC4",
-        consumes: &[ArtifactKind::Matrix, ArtifactKind::Reduced],
     },
     ExperimentSpec {
         id: "e7",
         desc: "whole-space dendrogram (average linkage)",
-        consumes: &[ArtifactKind::Matrix, ArtifactKind::Clustering],
     },
     ExperimentSpec {
         id: "e8",
         desc: "clusters and representatives across k",
-        consumes: &[
-            ArtifactKind::Matrix,
-            ArtifactKind::Reduced,
-            ArtifactKind::Clustering,
-        ],
     },
     ExperimentSpec {
         id: "e9",
         desc: "branch-divergence subspace analysis",
-        consumes: &[ArtifactKind::Study, ArtifactKind::Matrix],
     },
     ExperimentSpec {
         id: "e10",
         desc: "memory-coalescing subspace analysis",
-        consumes: &[ArtifactKind::Study, ArtifactKind::Matrix],
     },
     ExperimentSpec {
         id: "e11",
         desc: "per-suite diversity in the common PC space",
-        consumes: &[ArtifactKind::Study, ArtifactKind::Reduced],
     },
     ExperimentSpec {
         id: "e12",
         desc: "design-space evaluation error of representative subsets",
-        consumes: &[
-            ArtifactKind::Study,
-            ArtifactKind::Matrix,
-            ArtifactKind::Clustering,
-        ],
     },
     ExperimentSpec {
         id: "e13",
         desc: "stress-workload selection per functional block",
-        consumes: &[ArtifactKind::Study],
     },
     ExperimentSpec {
         id: "e14",
         desc: "pairwise interference of co-scheduled kernels",
-        consumes: &[ArtifactKind::Study],
     },
 ];
 
@@ -533,13 +507,6 @@ mod tests {
         for e in EXPERIMENTS {
             assert!(!e.desc.is_empty());
             assert!(!e.desc.contains('\n'), "{} description is one line", e.id);
-        }
-    }
-
-    #[test]
-    fn only_e1_is_artifact_free() {
-        for e in EXPERIMENTS {
-            assert_eq!(e.consumes.is_empty(), e.id == "e1");
         }
     }
 }

@@ -15,7 +15,6 @@ use std::process::{Command, Output};
 
 use gwc_obs::json::Json;
 use gwc_obs::metrics::MetricsRecorder;
-use gwc_obs::recorder::Recorder;
 use gwc_obs::report::{build_report, ReportContext};
 
 const REGEN: &str = env!("CARGO_BIN_EXE_regen");
@@ -374,12 +373,12 @@ fn metrics_check_evaluates_expectations() {
         );
     }
 
-    // Only the schema `regen` writes validates: a v5 stamp is rejected.
-    let v5 = write_report(&dir, "v5.json", &rec, Some(5));
-    let out = check(&v5, &[]);
+    // Only the schema `regen` writes validates: a v6 stamp is rejected.
+    let v6 = write_report(&dir, "v6.json", &rec, Some(6));
+    let out = check(&v6, &[]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
     assert!(
-        stderr_of(&out).contains("schema_version 5"),
+        stderr_of(&out).contains("schema_version 6"),
         "{}",
         stderr_of(&out)
     );

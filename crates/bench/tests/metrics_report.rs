@@ -12,8 +12,59 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gwc_bench::{render_experiments, StudyArtifacts};
-use gwc_obs::metrics::MetricsRecorder;
+use gwc_obs::metrics::{MetricsRecorder, SpanEvent};
 use gwc_obs::report::{build_report, validate_str, ReportContext, RunMeta, REQUIRED_KEYS};
+
+/// Length of the union of `intervals`.
+fn union_ns(mut intervals: Vec<(u64, u64)>) -> u64 {
+    intervals.sort_unstable();
+    let (mut total, mut reach) = (0, 0);
+    for (start, end) in intervals {
+        if end > reach {
+            total += end - start.max(reach);
+            reach = end;
+        }
+    }
+    total
+}
+
+/// Checks self-time nodes `(path, busy_ns, wall_ns, exclusive_ns)`
+/// against the span events they fold. A node with spans of its own has
+/// their summed durations as busy time and their union as wall time; a
+/// node without takes its descendants' union as wall time and has no
+/// exclusive time. Every node's exclusive time is its wall time minus
+/// the time its descendants cover, and descendants lie inside their
+/// ancestors' spans.
+fn check_self_time<'a>(
+    events: &[SpanEvent],
+    nodes: impl Iterator<Item = (&'a str, u64, u64, u64)>,
+) {
+    let interval = |e: &SpanEvent| (e.start_ns, e.end_ns);
+    for (path, busy, wall, exclusive) in nodes {
+        let own: Vec<(u64, u64)> = events
+            .iter()
+            .filter(|e| e.path == path)
+            .map(interval)
+            .collect();
+        let below = format!("{path}/");
+        let desc: Vec<(u64, u64)> = events
+            .iter()
+            .filter(|e| e.path.starts_with(&below))
+            .map(interval)
+            .collect();
+        let desc_ns = union_ns(desc.clone());
+        if own.is_empty() {
+            assert_eq!((wall, exclusive), (desc_ns, 0), "`{path}` has no span");
+            continue;
+        }
+        let own_busy: u64 = own.iter().map(|(s, e)| e - s).sum();
+        assert_eq!(busy, own_busy, "busy time of `{path}`");
+        assert_eq!(wall, union_ns(own.clone()), "wall time of `{path}`");
+        let covered = wall + desc_ns - union_ns([own, desc].concat());
+        assert_eq!(covered, desc_ns, "descendants of `{path}` leave its spans");
+        assert_eq!(exclusive, wall - covered, "exclusive time of `{path}`");
+    }
+}
 
 #[test]
 fn metrics_report_has_stages_pools_and_workloads() {
@@ -25,8 +76,9 @@ fn metrics_report_has_stages_pools_and_workloads() {
     drop(guard);
     assert!(text.contains("E1:") && text.contains("E2:"));
 
+    let snap = rec.snapshot();
     let report = build_report(
-        &rec.snapshot(),
+        &snap,
         &ReportContext {
             threads,
             experiment_ids: vec!["e1".into(), "e2".into()],
@@ -43,7 +95,8 @@ fn metrics_report_has_stages_pools_and_workloads() {
     for key in REQUIRED_KEYS {
         assert!(doc.get(key).is_some(), "missing required key `{key}`");
     }
-    assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(6));
+    assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(7));
+    assert!(doc.get("gauges").is_none(), "schema v7 has no gauges");
     assert!(doc.get("fallbacks").is_none(), "schema v5 has no fallbacks");
     assert!(
         doc.get("timeseries").is_none(),
@@ -147,20 +200,23 @@ fn metrics_report_has_stages_pools_and_workloads() {
         "no kernel carries launch wall time"
     );
 
-    // Schema v3: the self-time tree folds the span aggregates, and its
-    // exclusive times sum to the top-level inclusive total.
+    // The self-time tree (schema v7) folds the span events: every node's
+    // exclusive time is the wall time its children leave uncovered, with
+    // the study's workloads running on four workers.
     let self_time = doc.get("self_time").unwrap().as_arr().unwrap();
     assert!(!self_time.is_empty(), "self_time tree is empty");
-    let inclusive_roots: u64 = self_time
-        .iter()
-        .filter(|n| n.get("depth").unwrap().as_u64() == Some(0))
-        .map(|n| n.get("inclusive_ns").unwrap().as_u64().unwrap())
-        .sum();
-    let exclusive_sum: u64 = self_time
-        .iter()
-        .map(|n| n.get("exclusive_ns").unwrap().as_u64().unwrap())
-        .sum();
-    assert_eq!(exclusive_sum, inclusive_roots, "self-time fold invariant");
+    let field = |n: &gwc_obs::json::Json, key: &str| n.get(key).unwrap().as_u64().unwrap();
+    check_self_time(
+        &snap.events,
+        self_time.iter().map(|n| {
+            (
+                n.get("path").unwrap().as_str().unwrap(),
+                field(n, "busy_ns"),
+                field(n, "wall_ns"),
+                field(n, "exclusive_ns"),
+            )
+        }),
+    );
 
     // Schema v3: per-kernel execution profiles with µop-class counters
     // and pc hotspots.
@@ -183,8 +239,11 @@ fn metrics_report_has_stages_pools_and_workloads() {
 /// Span paths do not depend on the thread count: pool tasks (study
 /// workloads, E14 scenarios) nest their spans where the serial loop's
 /// would, and a study launch nests under its workload's span. At one
-/// thread, every span's children also fit inside its own wall time,
-/// and the top-level spans fit inside the wall time of the whole run.
+/// thread, every node's busy time equals its wall time, its children
+/// fit inside its own wall time, and the top-level spans fit inside the
+/// wall time of the whole run. At two threads, every node's exclusive
+/// time is its wall time minus what its children cover, so `study`
+/// keeps a positive share while its workloads' busy time overlaps.
 /// Tiny scale keeps the two runs cheap; the nesting is the same at
 /// every scale.
 #[test]
@@ -217,8 +276,13 @@ fn span_paths_are_independent_of_thread_count() {
         snap.spans.iter().map(|s| s.path.clone()).collect()
     };
     let (serial_snap, serial_wall_ns) = run(1);
+    let (parallel_snap, _) = run(2);
     let serial = paths(&serial_snap);
-    assert_eq!(serial, paths(&run(2).0), "span paths at 1 vs 2 threads");
+    assert_eq!(
+        serial,
+        paths(&parallel_snap),
+        "span paths at 1 vs 2 threads"
+    );
     let workload_launch = serial
         .iter()
         .filter_map(|p| p.strip_prefix("study/workload/"))
@@ -251,31 +315,66 @@ fn span_paths_are_independent_of_thread_count() {
     );
 
     // Serially, every span's children run one after another inside it,
-    // so their inclusive times sum to at most its own total. (A node
-    // with no span of its own, like `study/workload`, has no total; its
-    // children count toward its parent's bound instead.)
-    let tree = fold(&serial_snap.spans);
+    // so their wall times sum to at most its own, and no two spans of
+    // one path overlap.
+    let tree = fold(&serial_snap.events);
     assert!(
         tree.nodes.iter().any(|n| n.path == "study" && n.count > 0),
         "study span recorded"
     );
     for (i, node) in tree.nodes.iter().enumerate() {
+        assert_eq!(
+            node.busy_ns, node.wall_ns,
+            "busy vs wall of `{}`",
+            node.path
+        );
         let children: u64 = tree.nodes[i + 1..]
             .iter()
             .take_while(|n| n.depth > node.depth)
             .filter(|n| n.depth == node.depth + 1)
-            .map(|n| n.inclusive_ns)
+            .map(|n| n.wall_ns)
             .sum();
         assert!(
-            node.count == 0 || children <= node.total_ns,
+            children <= node.wall_ns,
             "children of `{}` sum to {children} ns, past its {} ns",
             node.path,
-            node.total_ns
+            node.wall_ns
         );
     }
+    let top: u64 = tree
+        .nodes
+        .iter()
+        .filter(|n| n.depth == 0)
+        .map(|n| n.wall_ns)
+        .sum();
     assert!(
-        tree.total_ns() <= serial_wall_ns,
-        "top-level spans sum to {} ns, past the run's {serial_wall_ns} ns",
-        tree.total_ns()
+        top <= serial_wall_ns,
+        "top-level spans sum to {top} ns, past the run's {serial_wall_ns} ns"
+    );
+    check_self_time(
+        &serial_snap.events,
+        tree.nodes
+            .iter()
+            .map(|n| (n.path.as_str(), n.busy_ns, n.wall_ns, n.exclusive_ns)),
+    );
+
+    // At two threads the study's workloads overlap: their busy time may
+    // pass the study's wall time, but exclusive time stays the wall time
+    // no child covers, unclamped.
+    let tree = fold(&parallel_snap.events);
+    check_self_time(
+        &parallel_snap.events,
+        tree.nodes
+            .iter()
+            .map(|n| (n.path.as_str(), n.busy_ns, n.wall_ns, n.exclusive_ns)),
+    );
+    let study = tree
+        .nodes
+        .iter()
+        .find(|n| n.path == "study")
+        .expect("study node");
+    assert!(
+        study.exclusive_ns > 0,
+        "study keeps its own time: {study:?}"
     );
 }

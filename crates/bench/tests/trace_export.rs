@@ -1,8 +1,9 @@
 //! End-to-end trace timeline test: runs a small experiment subset with
-//! the trace recorder installed — exactly what `regen --trace` does —
-//! and asserts the exported document is well-formed Chrome trace-event
-//! JSON: spans for the pipeline stages and kernel launches, per-thread
-//! nesting by interval containment, and overflow metadata.
+//! the recorder installed and exports its span events — exactly what
+//! `regen --trace` does — and asserts the document is well-formed
+//! Chrome trace-event JSON: spans for the pipeline stages and kernel
+//! launches, per-thread nesting by interval containment, and one row
+//! per span the snapshot aggregates.
 //!
 //! This test installs the global recorder, so it lives in its own
 //! integration-test binary: it never shares a process with the
@@ -12,18 +13,19 @@ use std::sync::Arc;
 
 use gwc_bench::{render_experiments, StudyArtifacts};
 use gwc_obs::json::Json;
-use gwc_obs::TraceRecorder;
+use gwc_obs::metrics::MetricsRecorder;
 
 #[test]
 fn trace_export_is_valid_chrome_trace_json() {
-    let rec = Arc::new(TraceRecorder::default());
+    let rec = Arc::new(MetricsRecorder::default());
     let guard = gwc_obs::install(rec.clone());
     let artifacts = StudyArtifacts::collect_threads(4);
     let text = render_experiments(&["e1", "e2"], &artifacts);
     drop(guard);
     assert!(text.contains("E1:") && text.contains("E2:"));
 
-    let doc = rec.export();
+    let snap = rec.snapshot();
+    let doc = gwc_obs::trace::export(&snap.events);
     // Round-trips through the hand-rolled JSON layer.
     let rendered = doc.render();
     let parsed = gwc_obs::json::parse(&rendered).expect("export renders to parseable JSON");
@@ -35,11 +37,13 @@ fn trace_export_is_valid_chrome_trace_json() {
     );
     let meta = doc.get("metadata").expect("metadata object");
     assert_eq!(meta.get("tool").and_then(Json::as_str), Some("gwc-obs"));
-    assert_eq!(meta.get("dropped_events").and_then(Json::as_u64), Some(0));
     let recorded = meta
         .get("recorded_events")
         .and_then(Json::as_u64)
         .expect("recorded_events");
+    // The timeline and the aggregates read the same events.
+    let aggregated: u64 = snap.spans.iter().map(|s| s.count).sum();
+    assert_eq!(recorded, aggregated, "trace rows vs aggregated span count");
 
     let events = doc
         .get("traceEvents")
@@ -150,27 +154,4 @@ fn trace_export_is_valid_chrome_trace_json() {
             open.push((start, end));
         }
     }
-}
-
-#[test]
-fn overflowed_trace_reports_drops_in_metadata() {
-    use gwc_obs::recorder::Recorder;
-    use std::time::Instant;
-
-    let rec = TraceRecorder::with_capacity(4);
-    let t0 = Instant::now();
-    for i in 0..10u64 {
-        rec.record_span_event(
-            "overflow/probe",
-            1,
-            t0,
-            t0 + std::time::Duration::from_nanos(i),
-        );
-    }
-    assert_eq!(rec.dropped(), 6);
-    let doc = rec.export();
-    let meta = doc.get("metadata").unwrap();
-    assert_eq!(meta.get("recorded_events").and_then(Json::as_u64), Some(4));
-    assert_eq!(meta.get("dropped_events").and_then(Json::as_u64), Some(6));
-    assert_eq!(meta.get("capacity").and_then(Json::as_u64), Some(4));
 }

@@ -100,7 +100,7 @@ impl CoalescingObserver {
     /// Bytes of state held by this observer. Already bounded — seven
     /// plain counters, no per-address state — so the `Exact` and
     /// `Sketch` observer tiers share this one implementation; it exists
-    /// so the `observer.bytes_peak` gauge accounts for every heavy
+    /// so the `observer.bytes_peak` counter accounts for every heavy
     /// observer uniformly.
     pub fn bytes_in_use(&self) -> u64 {
         std::mem::size_of::<Self>() as u64

@@ -115,7 +115,7 @@ impl LocalityObserver {
 
     /// Approximate heap bytes held by this observer's per-line state.
     /// Capacity-based (not length-based): it is the allocation, not the
-    /// occupancy, that the `observer.bytes_peak` gauge must account for.
+    /// occupancy, that the `observer.bytes_peak` counter must account for.
     pub fn bytes_in_use(&self) -> u64 {
         self.stack.bytes_in_use()
             + (self.sharing.capacity() * std::mem::size_of::<Sharing>()) as u64

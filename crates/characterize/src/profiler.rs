@@ -147,7 +147,7 @@ impl Profiler {
     }
 
     /// Approximate heap bytes held by the heavy (locality + coalescing)
-    /// observers right now; feeds the `observer.bytes_peak` gauge.
+    /// observers right now; feeds the `observer.bytes_peak` high-water counter.
     pub fn observer_bytes(&self) -> u64 {
         self.locality.bytes_in_use() + self.coalescing.bytes_in_use()
     }

@@ -325,7 +325,7 @@ impl<const M: usize> ReuseStack<M> {
 
     /// Approximate heap bytes held. Capacity-based (not length-based):
     /// it is the allocation, not the occupancy, that the
-    /// `observer.bytes_peak` gauge must account for.
+    /// `observer.bytes_peak` counter must account for.
     pub(crate) fn bytes_in_use(&self) -> u64 {
         use std::mem::size_of;
         (self.ids.capacity() * (size_of::<(u32, u32)>() + 1)

@@ -54,5 +54,5 @@ pub mod study;
 pub mod subspace;
 
 pub use parallel::{available_threads, parallel_map};
-pub use pipeline::{ArtifactKind, Artifacts, PipelineConfig, Stage, StageId};
+pub use pipeline::{Artifacts, PipelineConfig, Stage};
 pub use study::{KernelRecord, Study, StudyConfig};

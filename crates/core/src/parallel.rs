@@ -100,7 +100,7 @@ where
         );
         return out;
     }
-    // `Option<&dyn Recorder>` is `Copy`, so each worker closure can
+    // `Option<&MetricsRecorder>` is `Copy`, so each worker closure can
     // take its own copy without touching the `Arc`.
     let rec = rec.as_deref();
     let parent = &Inherited::capture();

@@ -1,17 +1,15 @@
-//! The staged characterization pipeline: typed artifacts, an explicit
-//! stage DAG, and one entry point shared by `regen`, the examples and the
+//! The staged characterization pipeline: typed artifacts, one stage per
+//! step, and one entry point shared by `regen`, the examples and the
 //! benchmark.
 //!
-//! Before this module, every consumer re-spelled the same ad-hoc call
-//! chain (run study → drop `vector_add` → build matrix → fit PCA → fit
-//! clustering) and the chain's structure existed only by convention. Here
-//! each step is a [`Stage`] with a typed input and output artifact, the
-//! dependencies are data ([`StageId::deps`]), and [`Artifacts::collect`]
-//! is the single entry point that walks the DAG in topological order,
-//! running each stage inside one observability span named after it
-//! (`study`, `matrix`, `reduce`, `cluster`). The lazy pair stage opens
-//! its `pairs` span wherever it is run from (E14 records it under
-//! `experiment/e14`).
+//! Each step (run study → drop `vector_add` → build matrix → fit PCA →
+//! fit clustering) is a [`Stage`] whose typed input is the artifact it
+//! reads, so the order of the steps is checked by the compiler.
+//! [`Artifacts::collect`] is the single entry point that runs them in
+//! that order, each inside one observability span named after it
+//! ([`Stage::NAME`]: `study`, `matrix`, `reduce`, `cluster`). The lazy
+//! pair stage opens its `pairs` span wherever it is run from (E14
+//! records it under `experiment/e14`).
 //!
 //! The study stage is cache-aware: give [`PipelineConfig::cache_dir`] a
 //! directory and workloads whose fingerprints hit the persistent profile
@@ -27,97 +25,6 @@ use gwc_workloads::Scale;
 use crate::analysis::ClusterAnalysis;
 use crate::reduce::ReducedSpace;
 use crate::study::{Study, StudyConfig};
-
-/// Identity of a pipeline stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum StageId {
-    /// Run the workload registry and collect kernel profiles.
-    Study,
-    /// Co-run the curated kernel pairs and collect interference
-    /// profiles. Lazy: not in [`StageId::ALL`] — it runs on demand
-    /// (experiment E14), not in every [`Artifacts::collect`], so
-    /// pipelines that never look at pairs pay nothing.
-    Pairs,
-    /// Assemble the kernel × characteristic matrix with row labels.
-    Matrix,
-    /// Normalize and reduce dimensionality (PCA).
-    Reduce,
-    /// Cluster in the reduced space and pick representatives.
-    Cluster,
-}
-
-impl StageId {
-    /// Every *eagerly collected* stage, in the one valid topological
-    /// order ([`StageId::Pairs`] is lazy and deliberately absent).
-    pub const ALL: [StageId; 4] = [
-        StageId::Study,
-        StageId::Matrix,
-        StageId::Reduce,
-        StageId::Cluster,
-    ];
-
-    /// Short stable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            StageId::Study => "study",
-            StageId::Pairs => "pairs",
-            StageId::Matrix => "matrix",
-            StageId::Reduce => "reduce",
-            StageId::Cluster => "cluster",
-        }
-    }
-
-    /// The stages whose output artifacts this stage consumes.
-    pub fn deps(self) -> &'static [StageId] {
-        match self {
-            StageId::Study => &[],
-            StageId::Pairs => &[StageId::Study],
-            StageId::Matrix => &[StageId::Study],
-            StageId::Reduce => &[StageId::Matrix],
-            StageId::Cluster => &[StageId::Reduce],
-        }
-    }
-
-    /// The artifact this stage produces.
-    pub fn output(self) -> ArtifactKind {
-        match self {
-            StageId::Study => ArtifactKind::Study,
-            StageId::Pairs => ArtifactKind::Pairs,
-            StageId::Matrix => ArtifactKind::Matrix,
-            StageId::Reduce => ArtifactKind::Reduced,
-            StageId::Cluster => ArtifactKind::Clustering,
-        }
-    }
-}
-
-/// Kind tag for the typed artifacts, used by consumers (e.g. the
-/// experiment registry in `gwc-bench`) to declare what they read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ArtifactKind {
-    /// [`StudyArtifact`].
-    Study,
-    /// [`PairArtifact`].
-    Pairs,
-    /// [`MatrixArtifact`].
-    Matrix,
-    /// [`ReducedArtifact`].
-    Reduced,
-    /// [`ClusteringArtifact`].
-    Clustering,
-}
-
-impl ArtifactKind {
-    /// Short stable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ArtifactKind::Study => "study",
-            ArtifactKind::Pairs => "pairs",
-            ArtifactKind::Matrix => "matrix",
-            ArtifactKind::Reduced => "reduced",
-            ArtifactKind::Clustering => "clustering",
-        }
-    }
-}
 
 /// Configuration of one full pipeline run. [`PipelineConfig::default`]
 /// is the canonical configuration every committed result was produced
@@ -168,7 +75,7 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Output of [`StageId::Study`]: the profiled workload population.
+/// Output of [`StudyStage`]: the profiled workload population.
 #[derive(Debug)]
 pub struct StudyArtifact {
     /// The study, with [`PipelineConfig::exclude_workload`] already
@@ -176,14 +83,14 @@ pub struct StudyArtifact {
     pub study: Study,
 }
 
-/// Output of [`StageId::Pairs`]: the pairwise-interference study.
+/// Output of [`PairsStage`]: the pairwise-interference study.
 #[derive(Debug)]
 pub struct PairArtifact {
     /// The co-scheduled pair study.
     pub pairs: crate::pairs::PairStudy,
 }
 
-/// Output of [`StageId::Matrix`]: the kernel × characteristic matrix.
+/// Output of [`MatrixStage`]: the kernel × characteristic matrix.
 #[derive(Debug)]
 pub struct MatrixArtifact {
     /// Row labels (`workload/kernel`), in study order.
@@ -192,14 +99,14 @@ pub struct MatrixArtifact {
     pub matrix: Matrix,
 }
 
-/// Output of [`StageId::Reduce`]: the reduced (PC) space.
+/// Output of [`ReduceStage`]: the reduced (PC) space.
 #[derive(Debug)]
 pub struct ReducedArtifact {
     /// The fitted reduction.
     pub space: ReducedSpace,
 }
 
-/// Output of [`StageId::Cluster`]: clustering and representatives.
+/// Output of [`ClusterStage`]: clustering and representatives.
 #[derive(Debug)]
 pub struct ClusteringArtifact {
     /// The fitted clustering.
@@ -207,12 +114,10 @@ pub struct ClusteringArtifact {
 }
 
 /// One pipeline stage: a typed transformation from its input artifact(s)
-/// to its output artifact. The associated `ID` ties the type-level
-/// contract to the data-level DAG in [`StageId`]; a unit test checks the
-/// two agree.
+/// to its output artifact.
 pub trait Stage {
-    /// Which stage this is.
-    const ID: StageId;
+    /// Short stable name; the stage's span records under it.
+    const NAME: &'static str;
     /// Borrowed input artifact(s).
     type Input<'a>;
     /// Produced artifact.
@@ -233,7 +138,7 @@ pub trait Stage {
 pub struct StudyStage;
 
 impl Stage for StudyStage {
-    const ID: StageId = StageId::Study;
+    const NAME: &'static str = "study";
     type Input<'a> = ();
     type Output = StudyArtifact;
 
@@ -257,12 +162,12 @@ impl Stage for StudyStage {
 pub struct PairsStage;
 
 impl Stage for PairsStage {
-    const ID: StageId = StageId::Pairs;
+    const NAME: &'static str = "pairs";
     type Input<'a> = &'a StudyArtifact;
     type Output = PairArtifact;
 
     fn run(cfg: &PipelineConfig, input: &StudyArtifact) -> PairArtifact {
-        let _span = gwc_obs::span!("{}", StageId::Pairs.name());
+        let _span = gwc_obs::span!("{}", Self::NAME);
         PairArtifact {
             pairs: crate::pairs::run_from_artifact(cfg, input),
         }
@@ -274,7 +179,7 @@ impl Stage for PairsStage {
 pub struct MatrixStage;
 
 impl Stage for MatrixStage {
-    const ID: StageId = StageId::Matrix;
+    const NAME: &'static str = "matrix";
     type Input<'a> = &'a StudyArtifact;
     type Output = MatrixArtifact;
 
@@ -290,7 +195,7 @@ impl Stage for MatrixStage {
 pub struct ReduceStage;
 
 impl Stage for ReduceStage {
-    const ID: StageId = StageId::Reduce;
+    const NAME: &'static str = "reduce";
     type Input<'a> = &'a MatrixArtifact;
     type Output = ReducedArtifact;
 
@@ -305,7 +210,7 @@ impl Stage for ReduceStage {
 pub struct ClusterStage;
 
 impl Stage for ClusterStage {
-    const ID: StageId = StageId::Cluster;
+    const NAME: &'static str = "cluster";
     type Input<'a> = &'a ReducedArtifact;
     type Output = ClusteringArtifact;
 
@@ -317,9 +222,9 @@ impl Stage for ClusterStage {
     }
 }
 
-/// Runs stage `S` inside a span named [`StageId::name`].
+/// Runs stage `S` inside a span named [`Stage::NAME`].
 fn run_in_span<S: Stage>(cfg: &PipelineConfig, input: S::Input<'_>) -> S::Output {
-    let _span = gwc_obs::span!("{}", S::ID.name());
+    let _span = gwc_obs::span!("{}", S::NAME);
     S::run(cfg, input)
 }
 
@@ -341,8 +246,8 @@ pub struct Artifacts {
 }
 
 impl Artifacts {
-    /// Runs every stage in DAG order, each inside a span named after it,
-    /// and returns the full artifact set.
+    /// Runs every eager stage in order, each inside a span named after
+    /// it, and returns the full artifact set.
     ///
     /// # Panics
     ///
@@ -391,39 +296,6 @@ impl Artifacts {
 mod tests {
     use super::*;
 
-    #[test]
-    fn all_is_a_topological_order() {
-        for (i, stage) in StageId::ALL.iter().enumerate() {
-            for dep in stage.deps() {
-                let j = StageId::ALL
-                    .iter()
-                    .position(|s| s == dep)
-                    .expect("dep is a stage");
-                assert!(j < i, "{:?} depends on later {:?}", stage, dep);
-            }
-        }
-    }
-
-    #[test]
-    fn stage_impls_agree_with_dag() {
-        assert_eq!(StudyStage::ID, StageId::Study);
-        assert_eq!(PairsStage::ID, StageId::Pairs);
-        assert_eq!(MatrixStage::ID, StageId::Matrix);
-        assert_eq!(ReduceStage::ID, StageId::Reduce);
-        assert_eq!(ClusterStage::ID, StageId::Cluster);
-    }
-
-    /// The lazy pair stage must stay out of the eager driver: its cost
-    /// belongs to E14 alone.
-    #[test]
-    fn pairs_stage_is_lazy_with_valid_deps() {
-        assert!(!StageId::ALL.contains(&StageId::Pairs));
-        assert_eq!(StageId::Pairs.deps(), &[StageId::Study]);
-        assert_eq!(StageId::Pairs.output(), ArtifactKind::Pairs);
-        assert_eq!(StageId::Pairs.name(), "pairs");
-        assert_eq!(ArtifactKind::Pairs.name(), "pairs");
-    }
-
     /// Each eager stage records a top-level span under its own name: no
     /// stage nests under a stage it does not run inside. (Other tests
     /// may record spans while the recorder is installed, so only
@@ -440,19 +312,11 @@ mod tests {
         Artifacts::collect(&cfg);
         drop(guard);
         let snap = rec.snapshot();
-        let top: Vec<&str> = StageId::ALL
-            .iter()
-            .map(|s| s.name())
+        let top: Vec<&str> = ["study", "matrix", "reduce", "cluster"]
+            .into_iter()
             .filter(|name| snap.stages().iter().any(|s| s.path == *name))
             .collect();
         assert_eq!(top, ["study", "matrix", "reduce", "cluster"]);
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(StageId::Matrix.name(), "matrix");
-        assert_eq!(StageId::Matrix.output().name(), "matrix");
-        assert_eq!(ArtifactKind::Reduced.name(), "reduced");
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! Observability for the characterization pipeline: hierarchical spans,
-//! counters/gauges, log-bucketed latency histograms ([`hist`]), bounded
-//! span timelines ([`trace`]), the schema-versioned metrics report
-//! ([`report`]), and a pluggable [`Recorder`]. Everything is read from
-//! a finished run; nothing samples it while it runs.
+//! counters, log-bucketed latency histograms ([`hist`](mod@hist)), and one
+//! recorder, [`metrics::MetricsRecorder`], that keeps each closed span
+//! once, as an event. Every span view reads that event list: the
+//! schema-versioned metrics report ([`report`]), the self-time tree and
+//! flame stacks ([`selftime`]), and the Chrome trace timeline
+//! ([`trace`]). Everything is read from a finished run; nothing samples
+//! it while it runs.
 //!
 //! The pipeline is instrumented at every layer — `gwc-simt` records
 //! per-kernel launch statistics and execution profiles, the `gwc-core`
 //! pool records per-worker utilization, `gwc-characterize` records its
 //! observers' memory high-water mark, and `gwc-bench` records
 //! per-stage and per-experiment wall times — but all of it flows through
-//! one process-global [`Recorder`] that is **absent by default**.
+//! one process-global recorder that is **absent by default**.
 //!
 //! # Disabled-path cost contract
 //!
@@ -24,8 +27,7 @@
 //!
 //! # Recording
 //!
-//! Install a recorder (usually [`metrics::MetricsRecorder`]) for the
-//! lifetime of a run:
+//! Install a [`metrics::MetricsRecorder`] for the lifetime of a run:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -59,11 +61,8 @@ pub mod selftime;
 pub mod span;
 pub mod trace;
 
-pub use recorder::{
-    install, recorder, ExecClass, ExecHotspot, NoopRecorder, Recorder, RecorderGuard, TeeRecorder,
-};
+pub use recorder::{install, recorder, ExecClass, ExecHotspot, RecorderGuard};
 pub use span::SpanGuard;
-pub use trace::TraceRecorder;
 
 use std::sync::atomic::Ordering;
 
@@ -91,14 +90,6 @@ pub fn count_max(name: &str, value: u64) {
     }
 }
 
-/// Sets the named gauge to `value`. One branch when disabled.
-#[inline]
-pub fn gauge(name: &str, value: f64) {
-    if let Some(r) = recorder() {
-        r.set_gauge(name, value);
-    }
-}
-
 /// Records one sample into the named latency histogram (see
 /// [`hist::Histogram`]). One branch when disabled.
 #[inline]
@@ -109,7 +100,7 @@ pub fn hist(name: &str, value: u64) {
 }
 
 /// Reports a launch's execution-cost profile
-/// ([`Recorder::record_exec_profile`]). The slices may borrow from the
+/// ([`metrics::MetricsRecorder::record_exec_profile`]). The slices may borrow from the
 /// caller's stack; one branch when disabled.
 #[inline]
 pub fn exec_profile(kernel: &str, classes: &[ExecClass], hotspots: &[ExecHotspot]) {

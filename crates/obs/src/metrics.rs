@@ -1,24 +1,41 @@
-//! [`MetricsRecorder`]: the aggregating recorder behind `regen
-//! --metrics` and `--trace-summary`.
+//! [`MetricsRecorder`]: the one recorder, behind `regen --metrics`,
+//! `--trace`, `--trace-summary` and `--flame` alike.
 //!
-//! Everything aggregates into ordered maps keyed by name, so a
-//! snapshot's *shape* is deterministic for a given pipeline run — only
-//! the recorded durations vary between runs. That is what makes the
-//! metrics report schema snapshot-testable while timings are not.
+//! It keeps each closed span once, as a [`SpanEvent`] (path, thread
+//! ordinal, start, end), and aggregates everything else into ordered
+//! maps keyed by name. Every span view derives from a snapshot's event
+//! list: the per-path aggregates ([`MetricsSnapshot::spans`]), the
+//! self-time tree ([`crate::selftime::fold`]) and the Chrome trace
+//! ([`crate::trace::export`]). A snapshot's *shape* is deterministic
+//! for a given pipeline run — only the recorded times vary between
+//! runs. That is what makes the metrics report schema snapshot-testable
+//! while timings are not.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
+use std::time::Instant;
 
 use crate::hist::Histogram;
-use crate::recorder::{ExecClass, ExecHotspot, KernelLaunch, PoolWorker, Recorder};
+use crate::recorder::{ExecClass, ExecHotspot, KernelLaunch, PoolWorker};
 
-/// Aggregated statistics of one span path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanAgg {
-    /// Times the span closed.
-    pub count: u64,
-    /// Summed duration.
-    pub total_ns: u64,
+/// One closed span.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpanEvent {
+    /// `/`-separated hierarchical span name.
+    pub path: String,
+    /// Recording thread's ordinal (see [`crate::span::thread_ord`]).
+    pub thread: u64,
+    /// Start, in nanoseconds since the recorder was constructed.
+    pub start_ns: u64,
+    /// End, in nanoseconds since the recorder was constructed.
+    pub end_ns: u64,
+}
+
+impl SpanEvent {
+    /// The span's duration.
+    pub fn dur_ns(&self) -> u64 {
+        self.end_ns.saturating_sub(self.start_ns)
+    }
 }
 
 /// One span path with its aggregate (snapshot form).
@@ -90,16 +107,17 @@ pub struct ExecStat {
     pub hotspots: Vec<ExecHotspotStat>,
 }
 
-/// A thread-safe aggregating [`Recorder`].
+/// The thread-safe recorder every instrumentation site reports to.
 ///
 /// Install it with [`crate::install`], run the pipeline, then call
 /// [`MetricsRecorder::snapshot`] for the frozen, deterministically
-/// ordered view the report builder consumes.
-#[derive(Debug, Default)]
+/// ordered view the report builder consumes. Its methods take `&self`:
+/// pool workers call them concurrently.
+#[derive(Debug)]
 pub struct MetricsRecorder {
-    spans: Mutex<BTreeMap<String, SpanAgg>>,
+    epoch: Instant,
+    events: Mutex<Vec<SpanEvent>>,
     counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, f64>>,
     kernels: Mutex<BTreeMap<String, (u64, KernelLaunch)>>,
     pools: Mutex<BTreeMap<String, BTreeMap<usize, PoolWorker>>>,
     workloads: Mutex<BTreeMap<String, (u64, u64)>>,
@@ -115,15 +133,31 @@ struct ExecAgg {
     hotspots: BTreeMap<u64, (&'static str, u64, u64)>,
 }
 
+impl Default for MetricsRecorder {
+    fn default() -> Self {
+        Self {
+            epoch: Instant::now(),
+            events: Mutex::default(),
+            counters: Mutex::default(),
+            kernels: Mutex::default(),
+            pools: Mutex::default(),
+            workloads: Mutex::default(),
+            hists: Mutex::default(),
+            execs: Mutex::default(),
+        }
+    }
+}
+
 /// A frozen, ordered view of everything a [`MetricsRecorder`] saw.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Span aggregates, ordered by path.
+    /// Every closed span, ordered by start time (thread, then path, on
+    /// ties).
+    pub events: Vec<SpanEvent>,
+    /// Per-path aggregates of `events`, ordered by path.
     pub spans: Vec<SpanStat>,
     /// Counters, ordered by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauges, ordered by name.
-    pub gauges: Vec<(String, f64)>,
     /// Per-kernel launch aggregates, ordered by kernel name.
     pub kernels: Vec<KernelStat>,
     /// Per-pool, per-worker statistics, ordered by pool name then
@@ -166,29 +200,30 @@ impl MetricsRecorder {
     /// Panics if an aggregate mutex was poisoned (a recorder method
     /// panicked mid-update — instrumentation never should).
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut events = self.events.lock().expect("events poisoned").clone();
+        events
+            .sort_by(|a, b| (a.start_ns, a.thread, &a.path).cmp(&(b.start_ns, b.thread, &b.path)));
+        let mut spans: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for e in &events {
+            let (count, total_ns) = spans.entry(&e.path).or_default();
+            *count += 1;
+            *total_ns += e.dur_ns();
+        }
+        let spans = spans
+            .into_iter()
+            .map(|(path, (count, total_ns))| SpanStat {
+                path: path.to_string(),
+                count,
+                total_ns,
+            })
+            .collect();
         MetricsSnapshot {
-            spans: self
-                .spans
-                .lock()
-                .expect("spans poisoned")
-                .iter()
-                .map(|(path, agg)| SpanStat {
-                    path: path.clone(),
-                    count: agg.count,
-                    total_ns: agg.total_ns,
-                })
-                .collect(),
+            events,
+            spans,
             counters: self
                 .counters
                 .lock()
                 .expect("counters poisoned")
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .expect("gauges poisoned")
                 .iter()
                 .map(|(k, v)| (k.clone(), *v))
                 .collect(),
@@ -263,35 +298,45 @@ impl MetricsRecorder {
                 .collect(),
         }
     }
-}
 
-impl Recorder for MetricsRecorder {
-    fn record_span(&self, path: &str, nanos: u64) {
-        let mut spans = self.spans.lock().expect("spans poisoned");
-        let agg = spans.entry(path.to_string()).or_default();
-        agg.count += 1;
-        agg.total_ns += nanos;
+    /// A span closed: `path` is its `/`-separated hierarchical name,
+    /// `thread` the recording thread's ordinal (see
+    /// [`crate::span::thread_ord`]), and `start`/`end` its monotonic
+    /// instants.
+    pub fn record_span_event(&self, path: String, thread: u64, start: Instant, end: Instant) {
+        let event = SpanEvent {
+            path,
+            thread,
+            start_ns: start.saturating_duration_since(self.epoch).as_nanos() as u64,
+            end_ns: end.saturating_duration_since(self.epoch).as_nanos() as u64,
+        };
+        self.events.lock().expect("events poisoned").push(event);
     }
 
-    fn add_counter(&self, name: &str, delta: u64) {
+    /// Records a span `start_ns..end_ns` after the recorder's epoch.
+    #[cfg(test)]
+    pub(crate) fn span_at(&self, path: &str, thread: u64, start_ns: u64, end_ns: u64) {
+        let at = |ns| self.epoch + std::time::Duration::from_nanos(ns);
+        self.record_span_event(path.to_string(), thread, at(start_ns), at(end_ns));
+    }
+
+    /// Adds `delta` to a monotonic counter.
+    pub fn add_counter(&self, name: &str, delta: u64) {
         let mut counters = self.counters.lock().expect("counters poisoned");
         *counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
-    fn max_counter(&self, name: &str, value: u64) {
+    /// Folds `value` into the named counter as a running maximum — a
+    /// high-water mark (e.g. `observer.bytes_peak`) rather than a sum.
+    pub fn max_counter(&self, name: &str, value: u64) {
         let mut counters = self.counters.lock().expect("counters poisoned");
         let e = counters.entry(name.to_string()).or_insert(0);
         *e = (*e).max(value);
     }
 
-    fn set_gauge(&self, name: &str, value: f64) {
-        self.gauges
-            .lock()
-            .expect("gauges poisoned")
-            .insert(name.to_string(), value);
-    }
-
-    fn record_kernel_launch(&self, kernel: &str, stats: &KernelLaunch) {
+    /// A kernel launch retired: reported once per launched kernel (a
+    /// co-scheduled pair reports each member).
+    pub fn record_kernel_launch(&self, kernel: &str, stats: &KernelLaunch) {
         let mut kernels = self.kernels.lock().expect("kernels poisoned");
         let (launches, totals) = kernels.entry(kernel.to_string()).or_default();
         *launches += 1;
@@ -303,7 +348,17 @@ impl Recorder for MetricsRecorder {
         totals.wall_ns += stats.wall_ns;
     }
 
-    fn record_exec_profile(&self, kernel: &str, classes: &[ExecClass], hotspots: &[ExecHotspot]) {
+    /// A kernel launch retired with an execution-cost profile: per-µop-
+    /// class retired counts plus the launch's hottest pcs. Reported once
+    /// per launched kernel (after
+    /// [`MetricsRecorder::record_kernel_launch`]). The slices are
+    /// borrowed from the caller's stack.
+    pub fn record_exec_profile(
+        &self,
+        kernel: &str,
+        classes: &[ExecClass],
+        hotspots: &[ExecHotspot],
+    ) {
         let mut execs = self.execs.lock().expect("execs poisoned");
         let agg = execs.entry(kernel.to_string()).or_default();
         for c in classes {
@@ -318,7 +373,8 @@ impl Recorder for MetricsRecorder {
         }
     }
 
-    fn record_pool_worker(&self, pool: &str, worker: usize, stats: &PoolWorker) {
+    /// One pool worker finished its run of a `parallel_map`.
+    pub fn record_pool_worker(&self, pool: &str, worker: usize, stats: &PoolWorker) {
         let mut pools = self.pools.lock().expect("pools poisoned");
         let workers = pools.entry(pool.to_string()).or_default();
         let slot = workers.entry(worker).or_default();
@@ -328,14 +384,16 @@ impl Recorder for MetricsRecorder {
         slot.wall_ns += stats.wall_ns;
     }
 
-    fn record_workload(&self, name: &str, kernels: u64, nanos: u64) {
+    /// One workload finished characterization.
+    pub fn record_workload(&self, name: &str, kernels: u64, nanos: u64) {
         let mut workloads = self.workloads.lock().expect("workloads poisoned");
         let (k, ns) = workloads.entry(name.to_string()).or_default();
         *k += kernels;
         *ns += nanos;
     }
 
-    fn record_hist(&self, name: &str, value: u64) {
+    /// Records one sample into the named latency histogram.
+    pub fn record_hist(&self, name: &str, value: u64) {
         let mut hists = self.hists.lock().expect("hists poisoned");
         hists.entry(name.to_string()).or_default().record(value);
     }
@@ -348,10 +406,12 @@ mod tests {
     #[test]
     fn spans_aggregate_by_path() {
         let rec = MetricsRecorder::default();
-        rec.record_span("a", 10);
-        rec.record_span("a", 5);
-        rec.record_span("a/b", 3);
+        rec.span_at("a", 1, 20, 30);
+        rec.span_at("a", 1, 0, 5);
+        rec.span_at("a/b", 1, 1, 4);
         let snap = rec.snapshot();
+        let starts: Vec<u64> = snap.events.iter().map(|e| e.start_ns).collect();
+        assert_eq!(starts, [0, 1, 20], "events are ordered by start");
         assert_eq!(snap.spans.len(), 2);
         assert_eq!(snap.spans[0].path, "a");
         assert_eq!(snap.spans[0].count, 2);
@@ -362,12 +422,31 @@ mod tests {
     #[test]
     fn top_spans_sort_descending_with_deterministic_ties() {
         let rec = MetricsRecorder::default();
-        rec.record_span("b", 5);
-        rec.record_span("a", 5);
-        rec.record_span("c", 9);
+        rec.span_at("b", 1, 0, 5);
+        rec.span_at("a", 1, 5, 10);
+        rec.span_at("c", 1, 10, 19);
         let snap = rec.snapshot();
         let top: Vec<&str> = snap.top_spans(2).iter().map(|s| s.path.as_str()).collect();
         assert_eq!(top, ["c", "a"]);
+    }
+
+    #[test]
+    fn concurrent_writers_never_lose_events() {
+        let rec = MetricsRecorder::default();
+        std::thread::scope(|scope| {
+            for t in 0..8u64 {
+                let rec = &rec;
+                scope.spawn(move || {
+                    for i in 0..100 {
+                        rec.span_at("w", t + 1, i, i + 1);
+                    }
+                });
+            }
+        });
+        let snap = rec.snapshot();
+        assert_eq!(snap.events.len(), 800);
+        assert_eq!(snap.spans[0].count, 800);
+        assert_eq!(snap.spans[0].total_ns, 800);
     }
 
     #[test]

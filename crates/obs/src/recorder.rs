@@ -1,83 +1,20 @@
-//! The [`Recorder`] trait and the process-global installation point.
+//! The process-global installation point, and the typed facts its
+//! hooks carry.
 //!
 //! Instrumentation sites call the free functions in the crate root
-//! ([`crate::count`], [`crate::span!`], …); those route to whatever
-//! recorder is installed here, or do nothing. Typed hooks
-//! ([`Recorder::record_pool_worker`], [`Recorder::record_workload`],
-//! …) exist for the structured facts the metrics report tabulates — they
-//! keep the report builder free of name-parsing.
+//! ([`crate::count`], [`crate::span!`], …); those route to the
+//! [`MetricsRecorder`] installed here, or do nothing. Typed hooks
+//! ([`MetricsRecorder::record_pool_worker`],
+//! [`MetricsRecorder::record_workload`], …) exist for the structured
+//! facts the metrics report tabulates — they keep the report builder
+//! free of name-parsing.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
-use std::time::Instant;
 
-/// Receives observability events from the instrumented pipeline.
-///
-/// Every method has a no-op default body, so recorders implement only
-/// what they aggregate. Methods take `&self` and must be thread-safe:
-/// the pipeline calls them concurrently from pool workers.
-pub trait Recorder: Send + Sync {
-    /// A span closed: `path` is its `/`-separated hierarchical name.
-    fn record_span(&self, path: &str, nanos: u64) {
-        let _ = (path, nanos);
-    }
+use crate::metrics::MetricsRecorder;
 
-    /// A span closed, with its full timeline event: the recording
-    /// thread's ordinal (see [`crate::span::thread_ord`]) and the span's
-    /// monotonic start/end instants. Aggregating recorders usually want
-    /// [`Recorder::record_span`] instead; timeline recorders
-    /// ([`crate::trace::TraceRecorder`]) override this one.
-    fn record_span_event(&self, path: &str, thread: u64, start: Instant, end: Instant) {
-        let _ = (path, thread, start, end);
-    }
-
-    /// Records one sample into the named latency histogram.
-    fn record_hist(&self, name: &str, value: u64) {
-        let _ = (name, value);
-    }
-
-    /// Adds `delta` to a monotonic counter.
-    fn add_counter(&self, name: &str, delta: u64) {
-        let _ = (name, delta);
-    }
-
-    /// Folds `value` into the named counter as a running maximum — a
-    /// high-water mark (e.g. `observer.bytes_peak`) rather than a sum.
-    fn max_counter(&self, name: &str, value: u64) {
-        let _ = (name, value);
-    }
-
-    /// Sets a gauge to its latest value.
-    fn set_gauge(&self, name: &str, value: f64) {
-        let _ = (name, value);
-    }
-
-    /// A kernel launch retired: reported once per launched kernel (a
-    /// co-scheduled pair reports each member).
-    fn record_kernel_launch(&self, kernel: &str, stats: &KernelLaunch) {
-        let _ = (kernel, stats);
-    }
-
-    /// One pool worker finished its run of a `parallel_map`.
-    fn record_pool_worker(&self, pool: &str, worker: usize, stats: &PoolWorker) {
-        let _ = (pool, worker, stats);
-    }
-
-    /// One workload finished characterization.
-    fn record_workload(&self, name: &str, kernels: u64, nanos: u64) {
-        let _ = (name, kernels, nanos);
-    }
-
-    /// A kernel launch retired with an execution-cost profile: per-µop-
-    /// class retired counts plus the launch's hottest pcs. Reported once
-    /// per launched kernel (after [`Recorder::record_kernel_launch`]).
-    /// The slices are borrowed from the caller's stack.
-    fn record_exec_profile(&self, kernel: &str, classes: &[ExecClass], hotspots: &[ExecHotspot]) {
-        let _ = (kernel, classes, hotspots);
-    }
-}
-
-/// Per-launch statistics reported by [`Recorder::record_kernel_launch`].
+/// Per-launch statistics reported by [`MetricsRecorder::record_kernel_launch`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelLaunch {
     /// Warp-level dynamic instructions (lock-step issues, "warp steps").
@@ -96,7 +33,7 @@ pub struct KernelLaunch {
 }
 
 /// One µop class's retired counts within an execution-cost profile
-/// ([`Recorder::record_exec_profile`]).
+/// ([`MetricsRecorder::record_exec_profile`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecClass {
     /// Class name (`int_alu`, `fp_alu`, `mem_global`, …).
@@ -108,7 +45,7 @@ pub struct ExecClass {
 }
 
 /// One hotspot pc within an execution-cost profile
-/// ([`Recorder::record_exec_profile`]).
+/// ([`MetricsRecorder::record_exec_profile`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecHotspot {
     /// Decoded µop index within the kernel.
@@ -121,7 +58,7 @@ pub struct ExecHotspot {
     pub lane_uops: u64,
 }
 
-/// Per-worker statistics reported by [`Recorder::record_pool_worker`].
+/// Per-worker statistics reported by [`MetricsRecorder::record_pool_worker`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolWorker {
     /// Tasks this worker claimed and ran.
@@ -147,90 +84,8 @@ impl PoolWorker {
     }
 }
 
-/// A recorder that ignores every event (useful as an explicit stand-in).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
-
-/// Fans every event out to several recorders in order — how `regen`
-/// runs the metrics aggregator and the trace timeline side by side
-/// through the single global install point.
-#[derive(Default)]
-pub struct TeeRecorder {
-    sinks: Vec<Arc<dyn Recorder>>,
-}
-
-impl TeeRecorder {
-    /// A tee over `sinks`; events fan out in the given order.
-    pub fn new(sinks: Vec<Arc<dyn Recorder>>) -> Self {
-        Self { sinks }
-    }
-}
-
-impl std::fmt::Debug for TeeRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TeeRecorder")
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
-
-impl Recorder for TeeRecorder {
-    fn record_span(&self, path: &str, nanos: u64) {
-        for s in &self.sinks {
-            s.record_span(path, nanos);
-        }
-    }
-    fn record_span_event(&self, path: &str, thread: u64, start: Instant, end: Instant) {
-        for s in &self.sinks {
-            s.record_span_event(path, thread, start, end);
-        }
-    }
-    fn record_hist(&self, name: &str, value: u64) {
-        for s in &self.sinks {
-            s.record_hist(name, value);
-        }
-    }
-    fn add_counter(&self, name: &str, delta: u64) {
-        for s in &self.sinks {
-            s.add_counter(name, delta);
-        }
-    }
-    fn max_counter(&self, name: &str, value: u64) {
-        for s in &self.sinks {
-            s.max_counter(name, value);
-        }
-    }
-    fn set_gauge(&self, name: &str, value: f64) {
-        for s in &self.sinks {
-            s.set_gauge(name, value);
-        }
-    }
-    fn record_kernel_launch(&self, kernel: &str, stats: &KernelLaunch) {
-        for s in &self.sinks {
-            s.record_kernel_launch(kernel, stats);
-        }
-    }
-    fn record_pool_worker(&self, pool: &str, worker: usize, stats: &PoolWorker) {
-        for s in &self.sinks {
-            s.record_pool_worker(pool, worker, stats);
-        }
-    }
-    fn record_workload(&self, name: &str, kernels: u64, nanos: u64) {
-        for s in &self.sinks {
-            s.record_workload(name, kernels, nanos);
-        }
-    }
-    fn record_exec_profile(&self, kernel: &str, classes: &[ExecClass], hotspots: &[ExecHotspot]) {
-        for s in &self.sinks {
-            s.record_exec_profile(kernel, classes, hotspots);
-        }
-    }
-}
-
 pub(crate) static ENABLED: AtomicBool = AtomicBool::new(false);
-static RECORDER: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
+static RECORDER: RwLock<Option<Arc<MetricsRecorder>>> = RwLock::new(None);
 /// Serializes installations: tests that install a recorder hold this
 /// for their whole scope, so concurrent recorder-using tests queue
 /// instead of seeing each other's data.
@@ -240,7 +95,7 @@ static INSTALL_GATE: Mutex<()> = Mutex::new(());
 /// guard drops. Installation is exclusive: a second caller blocks until
 /// the first guard drops (this is what makes recorder-using tests safe
 /// to run in the same process).
-pub fn install(rec: Arc<dyn Recorder>) -> RecorderGuard {
+pub fn install(rec: Arc<MetricsRecorder>) -> RecorderGuard {
     let gate = INSTALL_GATE
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -280,7 +135,7 @@ pub(crate) fn test_gate() -> MutexGuard<'static, ()> {
 /// The installed recorder, if any. The disabled path is one relaxed
 /// atomic load; the enabled path takes a read lock and clones the `Arc`.
 #[inline]
-pub fn recorder() -> Option<Arc<dyn Recorder>> {
+pub fn recorder() -> Option<Arc<MetricsRecorder>> {
     if !crate::enabled() {
         return None;
     }

@@ -22,15 +22,19 @@ use crate::metrics::MetricsSnapshot;
 /// schema v5 drops the `fallbacks` section (launches no longer shard,
 /// so none fall back); schema v6 drops the live-telemetry `timeseries`
 /// section and the `stages[].rollup_ns` column, which added every
-/// descendant span to its stage and so overcounted by nesting depth
-/// (`self_time` carries the corrected inclusive times).
-pub const SCHEMA_VERSION: u64 = 6;
+/// descendant span to its stage and so overcounted by nesting depth;
+/// schema v7 drops the `gauges` section (nothing outside tests set a
+/// gauge) and gives each `self_time` node `busy_ns` (its spans' summed
+/// durations, v6's `total_ns`) and `wall_ns` (the union of their
+/// intervals) in place of `total_ns` and `inclusive_ns`, with
+/// `exclusive_ns` the wall time no child covers.
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// Schema versions [`validate`] accepts: only the one this crate writes.
 pub const SUPPORTED_VERSIONS: [u64; 1] = [SCHEMA_VERSION];
 
 /// Required top-level keys of the current schema, in emission order.
-pub const REQUIRED_KEYS: [&str; 15] = [
+pub const REQUIRED_KEYS: [&str; 14] = [
     "schema_version",
     "meta",
     "threads",
@@ -41,7 +45,6 @@ pub const REQUIRED_KEYS: [&str; 15] = [
     "kernels",
     "pools",
     "counters",
-    "gauges",
     "histograms",
     "spans",
     "self_time",
@@ -161,16 +164,6 @@ pub fn build_report(snap: &MetricsSnapshot, ctx: &ReportContext) -> Json {
             ])
         })
         .collect();
-    let gauges = snap
-        .gauges
-        .iter()
-        .map(|(name, value)| {
-            Json::Obj(vec![
-                ("name".into(), Json::Str(name.clone())),
-                ("value".into(), Json::Num(*value)),
-            ])
-        })
-        .collect();
     let histograms = snap
         .hists
         .iter()
@@ -200,7 +193,7 @@ pub fn build_report(snap: &MetricsSnapshot, ctx: &ReportContext) -> Json {
             ])
         })
         .collect();
-    let self_time = crate::selftime::fold(&snap.spans)
+    let self_time = crate::selftime::fold(&snap.events)
         .nodes
         .into_iter()
         .map(|n| {
@@ -208,8 +201,8 @@ pub fn build_report(snap: &MetricsSnapshot, ctx: &ReportContext) -> Json {
                 ("path".into(), Json::Str(n.path)),
                 ("depth".into(), Json::UInt(n.depth as u64)),
                 ("count".into(), Json::UInt(n.count)),
-                ("total_ns".into(), Json::UInt(n.total_ns)),
-                ("inclusive_ns".into(), Json::UInt(n.inclusive_ns)),
+                ("busy_ns".into(), Json::UInt(n.busy_ns)),
+                ("wall_ns".into(), Json::UInt(n.wall_ns)),
                 ("exclusive_ns".into(), Json::UInt(n.exclusive_ns)),
             ])
         })
@@ -274,7 +267,6 @@ pub fn build_report(snap: &MetricsSnapshot, ctx: &ReportContext) -> Json {
         ("kernels".into(), Json::Arr(kernels)),
         ("pools".into(), Json::Arr(pools)),
         ("counters".into(), Json::Arr(counters)),
-        ("gauges".into(), Json::Arr(gauges)),
         ("histograms".into(), Json::Arr(histograms)),
         ("spans".into(), Json::Arr(spans)),
         ("self_time".into(), Json::Arr(self_time)),
@@ -362,7 +354,6 @@ pub fn validate(doc: &Json) -> Result<(), String> {
         }
     }
     require_records(doc, "counters", &["name", "value"])?;
-    require_records(doc, "gauges", &["name", "value"])?;
     require_records(
         doc,
         "histograms",
@@ -378,8 +369,8 @@ pub fn validate(doc: &Json) -> Result<(), String> {
             "path",
             "depth",
             "count",
-            "total_ns",
-            "inclusive_ns",
+            "busy_ns",
+            "wall_ns",
             "exclusive_ns",
         ],
     )?;
@@ -483,15 +474,14 @@ pub fn fmt_ns(ns: u64) -> String {
 mod tests {
     use super::*;
     use crate::metrics::MetricsRecorder;
-    use crate::recorder::{ExecClass, ExecHotspot, KernelLaunch, PoolWorker, Recorder};
+    use crate::recorder::{ExecClass, ExecHotspot, KernelLaunch, PoolWorker};
 
     fn sample_snapshot() -> MetricsSnapshot {
         let rec = MetricsRecorder::default();
-        rec.record_span("study", 100);
-        rec.record_span("study/workload/bfs", 60);
-        rec.record_span("experiment/e1", 40);
+        rec.span_at("study", 1, 0, 100);
+        rec.span_at("study/workload/bfs", 2, 20, 80);
+        rec.span_at("experiment/e1", 1, 100, 140);
         rec.add_counter("simt.warp_instrs", 1234);
-        rec.set_gauge("pool.workers", 4.0);
         rec.record_kernel_launch(
             "bfs_step",
             &KernelLaunch {
@@ -564,7 +554,7 @@ mod tests {
     #[test]
     fn report_contains_the_recorded_facts() {
         let doc = build_report(&sample_snapshot(), &sample_ctx());
-        assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(6));
+        assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(7));
         assert_eq!(doc.get("threads").unwrap().as_u64(), Some(4));
         let meta = doc.get("meta").unwrap();
         assert_eq!(
@@ -579,6 +569,7 @@ mod tests {
             doc.get("timeseries").is_none(),
             "v6 has no timeseries section"
         );
+        assert!(doc.get("gauges").is_none(), "v7 has no gauges section");
         let stages = doc.get("stages").unwrap().as_arr().unwrap();
         assert_eq!(stages.len(), 1, "only `study` is top-level: {stages:?}");
         let study = &stages[0];
@@ -611,8 +602,13 @@ mod tests {
             .iter()
             .find(|n| n.get("path").unwrap().as_str() == Some("study"))
             .expect("study node in self_time");
-        assert_eq!(study.get("inclusive_ns").unwrap().as_u64(), Some(100));
+        assert_eq!(study.get("busy_ns").unwrap().as_u64(), Some(100));
+        assert_eq!(study.get("wall_ns").unwrap().as_u64(), Some(100));
         assert_eq!(study.get("exclusive_ns").unwrap().as_u64(), Some(40));
+        assert!(
+            study.get("inclusive_ns").is_none(),
+            "v7 has no inclusive_ns"
+        );
         let ep = &doc.get("exec_profiles").unwrap().as_arr().unwrap()[0];
         assert_eq!(ep.get("kernel").unwrap().as_str(), Some("bfs_step"));
         let classes = ep.get("classes").unwrap().as_arr().unwrap();
@@ -635,7 +631,7 @@ mod tests {
 
         // Only the written version validates: older and unknown stamps
         // are rejected even when every current key is present.
-        for version in [4, 5, 99] {
+        for version in [5, 6, 99] {
             let Json::Obj(mut fields) = doc.clone() else {
                 unreachable!()
             };

@@ -1,8 +1,8 @@
 //! Hierarchical timed spans.
 //!
-//! A [`SpanGuard`] measures the wall time between its creation and its
-//! drop on a monotonic clock ([`std::time::Instant`]) and reports the
-//! duration to the installed recorder under a `/`-separated path. Spans
+//! A [`SpanGuard`] measures the interval between its creation and its
+//! drop on a monotonic clock ([`std::time::Instant`]) and reports it to
+//! the installed recorder under a `/`-separated path. Spans
 //! opened while another span is active *on the same thread* nest under
 //! it: the reported path is the thread's span stack joined with `/`.
 //!
@@ -62,7 +62,6 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let end = Instant::now();
-        let nanos = end.saturating_duration_since(start).as_nanos() as u64;
         let path = STACK.with(|s| {
             let mut stack = s.borrow_mut();
             let path = stack.join("/");
@@ -72,8 +71,7 @@ impl Drop for SpanGuard {
         // The recorder may have been uninstalled while the span was
         // open; the stack bookkeeping above must happen regardless.
         if let Some(r) = crate::recorder() {
-            r.record_span(&path, nanos);
-            r.record_span_event(&path, thread_ord(), start, end);
+            r.record_span_event(path, thread_ord(), start, end);
         }
     }
 }

@@ -1,171 +1,65 @@
-//! [`TraceRecorder`]: a bounded span-timeline recorder with
-//! Chrome/Perfetto trace-event export — the engine behind
-//! `regen --trace`.
+//! Chrome/Perfetto trace-event export of a run's span events — the
+//! engine behind `regen --trace`.
 //!
-//! Where [`crate::metrics::MetricsRecorder`] aggregates (how much total),
-//! the trace recorder keeps every span *event* — path, thread ordinal,
-//! monotonic start and end — so the run can be replayed as a timeline
-//! (when did what run, on which thread, nested how).
-//!
-//! # Bounded memory
-//!
-//! Events land in a fixed-capacity ring of write-once slots. A writer
-//! claims a slot with one `fetch_add` on an atomic ticket counter and
-//! publishes the event through a [`OnceLock`]; there is no shared lock,
-//! no resize, and no allocation after construction beyond the event's
-//! own path string. When the ring is full, **new events are dropped and
-//! counted** (the earliest events — the ones that established the
-//! timeline — are kept): [`TraceRecorder::dropped`] exposes the count,
-//! the export embeds it as `metadata.dropped_events`, and `regen`
-//! forwards it to the metrics report as a `trace.dropped_events`
-//! counter. Nothing is ever truncated silently.
+//! Where the per-path aggregates say how much in total, the trace
+//! replays every [`SpanEvent`] a [`crate::metrics::MetricsRecorder`]
+//! kept as a timeline: when did what run, on which thread, nested how.
 //!
 //! # Export format
 //!
-//! [`TraceRecorder::export`] emits the Chrome trace-event JSON object
-//! form (`{"traceEvents": [...], "metadata": {...}}`) with one complete
+//! [`export`] emits the Chrome trace-event JSON object form
+//! (`{"traceEvents": [...], "metadata": {...}}`) with one complete
 //! (`"ph": "X"`) event per span, timestamps in fractional microseconds
 //! relative to the recorder's construction. Perfetto and
 //! `chrome://tracing` load it directly; spans nest per thread by
 //! interval containment, which the span stack guarantees.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
-use std::time::Instant;
-
 use crate::json::Json;
-use crate::recorder::Recorder;
+use crate::metrics::SpanEvent;
 
-/// Default event capacity (see [`TraceRecorder::with_capacity`]).
-pub const DEFAULT_CAPACITY: usize = 1 << 16;
-
-/// One recorded span occurrence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// `/`-separated hierarchical span name.
-    pub path: String,
-    /// Recording thread's ordinal (see [`crate::span::thread_ord`]).
-    pub thread: u64,
-    /// Start, in nanoseconds since the recorder was constructed.
-    pub start_ns: u64,
-    /// Duration in nanoseconds.
-    pub dur_ns: u64,
-}
-
-/// A bounded, allocation-light span-timeline [`Recorder`].
-#[derive(Debug)]
-pub struct TraceRecorder {
-    epoch: Instant,
-    slots: Vec<OnceLock<TraceEvent>>,
-    next: AtomicUsize,
-    dropped: AtomicU64,
-}
-
-impl Default for TraceRecorder {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
+/// Renders `events` as a Chrome trace-event JSON document, one row per
+/// event in slice order ([`crate::metrics::MetricsSnapshot::events`] is
+/// ordered by start time, so the document's shape is a deterministic
+/// function of the recorded timeline). `metadata.recorded_events`
+/// counts the events.
+pub fn export(events: &[SpanEvent]) -> Json {
+    let mut rows: Vec<Json> = Vec::with_capacity(events.len());
+    // Name the single simulated process and each thread row first —
+    // Perfetto shows these as track labels.
+    rows.push(meta_event("process_name", 0, "gwc"));
+    let mut threads: Vec<u64> = events.iter().map(|e| e.thread).collect();
+    threads.sort_unstable();
+    threads.dedup();
+    for t in threads {
+        let label = if t == 1 {
+            "main".to_string()
+        } else {
+            format!("thread-{t}")
+        };
+        rows.push(meta_event("thread_name", t, &label));
     }
-}
-
-impl TraceRecorder {
-    /// A recorder holding up to [`DEFAULT_CAPACITY`] events.
-    pub fn new() -> Self {
-        Self::default()
+    for e in events {
+        rows.push(Json::Obj(vec![
+            ("name".into(), Json::Str(e.path.clone())),
+            ("cat".into(), Json::Str("span".into())),
+            ("ph".into(), Json::Str("X".into())),
+            ("pid".into(), Json::UInt(1)),
+            ("tid".into(), Json::UInt(e.thread)),
+            ("ts".into(), Json::Num(e.start_ns as f64 / 1e3)),
+            ("dur".into(), Json::Num(e.dur_ns() as f64 / 1e3)),
+        ]));
     }
-
-    /// A recorder holding up to `capacity` events; all slots are
-    /// allocated up front, so recording never grows memory.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            epoch: Instant::now(),
-            slots: (0..capacity.max(1)).map(|_| OnceLock::new()).collect(),
-            next: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Event capacity of the ring.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Events dropped because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// The recorded events, in claim order. Slots claimed by a writer
-    /// that has not yet published (a race only while recording is live)
-    /// are skipped.
-    pub fn events(&self) -> Vec<&TraceEvent> {
-        let claimed = self.next.load(Ordering::Acquire).min(self.slots.len());
-        self.slots[..claimed]
-            .iter()
-            .filter_map(OnceLock::get)
-            .collect()
-    }
-
-    /// Renders the timeline as a Chrome trace-event JSON document.
-    ///
-    /// Events are sorted by start time (thread, then path, on ties) so
-    /// the document's shape is a deterministic function of the recorded
-    /// timeline. `metadata` carries the ring accounting:
-    /// `recorded_events`, `dropped_events`, and `capacity`.
-    pub fn export(&self) -> Json {
-        let mut events = self.events();
-        events.sort_by(|a, b| {
-            a.start_ns
-                .cmp(&b.start_ns)
-                .then(a.thread.cmp(&b.thread))
-                .then(a.path.cmp(&b.path))
-        });
-        let mut rows: Vec<Json> = Vec::with_capacity(events.len());
-        // Name the single simulated process and each thread row first —
-        // Perfetto shows these as track labels.
-        rows.push(meta_event("process_name", 0, "gwc"));
-        let mut seen_threads: Vec<u64> = Vec::new();
-        for e in &events {
-            if !seen_threads.contains(&e.thread) {
-                seen_threads.push(e.thread);
-            }
-        }
-        seen_threads.sort_unstable();
-        for t in seen_threads {
-            let label = if t == 1 {
-                "main".to_string()
-            } else {
-                format!("thread-{t}")
-            };
-            rows.push(meta_event("thread_name", t, &label));
-        }
-        for e in events {
-            rows.push(Json::Obj(vec![
-                ("name".into(), Json::Str(e.path.clone())),
-                ("cat".into(), Json::Str("span".into())),
-                ("ph".into(), Json::Str("X".into())),
-                ("pid".into(), Json::UInt(1)),
-                ("tid".into(), Json::UInt(e.thread)),
-                ("ts".into(), Json::Num(e.start_ns as f64 / 1e3)),
-                ("dur".into(), Json::Num(e.dur_ns as f64 / 1e3)),
-            ]));
-        }
-        Json::Obj(vec![
-            ("traceEvents".into(), Json::Arr(rows)),
-            ("displayTimeUnit".into(), Json::Str("ms".into())),
-            (
-                "metadata".into(),
-                Json::Obj(vec![
-                    ("tool".into(), Json::Str("gwc-obs".into())),
-                    (
-                        "recorded_events".into(),
-                        Json::UInt(self.events().len() as u64),
-                    ),
-                    ("dropped_events".into(), Json::UInt(self.dropped())),
-                    ("capacity".into(), Json::UInt(self.capacity() as u64)),
-                ]),
-            ),
-        ])
-    }
+    Json::Obj(vec![
+        ("traceEvents".into(), Json::Arr(rows)),
+        ("displayTimeUnit".into(), Json::Str("ms".into())),
+        (
+            "metadata".into(),
+            Json::Obj(vec![
+                ("tool".into(), Json::Str("gwc-obs".into())),
+                ("recorded_events".into(), Json::UInt(events.len() as u64)),
+            ]),
+        ),
+    ])
 }
 
 fn meta_event(name: &str, tid: u64, value: &str) -> Json {
@@ -181,74 +75,37 @@ fn meta_event(name: &str, tid: u64, value: &str) -> Json {
     ])
 }
 
-impl Recorder for TraceRecorder {
-    fn record_span_event(&self, path: &str, thread: u64, start: Instant, end: Instant) {
-        let ticket = self.next.fetch_add(1, Ordering::Relaxed);
-        if ticket >= self.slots.len() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let start_ns = start.saturating_duration_since(self.epoch).as_nanos() as u64;
-        let dur_ns = end.saturating_duration_since(start).as_nanos() as u64;
-        let _ = self.slots[ticket].set(TraceEvent {
-            path: path.to_string(),
-            thread,
-            start_ns,
-            dur_ns,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
-
-    fn event(rec: &TraceRecorder, path: &str, thread: u64, at_ns: u64, dur_ns: u64) {
-        let start = rec.epoch + std::time::Duration::from_nanos(at_ns);
-        let end = start + std::time::Duration::from_nanos(dur_ns);
-        rec.record_span_event(path, thread, start, end);
-    }
+    use crate::metrics::MetricsRecorder;
 
     #[test]
     fn records_span_events_with_relative_timestamps() {
-        let rec = TraceRecorder::with_capacity(8);
-        event(&rec, "study", 1, 100, 1_000);
-        event(&rec, "study/observe", 2, 150, 200);
-        let events = rec.events();
+        let rec = MetricsRecorder::default();
+        rec.span_at("study", 1, 100, 1_100);
+        rec.span_at("study/observe", 2, 150, 350);
+        let events = rec.snapshot().events;
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].path, "study");
         assert_eq!(events[0].start_ns, 100);
-        assert_eq!(events[0].dur_ns, 1_000);
+        assert_eq!(events[0].dur_ns(), 1_000);
         assert_eq!(events[1].thread, 2);
-        assert_eq!(rec.dropped(), 0);
-    }
-
-    #[test]
-    fn overflow_drops_and_counts_instead_of_truncating_silently() {
-        let rec = TraceRecorder::with_capacity(4);
-        for i in 0..10u64 {
-            event(&rec, "s", 1, i, 1);
-        }
-        assert_eq!(rec.events().len(), 4, "earliest events are kept");
-        assert_eq!(rec.dropped(), 6);
-        let doc = rec.export();
-        let meta = doc.get("metadata").unwrap();
-        assert_eq!(meta.get("dropped_events").unwrap().as_u64(), Some(6));
-        assert_eq!(meta.get("capacity").unwrap().as_u64(), Some(4));
     }
 
     #[test]
     fn export_is_valid_chrome_trace_json() {
-        let rec = TraceRecorder::with_capacity(16);
-        event(&rec, "study", 1, 0, 10_000);
-        event(&rec, "study/inner", 1, 2_000, 3_000);
-        let doc = rec.export();
+        let rec = MetricsRecorder::default();
+        rec.span_at("study", 1, 0, 10_000);
+        rec.span_at("study/inner", 1, 2_000, 5_000);
+        let doc = export(&rec.snapshot().events);
         let text = doc.render();
         let back = crate::json::parse(&text).expect("export parses");
         let rows = back.get("traceEvents").unwrap().as_arr().unwrap();
         // 1 process_name + 1 thread_name + 2 spans.
         assert_eq!(rows.len(), 4);
+        let meta = back.get("metadata").unwrap();
+        assert_eq!(meta.get("recorded_events").unwrap().as_u64(), Some(2));
         let span = rows
             .iter()
             .find(|r| r.get("name").unwrap().as_str() == Some("study"))
@@ -267,22 +124,5 @@ mod tests {
             child.get("dur").unwrap().as_f64().unwrap(),
         );
         assert!(cts >= 0.0 && cts + cdur <= 10.0);
-    }
-
-    #[test]
-    fn concurrent_writers_never_lose_events_below_capacity() {
-        let rec = TraceRecorder::with_capacity(1024);
-        thread::scope(|scope| {
-            for t in 0..8u64 {
-                let rec = &rec;
-                scope.spawn(move || {
-                    for i in 0..100 {
-                        event(rec, "w", t + 1, i, 1);
-                    }
-                });
-            }
-        });
-        assert_eq!(rec.events().len(), 800);
-        assert_eq!(rec.dropped(), 0);
     }
 }

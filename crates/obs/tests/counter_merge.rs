@@ -49,7 +49,7 @@ fn counter_totals_are_thread_count_invariant() {
 
 #[test]
 fn pool_worker_stats_merge_across_threads() {
-    use gwc_obs::recorder::{PoolWorker, Recorder};
+    use gwc_obs::recorder::PoolWorker;
     let rec = MetricsRecorder::default();
     thread::scope(|scope| {
         for w in 0..4usize {

@@ -1,6 +1,5 @@
 //! The disabled-path cost contract: with no recorder installed, the
-//! span/counter/gauge/histogram hot paths perform **zero heap
-//! allocations**.
+//! span/counter/histogram hot paths perform **zero heap allocations**.
 //!
 //! This file contains exactly one test so no sibling test can allocate
 //! concurrently on another thread while the window is being measured.
@@ -52,7 +51,6 @@ fn measure_window() -> usize {
         let _entered = gwc_obs::span::Inherited::capture().enter();
         gwc_obs::count("simt.warp_instrs", i);
         gwc_obs::count_max("observer.bytes_peak", i);
-        gwc_obs::gauge("pool.busy", i as f64);
         gwc_obs::hist("launch.latency_ns", i);
         // Exec-profile reporting borrows stack slices either way.
         gwc_obs::exec_profile("kernel", &classes, &hotspots);
@@ -73,7 +71,6 @@ fn disabled_hot_path_never_allocates() {
         let _s = gwc_obs::span!("warmup/{}", 0);
         gwc_obs::count("warmup", 1);
         gwc_obs::count_max("warmup", 1);
-        gwc_obs::gauge("warmup", 0.0);
         gwc_obs::hist("warmup", 1);
     }
     // The counter is process-global, so the libtest harness thread can

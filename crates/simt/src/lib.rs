@@ -86,7 +86,6 @@ pub mod backend;
 pub mod builder;
 pub mod cfg;
 pub mod decode;
-pub mod disasm;
 pub mod exec;
 pub mod hash;
 pub mod instr;
