@@ -307,8 +307,11 @@ fn metrics_check_evaluates_expectations() {
     rec.add_counter("cache.hits", 26);
     rec.add_counter("cache.hit_bytes", 4);
     rec.add_counter("pair.slices", 23);
+    // The latency series is read from the launch spans.
+    let start = std::time::Instant::now();
     for ns in [100, 200, 300] {
-        rec.record_hist("launch.latency_ns", ns);
+        let end = start + std::time::Duration::from_nanos(ns);
+        rec.record_span_event("launch/k".into(), 1, start, end);
     }
     let report = write_report(&dir, "m.json", &rec, None);
 
@@ -373,12 +376,12 @@ fn metrics_check_evaluates_expectations() {
         );
     }
 
-    // Only the schema `regen` writes validates: a v6 stamp is rejected.
-    let v6 = write_report(&dir, "v6.json", &rec, Some(6));
-    let out = check(&v6, &[]);
+    // Only the schema `regen` writes validates: a v7 stamp is rejected.
+    let v7 = write_report(&dir, "v7.json", &rec, Some(7));
+    let out = check(&v7, &[]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
     assert!(
-        stderr_of(&out).contains("schema_version 6"),
+        stderr_of(&out).contains("schema_version 7"),
         "{}",
         stderr_of(&out)
     );

@@ -2,16 +2,19 @@
 //! experiment subset with the metrics recorder installed — exactly what
 //! `regen --metrics` does — and asserts the report carries per-stage
 //! wall times, per-worker pool utilization, latency histograms, and
-//! per-workload kernel counts.
+//! per-workload kernel counts, and that every timed row is the exact
+//! aggregate of its span events.
 //!
 //! This test installs the global recorder, so it lives in its own
 //! integration-test binary: it never shares a process with the
 //! recorder-free determinism and golden-snapshot tests.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use gwc_bench::{render_experiments, StudyArtifacts};
+use gwc_obs::json::Json;
 use gwc_obs::metrics::{MetricsRecorder, SpanEvent};
 use gwc_obs::report::{build_report, validate_str, ReportContext, RunMeta, REQUIRED_KEYS};
 
@@ -95,7 +98,7 @@ fn metrics_report_has_stages_pools_and_workloads() {
     for key in REQUIRED_KEYS {
         assert!(doc.get(key).is_some(), "missing required key `{key}`");
     }
-    assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(7));
+    assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(8));
     assert!(doc.get("gauges").is_none(), "schema v7 has no gauges");
     assert!(doc.get("fallbacks").is_none(), "schema v5 has no fallbacks");
     assert!(
@@ -205,7 +208,7 @@ fn metrics_report_has_stages_pools_and_workloads() {
     // the study's workloads running on four workers.
     let self_time = doc.get("self_time").unwrap().as_arr().unwrap();
     assert!(!self_time.is_empty(), "self_time tree is empty");
-    let field = |n: &gwc_obs::json::Json, key: &str| n.get(key).unwrap().as_u64().unwrap();
+    let field = |n: &Json, key: &str| n.get(key).unwrap().as_u64().unwrap();
     check_self_time(
         &snap.events,
         self_time.iter().map(|n| {
@@ -377,4 +380,130 @@ fn span_paths_are_independent_of_thread_count() {
         study.exclusive_ns > 0,
         "study keeps its own time: {study:?}"
     );
+}
+
+/// Every timed row of a real two-thread report is the exact aggregate of
+/// its span events: each workload's and kernel's wall time; each latency
+/// series' count, sum, max and nearest-rank quantiles; and each pool
+/// worker's task count, busy time and wall time (the pool's makespan).
+/// The study's tasks are its `workload/<name>` spans, E14's its
+/// scenario spans.
+#[test]
+fn timed_rows_equal_their_span_events() {
+    use gwc_core::pipeline::PipelineConfig;
+    use gwc_workloads::Scale;
+
+    let mut cfg = PipelineConfig {
+        threads: 2,
+        ..PipelineConfig::default()
+    };
+    cfg.study.scale = Scale::Tiny;
+    let rec = Arc::new(MetricsRecorder::default());
+    let guard = gwc_obs::install(rec.clone());
+    let artifacts = StudyArtifacts::collect(&cfg);
+    let text = render_experiments(&["e1", "e14"], &artifacts);
+    drop(guard);
+    assert!(text.contains("E14:"));
+    let snap = rec.snapshot();
+    let doc = build_report(&snap, &ReportContext::default());
+    let rows = |key: &str| doc.get(key).unwrap().as_arr().unwrap();
+    let uint = |row: &Json, key: &str| row.get(key).unwrap().as_u64().unwrap();
+    let name = |row: &Json| row.get("name").unwrap().as_str().unwrap().to_string();
+
+    // The span events, sorted into the rows they time.
+    let mut workload_ns: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut kernel_ns: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut series: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+    let mut tasks: BTreeMap<&str, Vec<&SpanEvent>> = BTreeMap::new();
+    for e in &snap.events {
+        let segments: Vec<&str> = e.path.split('/').collect();
+        match segments[..] {
+            ["study", "workload", workload] => {
+                *workload_ns.entry(workload).or_default() += e.dur_ns();
+                tasks.entry("study").or_default().push(e);
+            }
+            ["experiment", "e14", "pairs", _] => tasks.entry("pairs").or_default().push(e),
+            [.., "launch", names] => {
+                let mut sample = |series_name: &str| {
+                    series
+                        .entry(series_name.into())
+                        .or_default()
+                        .push(e.dur_ns());
+                };
+                sample("launch.latency_ns");
+                if names.contains('+') {
+                    sample("pair.latency_ns");
+                }
+                for kernel in names.split('+') {
+                    *kernel_ns.entry(kernel).or_default() += e.dur_ns();
+                }
+            }
+            _ => {}
+        }
+    }
+    assert!(series["pair.latency_ns"].len() > 1, "E14 co-ran pairs");
+
+    let walls = |key: &str| -> BTreeMap<String, u64> {
+        rows(key)
+            .iter()
+            .map(|r| (name(r), uint(r, "wall_ns")))
+            .collect()
+    };
+    let owned = |m: &BTreeMap<&str, u64>| -> BTreeMap<String, u64> {
+        m.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+    };
+    assert_eq!(walls("workloads"), owned(&workload_ns), "workload walls");
+    assert_eq!(walls("kernels"), owned(&kernel_ns), "kernel walls");
+
+    for (pool, spans) in &tasks {
+        let ns = spans.iter().map(|e| e.dur_ns()).collect();
+        series.insert(format!("pool.task_ns.{pool}"), ns);
+    }
+    let hists = rows("histograms");
+    let names: Vec<String> = hists.iter().map(name).collect();
+    assert_eq!(names, series.keys().cloned().collect::<Vec<_>>());
+    // Nearest rank: the smallest sample with at least p% at or below it.
+    let rank = |samples: &[u64], p: usize| samples[(p * samples.len()).div_ceil(100) - 1];
+    for h in hists {
+        let samples = series.get_mut(&name(h)).unwrap();
+        samples.sort_unstable();
+        let got: Vec<u64> = ["count", "sum_ns", "max_ns", "p50_ns", "p90_ns", "p99_ns"]
+            .iter()
+            .map(|key| uint(h, key))
+            .collect();
+        let want = [
+            samples.len() as u64,
+            samples.iter().sum(),
+            *samples.last().unwrap(),
+            rank(samples, 50),
+            rank(samples, 90),
+            rank(samples, 99),
+        ];
+        assert_eq!(got, want, "histogram `{}`", name(h));
+    }
+
+    for pool in rows("pools") {
+        let spans = &tasks[name(pool).as_str()];
+        let makespan = spans.iter().map(|e| e.end_ns).max().unwrap()
+            - spans.iter().map(|e| e.start_ns).min().unwrap();
+        let mut by_thread: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        for e in spans {
+            let (count, busy) = by_thread.entry(e.thread).or_default();
+            *count += 1;
+            *busy += e.dur_ns();
+        }
+        let mut want: Vec<(u64, u64)> = by_thread.into_values().collect();
+        let workers = pool.get("workers").unwrap().as_arr().unwrap();
+        let mut got: Vec<(u64, u64)> = workers
+            .iter()
+            .map(|w| (uint(w, "tasks"), uint(w, "busy_ns")))
+            .filter(|&(tasks, _)| tasks > 0)
+            .collect();
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want, "pool `{}` (tasks, busy_ns)", name(pool));
+        for w in workers {
+            assert_eq!(uint(w, "wall_ns"), makespan, "pool `{}`", name(pool));
+        }
+    }
 }

@@ -53,6 +53,6 @@ pub mod report;
 pub mod study;
 pub mod subspace;
 
-pub use parallel::{available_threads, parallel_map};
+pub use parallel::available_threads;
 pub use pipeline::{Artifacts, PipelineConfig, Stage};
 pub use study::{KernelRecord, Study, StudyConfig};

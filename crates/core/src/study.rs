@@ -181,10 +181,10 @@ impl Study {
         cache: Option<&ProfileCache>,
     ) -> Result<Vec<KernelRecord>, WorkloadError> {
         let meta = workload.meta();
-        // The workload's span encloses its launches, so they nest under it.
-        let _span = gwc_obs::span!("workload/{}", meta.name);
-        let rec = gwc_obs::recorder();
-        let start = rec.as_ref().map(|_| std::time::Instant::now());
+        // The workload's span encloses its launches, so they nest under
+        // it, and it is the workload's only clock reading: the recorder
+        // reads the workload's wall time from it.
+        let _span = gwc_obs::span!("{}/{}", gwc_obs::span::WORKLOAD, meta.name);
         let mut dev = Device::new();
         let launches = workload.setup(&mut dev, config.scale)?;
         // Sketch-tier profiles are a different (approximate) function of
@@ -251,9 +251,8 @@ impl Study {
             }
             records
         };
-        if let (Some(rec), Some(start)) = (rec, start) {
-            let nanos = start.elapsed().as_nanos() as u64;
-            rec.record_workload(meta.name, records.len() as u64, nanos);
+        if let Some(rec) = gwc_obs::recorder() {
+            rec.record_workload(meta.name, records.len() as u64);
         }
         Ok(records)
     }

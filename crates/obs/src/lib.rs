@@ -1,11 +1,12 @@
 //! Observability for the characterization pipeline: hierarchical spans,
-//! counters, log-bucketed latency histograms ([`hist`](mod@hist)), and one
-//! recorder, [`metrics::MetricsRecorder`], that keeps each closed span
-//! once, as an event. Every span view reads that event list: the
-//! schema-versioned metrics report ([`report`]), the self-time tree and
-//! flame stacks ([`selftime`]), and the Chrome trace timeline
-//! ([`trace`]). Everything is read from a finished run; nothing samples
-//! it while it runs.
+//! counters, and one recorder, [`metrics::MetricsRecorder`], that keeps
+//! each closed span once, as an event. Every span view reads that event
+//! list: the schema-versioned metrics report ([`report`]), whose every
+//! timed row — wall times, pool busy times, latency series — derives
+//! from the events, the self-time tree and flame stacks ([`selftime`]),
+//! and the Chrome trace timeline ([`trace`]). A span is the only clock
+//! reading an interval gets. Everything is read from a finished run;
+//! nothing samples it while it runs.
 //!
 //! The pipeline is instrumented at every layer — `gwc-simt` records
 //! per-kernel launch statistics and execution profiles, the `gwc-core`
@@ -52,7 +53,6 @@
 
 #![deny(unsafe_code)]
 
-pub mod hist;
 pub mod json;
 pub mod metrics;
 pub mod recorder;
@@ -87,15 +87,6 @@ pub fn count(name: &str, delta: u64) {
 pub fn count_max(name: &str, value: u64) {
     if let Some(r) = recorder() {
         r.max_counter(name, value);
-    }
-}
-
-/// Records one sample into the named latency histogram (see
-/// [`hist::Histogram`]). One branch when disabled.
-#[inline]
-pub fn hist(name: &str, value: u64) {
-    if let Some(r) = recorder() {
-        r.record_hist(name, value);
     }
 }
 

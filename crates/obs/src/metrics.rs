@@ -6,7 +6,11 @@
 //! maps keyed by name. Every span view derives from a snapshot's event
 //! list: the per-path aggregates ([`MetricsSnapshot::spans`]), the
 //! self-time tree ([`crate::selftime::fold`]) and the Chrome trace
-//! ([`crate::trace::export`]). A snapshot's *shape* is deterministic
+//! ([`crate::trace::export`]). So does every timed row of the report:
+//! the kernels' and workloads' wall times, the pool workers' busy and
+//! wall times, and the latency series ([`MetricsRecorder::snapshot`]).
+//! No instrumentation site reads a clock besides its span. A
+//! snapshot's *shape* is deterministic
 //! for a given pipeline run — only the recorded times vary between
 //! runs. That is what makes the metrics report schema snapshot-testable
 //! while timings are not.
@@ -15,8 +19,8 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::hist::Histogram;
 use crate::recorder::{ExecClass, ExecHotspot, KernelLaunch, PoolWorker};
+use crate::span::{Inherited, LAUNCH, WORKLOAD};
 
 /// One closed span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,7 +60,7 @@ pub struct WorkloadStat {
     pub name: String,
     /// Kernels (profile labels) the workload produced.
     pub kernels: u64,
-    /// Wall time of the workload's characterization run.
+    /// Summed duration of the workload's `workload/<name>` spans.
     pub wall_ns: u64,
 }
 
@@ -69,6 +73,35 @@ pub struct KernelStat {
     pub launches: u64,
     /// Summed launch statistics.
     pub totals: KernelLaunch,
+    /// Summed duration of the `launch/…` spans naming the kernel. A
+    /// co-scheduled pair's span counts for both members: that is the
+    /// wall time each kernel experienced while co-resident.
+    pub wall_ns: u64,
+}
+
+/// One pool worker's statistics (snapshot form).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolWorkerStat {
+    /// Tasks this worker claimed and ran.
+    pub tasks: u64,
+    /// Tasks claimed beyond an even `n / workers` share.
+    pub steals: u64,
+    /// Summed duration of the worker's task spans.
+    pub busy_ns: u64,
+    /// The pool's makespan, from its first task's start to its last
+    /// task's end: the same for every worker of the pool.
+    pub wall_ns: u64,
+}
+
+impl PoolWorkerStat {
+    /// Fraction of the pool's makespan this worker spent in tasks.
+    pub fn busy_frac(&self) -> f64 {
+        if self.wall_ns == 0 {
+            0.0
+        } else {
+            self.busy_ns as f64 / self.wall_ns as f64
+        }
+    }
 }
 
 /// One µop class's totals within a kernel's execution-cost aggregate.
@@ -119,11 +152,14 @@ pub struct MetricsRecorder {
     events: Mutex<Vec<SpanEvent>>,
     counters: Mutex<BTreeMap<String, u64>>,
     kernels: Mutex<BTreeMap<String, (u64, KernelLaunch)>>,
-    pools: Mutex<BTreeMap<String, BTreeMap<usize, PoolWorker>>>,
-    workloads: Mutex<BTreeMap<String, (u64, u64)>>,
-    hists: Mutex<BTreeMap<String, Histogram>>,
+    pools: Mutex<BTreeMap<String, Vec<WorkerRun>>>,
+    workloads: Mutex<BTreeMap<String, u64>>,
     execs: Mutex<BTreeMap<String, ExecAgg>>,
 }
+
+/// One pool worker's run: its index, the caller's span path it ran its
+/// tasks under, and what it reported.
+type WorkerRun = (usize, String, PoolWorker);
 
 /// Per-kernel execution-cost aggregation: class totals keyed by class
 /// name, hotspot totals keyed by pc.
@@ -142,7 +178,6 @@ impl Default for MetricsRecorder {
             kernels: Mutex::default(),
             pools: Mutex::default(),
             workloads: Mutex::default(),
-            hists: Mutex::default(),
             execs: Mutex::default(),
         }
     }
@@ -162,13 +197,14 @@ pub struct MetricsSnapshot {
     pub kernels: Vec<KernelStat>,
     /// Per-pool, per-worker statistics, ordered by pool name then
     /// worker index.
-    pub pools: Vec<(String, Vec<(usize, PoolWorker)>)>,
+    pub pools: Vec<(String, Vec<(usize, PoolWorkerStat)>)>,
     /// Per-workload statistics, ordered by workload name.
     pub workloads: Vec<WorkloadStat>,
-    /// Latency histograms, ordered by name. The full [`Histogram`] is
-    /// kept (not just quantiles) so merge equality is testable bucket
-    /// for bucket.
-    pub hists: Vec<(String, Histogram)>,
+    /// Latency series, ordered by name: span durations, sorted
+    /// ascending. `launch.latency_ns` holds every `launch/…` span,
+    /// `pair.latency_ns` the pair launches' (`launch/<a>+<b>`), and
+    /// `pool.task_ns.<pool>` the pool's task spans.
+    pub hists: Vec<(String, Vec<u64>)>,
     /// Per-kernel execution-cost aggregates, ordered by kernel name.
     pub execs: Vec<ExecStat>,
 }
@@ -193,7 +229,19 @@ impl MetricsSnapshot {
 }
 
 impl MetricsRecorder {
-    /// Freezes the current aggregates into an ordered snapshot.
+    /// Freezes the current aggregates into an ordered snapshot, and
+    /// derives every timed row from the span events:
+    ///
+    /// - each `launch/<a>[+<b>]` span is one `launch.latency_ns` sample
+    ///   (and one `pair.latency_ns` sample for a pair), and adds its
+    ///   duration to each named kernel's `wall_ns`;
+    /// - each `workload/<name>` span adds its duration to that
+    ///   workload's `wall_ns`;
+    /// - a pool worker's tasks are the outermost spans its thread
+    ///   closed under the caller's span path. They are the
+    ///   `pool.task_ns.<pool>` samples, their durations sum to the
+    ///   worker's `busy_ns`, and every worker's `wall_ns` is the pool's
+    ///   makespan.
     ///
     /// # Panics
     ///
@@ -204,10 +252,25 @@ impl MetricsRecorder {
         events
             .sort_by(|a, b| (a.start_ns, a.thread, &a.path).cmp(&(b.start_ns, b.thread, &b.path)));
         let mut spans: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        let mut hists: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+        let mut kernel_ns: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut workload_ns: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut sample = |series: &str, ns| hists.entry(series.into()).or_default().push(ns);
         for e in &events {
             let (count, total_ns) = spans.entry(&e.path).or_default();
             *count += 1;
             *total_ns += e.dur_ns();
+            if let Some(kernels) = named(&e.path, LAUNCH) {
+                sample("launch.latency_ns", e.dur_ns());
+                if kernels.contains('+') {
+                    sample("pair.latency_ns", e.dur_ns());
+                }
+                for kernel in kernels.split('+') {
+                    *kernel_ns.entry(kernel).or_default() += e.dur_ns();
+                }
+            } else if let Some(workload) = named(&e.path, WORKLOAD) {
+                *workload_ns.entry(workload).or_default() += e.dur_ns();
+            }
         }
         let spans = spans
             .into_iter()
@@ -215,6 +278,49 @@ impl MetricsRecorder {
                 path: path.to_string(),
                 count,
                 total_ns,
+            })
+            .collect();
+        let kernels = self
+            .kernels
+            .lock()
+            .expect("kernels poisoned")
+            .iter()
+            .map(|(name, (launches, totals))| KernelStat {
+                name: name.clone(),
+                launches: *launches,
+                totals: *totals,
+                wall_ns: kernel_ns.get(name.as_str()).copied().unwrap_or(0),
+            })
+            .collect();
+        let workloads = self
+            .workloads
+            .lock()
+            .expect("workloads poisoned")
+            .iter()
+            .map(|(name, kernels)| WorkloadStat {
+                name: name.clone(),
+                kernels: *kernels,
+                wall_ns: workload_ns.get(name.as_str()).copied().unwrap_or(0),
+            })
+            .collect();
+        let pools = self
+            .pools
+            .lock()
+            .expect("pools poisoned")
+            .iter()
+            .map(|(name, runs)| {
+                let (workers, task_ns) = pool_stats(&events, runs);
+                if !task_ns.is_empty() {
+                    hists.insert(format!("pool.task_ns.{name}"), task_ns);
+                }
+                (name.clone(), workers)
+            })
+            .collect();
+        let hists = hists
+            .into_iter()
+            .map(|(name, mut samples)| {
+                samples.sort_unstable();
+                (name, samples)
             })
             .collect();
         MetricsSnapshot {
@@ -227,47 +333,10 @@ impl MetricsRecorder {
                 .iter()
                 .map(|(k, v)| (k.clone(), *v))
                 .collect(),
-            kernels: self
-                .kernels
-                .lock()
-                .expect("kernels poisoned")
-                .iter()
-                .map(|(name, (launches, totals))| KernelStat {
-                    name: name.clone(),
-                    launches: *launches,
-                    totals: *totals,
-                })
-                .collect(),
-            pools: self
-                .pools
-                .lock()
-                .expect("pools poisoned")
-                .iter()
-                .map(|(name, workers)| {
-                    (
-                        name.clone(),
-                        workers.iter().map(|(w, s)| (*w, *s)).collect(),
-                    )
-                })
-                .collect(),
-            workloads: self
-                .workloads
-                .lock()
-                .expect("workloads poisoned")
-                .iter()
-                .map(|(name, (kernels, wall_ns))| WorkloadStat {
-                    name: name.clone(),
-                    kernels: *kernels,
-                    wall_ns: *wall_ns,
-                })
-                .collect(),
-            hists: self
-                .hists
-                .lock()
-                .expect("hists poisoned")
-                .iter()
-                .map(|(name, h)| (name.clone(), h.clone()))
-                .collect(),
+            kernels,
+            pools,
+            workloads,
+            hists,
             execs: self
                 .execs
                 .lock()
@@ -345,7 +414,6 @@ impl MetricsRecorder {
         totals.blocks += stats.blocks;
         totals.warps += stats.warps;
         totals.barriers += stats.barriers;
-        totals.wall_ns += stats.wall_ns;
     }
 
     /// A kernel launch retired with an execution-cost profile: per-µop-
@@ -373,30 +441,78 @@ impl MetricsRecorder {
         }
     }
 
-    /// One pool worker finished its run of a `parallel_map`.
-    pub fn record_pool_worker(&self, pool: &str, worker: usize, stats: &PoolWorker) {
+    /// One pool worker finished its run: `parent` is the caller's span
+    /// stack, under which the worker ran its tasks. The snapshot times
+    /// the worker from the spans those tasks opened.
+    pub fn record_pool_worker(
+        &self,
+        pool: &str,
+        worker: usize,
+        parent: &Inherited,
+        stats: &PoolWorker,
+    ) {
         let mut pools = self.pools.lock().expect("pools poisoned");
-        let workers = pools.entry(pool.to_string()).or_default();
-        let slot = workers.entry(worker).or_default();
-        slot.tasks += stats.tasks;
-        slot.steals += stats.steals;
-        slot.busy_ns += stats.busy_ns;
-        slot.wall_ns += stats.wall_ns;
+        let runs = pools.entry(pool.to_string()).or_default();
+        runs.push((worker, parent.path(), *stats));
     }
 
-    /// One workload finished characterization.
-    pub fn record_workload(&self, name: &str, kernels: u64, nanos: u64) {
+    /// One workload finished characterization with `kernels` profiles.
+    pub fn record_workload(&self, name: &str, kernels: u64) {
         let mut workloads = self.workloads.lock().expect("workloads poisoned");
-        let (k, ns) = workloads.entry(name.to_string()).or_default();
-        *k += kernels;
-        *ns += nanos;
+        *workloads.entry(name.to_string()).or_default() += kernels;
     }
+}
 
-    /// Records one sample into the named latency histogram.
-    pub fn record_hist(&self, name: &str, value: u64) {
-        let mut hists = self.hists.lock().expect("hists poisoned");
-        hists.entry(name.to_string()).or_default().record(value);
+/// The last segment of `path` when the one before it is `prefix`:
+/// `launch/<a>+<b>` or `study/workload/<name>`.
+fn named<'p>(path: &'p str, prefix: &str) -> Option<&'p str> {
+    let (head, name) = path.rsplit_once('/')?;
+    (head.rsplit('/').next() == Some(prefix)).then_some(name)
+}
+
+/// Whether `path` lies strictly below `parent` (every path lies below
+/// the empty one).
+fn is_under(path: &str, parent: &str) -> bool {
+    parent.is_empty()
+        || path
+            .strip_prefix(parent)
+            .is_some_and(|r| r.starts_with('/'))
+}
+
+/// One pool's worker rows, and its task spans' durations. A worker's
+/// tasks are the outermost spans its thread closed under the caller's
+/// span path; `events` is sorted by start, and the spans of one thread
+/// nest, so a span inside a task follows it directly.
+fn pool_stats(
+    events: &[SpanEvent],
+    runs: &[WorkerRun],
+) -> (Vec<(usize, PoolWorkerStat)>, Vec<u64>) {
+    let mut workers: BTreeMap<usize, PoolWorkerStat> = BTreeMap::new();
+    let mut task_ns = Vec::new();
+    let (mut first, mut last) = (u64::MAX, 0);
+    for (worker, parent, run) in runs {
+        let slot = workers.entry(*worker).or_default();
+        slot.tasks += run.tasks;
+        slot.steals += run.steals;
+        let mut task: Option<&SpanEvent> = None;
+        for e in events {
+            if e.thread != run.thread || !is_under(&e.path, parent) {
+                continue;
+            }
+            if task.is_some_and(|t| e.end_ns <= t.end_ns && is_under(&e.path, &t.path)) {
+                continue;
+            }
+            task = Some(e);
+            slot.busy_ns += e.dur_ns();
+            task_ns.push(e.dur_ns());
+            first = first.min(e.start_ns);
+            last = last.max(e.end_ns);
+        }
     }
+    for stat in workers.values_mut() {
+        stat.wall_ns = last.saturating_sub(first);
+    }
+    (workers.into_iter().collect(), task_ns)
 }
 
 #[cfg(test)]
@@ -451,29 +567,81 @@ mod tests {
 
     #[test]
     fn pool_worker_busy_frac() {
-        let w = PoolWorker {
+        let w = PoolWorkerStat {
             tasks: 4,
             steals: 1,
             busy_ns: 30,
             wall_ns: 40,
         };
         assert!((w.busy_frac() - 0.75).abs() < 1e-12);
-        assert_eq!(PoolWorker::default().busy_frac(), 0.0);
+        assert_eq!(PoolWorkerStat::default().busy_frac(), 0.0);
     }
 
     #[test]
     fn histograms_aggregate_by_name() {
         let rec = MetricsRecorder::default();
-        rec.record_hist("launch.latency_ns", 100);
-        rec.record_hist("launch.latency_ns", 900);
-        rec.record_hist("shard.observe_ns", 5);
+        rec.span_at("study/workload/bfs/launch/k", 1, 10, 40);
+        rec.span_at("study/workload/bfs/launch/k", 1, 50, 60);
+        rec.span_at("launch/k+j", 1, 200, 290);
+        // A workload named `launch` is no launch.
+        rec.span_at("study/workload/launch", 1, 300, 301);
         let snap = rec.snapshot();
-        assert_eq!(snap.hists.len(), 2);
-        assert_eq!(snap.hists[0].0, "launch.latency_ns");
-        assert_eq!(snap.hists[0].1.count(), 2);
-        assert_eq!(snap.hists[0].1.max(), 900);
-        assert_eq!(snap.hists[1].0, "shard.observe_ns");
-        assert_eq!(snap.hists[1].1.count(), 1);
+        assert_eq!(
+            snap.hists,
+            [
+                ("launch.latency_ns".to_string(), vec![10, 30, 90]),
+                ("pair.latency_ns".to_string(), vec![90]),
+            ]
+        );
+    }
+
+    #[test]
+    fn launch_and_workload_spans_time_their_rows() {
+        let rec = MetricsRecorder::default();
+        rec.span_at("study/workload/bfs", 1, 0, 100);
+        rec.span_at("study/workload/bfs/launch/k", 1, 10, 40);
+        rec.span_at("study/workload/bfs/launch/k", 1, 50, 60);
+        rec.span_at("launch/k+j", 1, 200, 290);
+        for kernel in ["k", "k", "k", "j"] {
+            rec.record_kernel_launch(kernel, &KernelLaunch::default());
+        }
+        rec.record_workload("bfs", 1);
+        let snap = rec.snapshot();
+        let walls: Vec<(&str, u64, u64)> = snap
+            .kernels
+            .iter()
+            .map(|k| (k.name.as_str(), k.launches, k.wall_ns))
+            .collect();
+        assert_eq!(walls, [("j", 1, 90), ("k", 3, 130)], "a pair books both");
+        assert_eq!(snap.workloads[0].wall_ns, 100);
+    }
+
+    #[test]
+    fn pool_workers_are_timed_by_their_task_spans() {
+        let rec = MetricsRecorder::default();
+        let worker = |thread, tasks| PoolWorker {
+            thread,
+            tasks,
+            steals: 0,
+        };
+        let parent = Inherited::default();
+        rec.span_at("a", 2, 5, 15);
+        rec.span_at("a/launch/k", 2, 6, 14);
+        rec.span_at("b", 2, 15, 25);
+        rec.span_at("c", 3, 10, 13);
+        rec.span_at("elsewhere", 4, 0, 100);
+        rec.record_pool_worker("p", 0, &parent, &worker(2, 2));
+        rec.record_pool_worker("p", 1, &parent, &worker(3, 1));
+        let snap = rec.snapshot();
+        let (name, workers) = &snap.pools[0];
+        assert_eq!(name, "p");
+        let rows: Vec<(u64, u64, u64)> = workers
+            .iter()
+            .map(|(_, w)| (w.tasks, w.busy_ns, w.wall_ns))
+            .collect();
+        assert_eq!(rows, [(2, 20, 20), (1, 3, 20)], "makespan 5..25");
+        let tasks = snap.hists.iter().find(|(n, _)| n == "pool.task_ns.p");
+        assert_eq!(tasks.map(|(_, ns)| ns.as_slice()), Some(&[3, 10, 10][..]));
     }
 
     #[test]
@@ -485,7 +653,6 @@ mod tests {
             blocks: 2,
             warps: 4,
             barriers: 1,
-            wall_ns: 50,
         };
         rec.record_kernel_launch("k", &s);
         rec.record_kernel_launch("k", &s);
@@ -494,7 +661,7 @@ mod tests {
         assert_eq!(snap.kernels[0].launches, 2);
         assert_eq!(snap.kernels[0].totals.warp_instrs, 20);
         assert_eq!(snap.kernels[0].totals.barriers, 2);
-        assert_eq!(snap.kernels[0].totals.wall_ns, 100);
+        assert_eq!(snap.kernels[0].wall_ns, 0, "no launch span");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! ([`crate::count`], [`crate::span!`], …); those route to the
 //! [`MetricsRecorder`] installed here, or do nothing. Typed hooks
 //! ([`MetricsRecorder::record_pool_worker`],
-//! [`MetricsRecorder::record_workload`], …) exist for the structured
-//! facts the metrics report tabulates — they keep the report builder
-//! free of name-parsing.
+//! [`MetricsRecorder::record_workload`], …) carry the structured facts
+//! the metrics report tabulates. They carry counts, never times: every
+//! timed row of the report derives from the span events.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -27,9 +27,6 @@ pub struct KernelLaunch {
     pub warps: u64,
     /// Block-wide barriers released.
     pub barriers: u64,
-    /// Launch wall time (0 when the caller did not time the launch,
-    /// e.g. on the recorder-free path).
-    pub wall_ns: u64,
 }
 
 /// One µop class's retired counts within an execution-cost profile
@@ -58,30 +55,18 @@ pub struct ExecHotspot {
     pub lane_uops: u64,
 }
 
-/// Per-worker statistics reported by [`MetricsRecorder::record_pool_worker`].
+/// Per-worker facts reported by [`MetricsRecorder::record_pool_worker`].
+/// The pool reads no clock: the recorder times each worker from the
+/// spans its tasks opened.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolWorker {
+    /// The worker's thread ordinal (see [`crate::span::thread_ord`]).
+    pub thread: u64,
     /// Tasks this worker claimed and ran.
     pub tasks: u64,
     /// Tasks claimed beyond an even `n / workers` share — work the
     /// stealing schedule moved here from slower workers.
     pub steals: u64,
-    /// Time spent inside task bodies.
-    pub busy_ns: u64,
-    /// Worker lifetime (spawn to exit); `busy_ns / wall_ns` is the
-    /// worker's busy fraction.
-    pub wall_ns: u64,
-}
-
-impl PoolWorker {
-    /// Fraction of the worker's lifetime spent inside task bodies.
-    pub fn busy_frac(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / self.wall_ns as f64
-        }
-    }
 }
 
 pub(crate) static ENABLED: AtomicBool = AtomicBool::new(false);

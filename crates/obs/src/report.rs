@@ -27,8 +27,12 @@ use crate::metrics::MetricsSnapshot;
 /// gauge) and gives each `self_time` node `busy_ns` (its spans' summed
 /// durations, v6's `total_ns`) and `wall_ns` (the union of their
 /// intervals) in place of `total_ns` and `inclusive_ns`, with
-/// `exclusive_ns` the wall time no child covers.
-pub const SCHEMA_VERSION: u64 = 7;
+/// `exclusive_ns` the wall time no child covers; schema v8 derives
+/// every timed row from the span events, with exact nearest-rank
+/// quantiles in place of log-bucket upper bounds, and each pool
+/// worker's `wall_ns` is its pool's makespan (first task start to last
+/// task end), so `busy_frac` shows the time a worker sat idle.
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// Schema versions [`validate`] accepts: only the one this crate writes.
 pub const SUPPORTED_VERSIONS: [u64; 1] = [SCHEMA_VERSION];
@@ -127,7 +131,7 @@ pub fn build_report(snap: &MetricsSnapshot, ctx: &ReportContext) -> Json {
                 ("blocks".into(), Json::UInt(k.totals.blocks)),
                 ("warps".into(), Json::UInt(k.totals.warps)),
                 ("barriers".into(), Json::UInt(k.totals.barriers)),
-                ("wall_ns".into(), Json::UInt(k.totals.wall_ns)),
+                ("wall_ns".into(), Json::UInt(k.wall_ns)),
             ])
         })
         .collect();
@@ -167,18 +171,15 @@ pub fn build_report(snap: &MetricsSnapshot, ctx: &ReportContext) -> Json {
     let histograms = snap
         .hists
         .iter()
-        .map(|(name, h)| {
+        .map(|(name, samples)| {
             Json::Obj(vec![
                 ("name".into(), Json::Str(name.clone())),
-                ("count".into(), Json::UInt(h.count())),
-                (
-                    "sum_ns".into(),
-                    Json::UInt(h.sum().min(u64::MAX as u128) as u64),
-                ),
-                ("p50_ns".into(), Json::UInt(h.quantile(0.50))),
-                ("p90_ns".into(), Json::UInt(h.quantile(0.90))),
-                ("p99_ns".into(), Json::UInt(h.quantile(0.99))),
-                ("max_ns".into(), Json::UInt(h.max())),
+                ("count".into(), Json::UInt(samples.len() as u64)),
+                ("sum_ns".into(), Json::UInt(samples.iter().sum())),
+                ("p50_ns".into(), Json::UInt(percentile(samples, 50))),
+                ("p90_ns".into(), Json::UInt(percentile(samples, 90))),
+                ("p99_ns".into(), Json::UInt(percentile(samples, 99))),
+                ("max_ns".into(), Json::UInt(percentile(samples, 100))),
             ])
         })
         .collect();
@@ -272,6 +273,14 @@ pub fn build_report(snap: &MetricsSnapshot, ctx: &ReportContext) -> Json {
         ("self_time".into(), Json::Arr(self_time)),
         ("exec_profiles".into(), Json::Arr(exec_profiles)),
     ])
+}
+
+/// The nearest-rank `p`th percentile of ascending `sorted`: the
+/// smallest sample with at least `p`% of the samples at or below it
+/// (0 when empty).
+fn percentile(sorted: &[u64], p: u64) -> u64 {
+    let rank = (p as usize * sorted.len()).div_ceil(100).max(1);
+    sorted.get(rank - 1).copied().unwrap_or(0)
 }
 
 fn require_records(doc: &Json, key: &str, fields: &[&str]) -> Result<(), String> {
@@ -475,11 +484,14 @@ mod tests {
     use super::*;
     use crate::metrics::MetricsRecorder;
     use crate::recorder::{ExecClass, ExecHotspot, KernelLaunch, PoolWorker};
+    use crate::span::Inherited;
 
     fn sample_snapshot() -> MetricsSnapshot {
         let rec = MetricsRecorder::default();
         rec.span_at("study", 1, 0, 100);
         rec.span_at("study/workload/bfs", 2, 20, 80);
+        rec.span_at("study/workload/bfs/launch/bfs_step", 2, 30, 37);
+        rec.span_at("study/workload/bfs/launch/bfs_step", 2, 40, 59);
         rec.span_at("experiment/e1", 1, 100, 140);
         rec.add_counter("simt.warp_instrs", 1234);
         rec.record_kernel_launch(
@@ -490,7 +502,6 @@ mod tests {
                 blocks: 2,
                 warps: 10,
                 barriers: 0,
-                wall_ns: 900,
             },
         );
         rec.record_exec_profile(
@@ -514,19 +525,17 @@ mod tests {
                 lane_uops: 128,
             }],
         );
-        rec.record_pool_worker(
-            "study",
-            0,
-            &PoolWorker {
-                tasks: 3,
-                steals: 1,
-                busy_ns: 80,
-                wall_ns: 100,
-            },
-        );
-        rec.record_workload("bfs", 1, 60);
-        rec.record_hist("launch.latency_ns", 700);
-        rec.record_hist("launch.latency_ns", 1_900);
+        // Worker 0 ran `bfs` (60 ns); worker 1 ran nothing, so it sat
+        // idle through the pool's whole makespan.
+        for (worker, thread, tasks) in [(0, 2, 1), (1, 3, 0)] {
+            let stats = PoolWorker {
+                thread,
+                tasks,
+                steals: 0,
+            };
+            rec.record_pool_worker("study", worker, &Inherited::default(), &stats);
+        }
+        rec.record_workload("bfs", 1);
         rec.snapshot()
     }
 
@@ -554,7 +563,7 @@ mod tests {
     #[test]
     fn report_contains_the_recorded_facts() {
         let doc = build_report(&sample_snapshot(), &sample_ctx());
-        assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(7));
+        assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(8));
         assert_eq!(doc.get("threads").unwrap().as_u64(), Some(4));
         let meta = doc.get("meta").unwrap();
         assert_eq!(
@@ -586,17 +595,30 @@ mod tests {
             "v5 has no fallbacks section"
         );
         let pool = &doc.get("pools").unwrap().as_arr().unwrap()[0];
-        let w0 = &pool.get("workers").unwrap().as_arr().unwrap()[0];
-        assert_eq!(w0.get("tasks").unwrap().as_u64(), Some(3));
-        assert_eq!(w0.get("busy_frac").unwrap().as_f64(), Some(0.8));
-        let h = &doc.get("histograms").unwrap().as_arr().unwrap()[0];
+        let workers = pool.get("workers").unwrap().as_arr().unwrap();
+        let row = |w: &Json| {
+            let field = |key| w.get(key).unwrap().as_u64().unwrap();
+            let frac = w.get("busy_frac").unwrap().as_f64().unwrap();
+            (field("tasks"), field("busy_ns"), field("wall_ns"), frac)
+        };
+        assert_eq!(row(&workers[0]), (1, 60, 60, 1.0));
+        assert_eq!(row(&workers[1]), (0, 0, 60, 0.0));
+        let hists = doc.get("histograms").unwrap().as_arr().unwrap();
+        let h = &hists[0];
         assert_eq!(h.get("name").unwrap().as_str(), Some("launch.latency_ns"));
         assert_eq!(h.get("count").unwrap().as_u64(), Some(2));
-        assert_eq!(h.get("sum_ns").unwrap().as_u64(), Some(2_600));
-        assert_eq!(h.get("max_ns").unwrap().as_u64(), Some(1_900));
-        assert!(h.get("p50_ns").unwrap().as_u64().unwrap() >= 700);
+        assert_eq!(h.get("sum_ns").unwrap().as_u64(), Some(26));
+        assert_eq!(h.get("p50_ns").unwrap().as_u64(), Some(7));
+        assert_eq!(h.get("p90_ns").unwrap().as_u64(), Some(19));
+        assert_eq!(h.get("max_ns").unwrap().as_u64(), Some(19));
+        assert_eq!(
+            hists[1].get("name").unwrap().as_str(),
+            Some("pool.task_ns.study")
+        );
         let k = &doc.get("kernels").unwrap().as_arr().unwrap()[0];
-        assert_eq!(k.get("wall_ns").unwrap().as_u64(), Some(900));
+        assert_eq!(k.get("wall_ns").unwrap().as_u64(), Some(26));
+        let w = &doc.get("workloads").unwrap().as_arr().unwrap()[0];
+        assert_eq!(w.get("wall_ns").unwrap().as_u64(), Some(60));
         let st = doc.get("self_time").unwrap().as_arr().unwrap();
         let study = st
             .iter()
@@ -631,7 +653,7 @@ mod tests {
 
         // Only the written version validates: older and unknown stamps
         // are rejected even when every current key is present.
-        for version in [5, 6, 99] {
+        for version in [6, 7, 99] {
             let Json::Obj(mut fields) = doc.clone() else {
                 unreachable!()
             };
@@ -643,6 +665,17 @@ mod tests {
             let err = validate(&Json::Obj(fields)).unwrap_err();
             assert!(err.contains("schema_version"), "{err}");
         }
+    }
+
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        let samples: Vec<u64> = (1..=10).collect();
+        assert_eq!(percentile(&samples, 50), 5);
+        assert_eq!(percentile(&samples, 90), 9);
+        assert_eq!(percentile(&samples, 99), 10);
+        assert_eq!(percentile(&samples, 100), 10);
+        assert_eq!(percentile(&[42], 50), 42);
+        assert_eq!(percentile(&[], 99), 0);
     }
 
     #[test]

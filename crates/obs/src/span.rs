@@ -26,6 +26,16 @@ thread_local! {
 
 static NEXT_THREAD_ORD: AtomicU64 = AtomicU64::new(1);
 
+/// Name prefix of a kernel launch's span: `launch/<kernel>`, or
+/// `launch/<a>+<b>` for a co-scheduled pair. The recorder reads each
+/// kernel's wall time and the launch latency series from these spans
+/// ([`crate::metrics::MetricsRecorder::snapshot`]).
+pub const LAUNCH: &str = "launch";
+
+/// Name prefix of a study workload's span: `workload/<name>`. The
+/// recorder reads each workload's wall time from these spans.
+pub const WORKLOAD: &str = "workload";
+
 /// A small stable ordinal for the calling thread, assigned on first use
 /// (the process's first instrumented thread — usually main — is 1).
 /// Trace timelines key their rows on this instead of
@@ -89,6 +99,11 @@ impl Inherited {
             return Self::default();
         }
         Self(STACK.with(|s| s.borrow().clone()))
+    }
+
+    /// The snapshot's names joined into a span path (empty when none).
+    pub(crate) fn path(&self) -> String {
+        self.0.join("/")
     }
 
     /// Opens the snapshot's names on the calling thread's span stack,

@@ -50,6 +50,7 @@ fn counter_totals_are_thread_count_invariant() {
 #[test]
 fn pool_worker_stats_merge_across_threads() {
     use gwc_obs::recorder::PoolWorker;
+    use gwc_obs::span::{thread_ord, Inherited};
     let rec = MetricsRecorder::default();
     thread::scope(|scope| {
         for w in 0..4usize {
@@ -58,11 +59,11 @@ fn pool_worker_stats_merge_across_threads() {
                 rec.record_pool_worker(
                     "study",
                     w,
+                    &Inherited::default(),
                     &PoolWorker {
+                        thread: thread_ord(),
                         tasks: (w + 1) as u64,
                         steals: w as u64,
-                        busy_ns: 10,
-                        wall_ns: 20,
                     },
                 );
             });

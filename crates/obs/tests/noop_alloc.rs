@@ -1,5 +1,6 @@
 //! The disabled-path cost contract: with no recorder installed, the
-//! span/counter/histogram hot paths perform **zero heap allocations**.
+//! span/counter/exec-profile hot paths perform **zero heap
+//! allocations**.
 //!
 //! This file contains exactly one test so no sibling test can allocate
 //! concurrently on another thread while the window is being measured.
@@ -51,7 +52,6 @@ fn measure_window() -> usize {
         let _entered = gwc_obs::span::Inherited::capture().enter();
         gwc_obs::count("simt.warp_instrs", i);
         gwc_obs::count_max("observer.bytes_peak", i);
-        gwc_obs::hist("launch.latency_ns", i);
         // Exec-profile reporting borrows stack slices either way.
         gwc_obs::exec_profile("kernel", &classes, &hotspots);
         gwc_obs::exec_profile("kernel", &[], &[]);
@@ -71,7 +71,6 @@ fn disabled_hot_path_never_allocates() {
         let _s = gwc_obs::span!("warmup/{}", 0);
         gwc_obs::count("warmup", 1);
         gwc_obs::count_max("warmup", 1);
-        gwc_obs::hist("warmup", 1);
     }
     // The counter is process-global, so the libtest harness thread can
     // contribute a stray allocation while a window runs. Take the best

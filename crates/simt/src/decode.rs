@@ -1,14 +1,14 @@
 //! The predecoded µop stream the interpreter executes.
 //!
 //! [`Kernel`] IR is built for validation and analysis: operands carry
-//! tagged [`Value`] immediates, destination/source register queries walk
+//! tagged [`Value`](crate::instr::Value) immediates, destination/source register queries walk
 //! the instruction enum, and every opcode's operand types are re-derived
 //! at run time from the register declarations. None of that belongs in
 //! the warp inner loop, so [`DecodedKernel::decode`] lowers the IR once
 //! into a flat, cache-friendly form:
 //!
 //! * operand slots ([`Src`]) with immediates pre-converted to their raw
-//!   32-bit image ([`Value::to_bits`]), so register banks, memory and
+//!   32-bit image ([`Value::to_bits`](crate::instr::Value::to_bits)), so register banks, memory and
 //!   immediates all speak the same untyped-u32 language;
 //! * opcodes monomorphized over their statically validated operand types
 //!   ([`BinKind`], [`UnKind`], [`AtomKind`]), eliminating the per-lane
@@ -22,7 +22,7 @@
 //! sweep point — and forked devices all share one decode.
 //!
 //! Everything here is a pure re-encoding: the raw evaluators in this
-//! module mirror the tagged [`Value`] semantics bit for bit (predicates
+//! module mirror the tagged [`Value`](crate::instr::Value) semantics bit for bit (predicates
 //! only ever hold 0/1 by construction, floats round-trip through
 //! `to_bits`/`from_bits` exactly), which is what keeps the golden
 //! snapshot and determinism suites byte-identical across the decoded and
@@ -39,7 +39,8 @@ use crate::kernel::Kernel;
 pub enum Src {
     /// Virtual register id.
     Reg(u16),
-    /// Immediate, pre-converted with [`Value::to_bits`].
+    /// Immediate, pre-converted with
+    /// [`Value::to_bits`](crate::instr::Value::to_bits).
     Imm(u32),
     /// Kernel parameter index (resolved against the launch arguments).
     Param(u16),

@@ -17,8 +17,8 @@
 //! states, register banks) is reused across the blocks of a launch.
 //!
 //! Warp stepping itself is pluggable ([`crate::backend`]): the scalar
-//! reference loop lives here ([`LaunchCtx::run_warp_scalar`]), the
-//! 32-lane SIMD engine in [`crate::simd`].
+//! reference loop lives here (`LaunchCtx::run_warp_scalar`), the
+//! 32-lane SIMD engine in the private `simd` module.
 //!
 //! Block dispatch is plan-driven ([`crate::sched`]): every launch —
 //! solo or co-scheduled — passes one launch boundary that executes a
@@ -373,7 +373,9 @@ impl Device {
     /// dispatch plan, and books each member's launch exactly once —
     /// observer `on_launch`/`on_launch_end`, backend counter,
     /// [`crate::trace::record_launch`] and exec profile — under one
-    /// `launch/<a>[+<b>]` span and one `launch.latency_ns` sample.
+    /// `launch/<a>[+<b>]` span. That span is the launch's only clock
+    /// reading: the recorder derives the launch latency series and each
+    /// member's wall time from it.
     fn launch_plan<O: TraceObserver + ?Sized, const N: usize>(
         &mut self,
         launches: [PairLaunch<'_>; N],
@@ -404,8 +406,11 @@ impl Device {
             gwc_obs::count(&format!("pair.policy.{}", policy.name()), 1);
             gwc_obs::count("pair.slices", plan.slices().len() as u64);
         }
-        let t0 = gwc_obs::enabled().then(std::time::Instant::now);
-        let span = gwc_obs::span!("launch/{}", launches.map(|l| l.kernel.name()).join("+"));
+        let span = gwc_obs::span!(
+            "{}/{}",
+            gwc_obs::span::LAUNCH,
+            launches.map(|l| l.kernel.name()).join("+")
+        );
         let profile_exec = self.exec_profiling_active();
         let mut members = launches.map(|l| PlanMember::new(l, profile_exec));
         match self.backend {
@@ -417,21 +422,12 @@ impl Device {
             }
         }
         drop(span);
-        let wall_ns = t0.map(|t0| t0.elapsed().as_nanos() as u64);
-        if let Some(ns) = wall_ns {
-            gwc_obs::hist("launch.latency_ns", ns);
-            if policy.is_some() {
-                gwc_obs::hist("pair.latency_ns", ns);
-            }
-        }
         for (m, member) in members.iter().enumerate() {
             if N > 1 {
                 observer.on_member(m);
             }
             observer.on_launch_end(&member.stats);
-            // A co-scheduled member is booked with the co-run wall: that
-            // is the wall the kernel experienced while co-resident.
-            crate::trace::record_launch(member.kernel.name(), &member.stats, wall_ns.unwrap_or(0));
+            crate::trace::record_launch(member.kernel.name(), &member.stats);
             if let Some(profile) = &member.exec {
                 crate::trace::record_exec_profile(member.kernel, profile);
             }

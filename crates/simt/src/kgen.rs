@@ -533,7 +533,7 @@ pub fn generate_seeded(seed: u64) -> Result<GeneratedKernel, SimtError> {
 /// Knob point for an adversarial cache-thrashing partner kernel, used
 /// by the pairwise-interference harness as a co-resident aggressor that
 /// no curated registry pair can match: every region is a strided,
-/// data-dependent gather ([`Region::LdCvt`]-heavy mix via zero
+/// data-dependent gather (`Region::LdCvt`-heavy mix via zero
 /// divergence/atomic/barrier densities), the stride is a large prime so
 /// consecutive loads land in different 128-byte lines, and looped
 /// regions re-walk the whole footprint, widening the victim's reuse

@@ -18,13 +18,13 @@
 //!   plain branches.
 //! * [`kernel`] — finalized [`kernel::Kernel`]s: validated instructions plus
 //!   the branch-reconvergence table derived from a post-dominator analysis
-//!   ([`cfg`]).
+//!   ([`cfg`](mod@cfg)).
 //! * [`decode`] — the predecoded µop stream: the flat, type-monomorphized
 //!   form the interpreter executes, decoded once per kernel and cached.
 //! * [`exec`] — the [`exec::Device`]: global/const memory, kernel launch,
 //!   warp scheduling, the SIMT reconvergence stack, barriers and atomics.
 //! * [`backend`] — runtime-selectable warp engines: the scalar reference
-//!   and the 32-lane SIMD engine ([`simd`]), which executes each µop once
+//!   and the 32-lane SIMD engine (the private `simd` module), which executes each µop once
 //!   for the whole warp; the two are required to be bit-identical and
 //!   are differentially tested against each other.
 //! * [`sched`] — policy-driven block dispatch: [`sched::SchedPolicy`]

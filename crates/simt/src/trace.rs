@@ -130,7 +130,7 @@ pub struct LaunchStats {
 ///
 /// The device's launch boundary calls this once per launched kernel:
 /// once for a solo launch, once per member of a co-scheduled one.
-pub(crate) fn record_launch(kernel: &str, stats: &LaunchStats, wall_ns: u64) {
+pub(crate) fn record_launch(kernel: &str, stats: &LaunchStats) {
     let Some(rec) = gwc_obs::recorder() else {
         return;
     };
@@ -142,7 +142,6 @@ pub(crate) fn record_launch(kernel: &str, stats: &LaunchStats, wall_ns: u64) {
             blocks: stats.blocks,
             warps: stats.warps,
             barriers: stats.barriers,
-            wall_ns,
         },
     );
     rec.add_counter("simt.launches", 1);

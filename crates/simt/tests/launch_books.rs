@@ -74,7 +74,7 @@ fn solo_and_pair_launches_share_one_set_of_books() {
         .hists
         .iter()
         .find(|(n, _)| n == "launch.latency_ns")
-        .map(|(_, h)| h.count());
+        .map(|(_, samples)| samples.len());
     assert_eq!(latency, Some(2), "one latency sample per launch");
 
     let spans: Vec<(&str, u64)> = snap
